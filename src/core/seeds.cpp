@@ -1,7 +1,6 @@
 #include "core/seeds.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "core/lambda.hpp"
 #include "core/linear.hpp"
@@ -22,16 +21,16 @@ std::vector<Octant<D>> balance_seeds(const Octant<D>& o, const Octant<D>& r,
   // a: the finest leaf of Tk(o) inside r, at the closest position to o.
   const Octant<D> a = closest_balanced(o, r, k);
   out.push_back(a);
-  std::deque<Octant<D>> work{a};
   std::vector<Octant<D>> nbhd;
 
   // Grow the generator set outward: wherever a parent-sized neighbor
   // position of an existing seed is still too coarse for Tk(o), add the
   // closest balanced octant there.  Since Tk(o) grows coarser away from o,
   // this closure visits the O(1)-size "too fine" region of r only.
-  while (!work.empty()) {
-    const Octant<D> s = work.front();
-    work.pop_front();
+  // Every generator is also a work item, in the same order, so the FIFO
+  // work queue is the suffix of out past the cursor.
+  for (std::size_t next = 0; next < out.size(); ++next) {
+    const Octant<D> s = out[next];
     nbhd.clear();
     coarse_neighborhood(s, k, r, nbhd);
     for (const Octant<D>& n : nbhd) {
@@ -39,11 +38,10 @@ std::vector<Octant<D>> balance_seeds(const Octant<D>& o, const Octant<D>& r,
       const Octant<D> t = closest_balanced(o, n, k);
       if (std::find(out.begin(), out.end(), t) != out.end()) continue;
       out.push_back(t);
-      work.push_back(t);
     }
   }
   // Accounted at the closure's high-water point: the generator set plus the
-  // last probed neighborhood (the deque never exceeds the generator count).
+  // last probed neighborhood (the work queue is a suffix of the generators).
   const obs::MemScope seeds_mem(
       obs::MemTag::kSeeds, (out.size() + nbhd.size()) * sizeof(Octant<D>));
   linearize(out);

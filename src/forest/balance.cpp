@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 
+#include "core/key.hpp"
 #include "core/lambda.hpp"
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
@@ -35,6 +36,70 @@ struct WirePair {
   friend auto operator<=>(const WirePair&, const WirePair&) = default;
 };
 
+/// Work counters of one rank's response loop (BalanceReport fields).
+struct ResponseWork {
+  std::uint64_t visited = 0;     ///< leaves examined by the piece scans
+  std::uint64_t decisions = 0;   ///< balanced_pair calls
+  std::uint64_t seed_calls = 0;  ///< balance_seeds calls
+};
+
+/// Answer one insulation piece \p nb of the query \p w (octant \p q): scan
+/// the leaves of \p run (one tree's sorted keys) inside the piece and
+/// append the response items to \p out — the raw octants finer than q, or,
+/// with \p seeds, the seeds of every leaf at least two levels finer than q
+/// that q is not balanced with.
+///
+/// Seeds are decided once per sibling family (DESIGN.md §2.18): for a
+/// disjoint pair with size(o) <= size(q)/4, balanced_pair(o, q) and
+/// balance_seeds(o, q) depend on o only through parent(o), so the first
+/// leaf of a family stands for all of its leaf siblings.  In Morton order
+/// the families already handled along the current path form a stack, so
+/// each family is decided exactly once per piece.
+template <int D>
+void respond_piece(KeySpan run, const TreeNeighbor<D>& nb,
+                   const WireOct<D>& w, const Octant<D>& q, int k, bool seeds,
+                   std::vector<WirePair<D>>& out, ResponseWork& work) {
+  const okey_t pk = key_of(nb.oct);
+  const morton_t pb = key_interval_begin<D>(pk);
+  const morton_t pe = key_interval_end<D>(pk);
+  if (run.empty() || key_interval_begin<D>(run[0]) >= pe ||
+      key_interval_end<D>(run[run.size() - 1]) <= pb) {
+    return;  // the piece misses this rank's part of the tree
+  }
+  const okey_t* lo = std::partition_point(
+      run.begin(), run.end(),
+      [&](okey_t x) { return key_interval_end<D>(x) <= pb; });
+  const okey_t* hi = std::partition_point(
+      lo, run.end(), [&](okey_t x) { return key_interval_begin<D>(x) < pe; });
+  std::array<okey_t, max_level<D> + 1> families;
+  int depth = 0;
+  for (; lo != hi; ++lo) {
+    ++work.visited;
+    const int level = key_level<D>(*lo);
+    if (!seeds) {
+      if (level <= q.level) continue;  // too coarse to split q
+      const Octant<D> o = nb.xform.apply(key_oct<D>(*lo));
+      out.push_back(WirePair<D>{w, o.level, o.x});
+      continue;
+    }
+    if (level <= q.level + 1) continue;  // 2:1 already
+    const okey_t fam = key_parent<D>(*lo);
+    while (depth > 0 && !key_contains(families[depth - 1], fam)) --depth;
+    if (depth > 0 && families[depth - 1] == fam) continue;  // decided
+    families[depth++] = fam;
+    // Map from the piece's own tree frame into q's frame (a pure
+    // translation for brick connectivities, a signed permutation plus
+    // translation for general 2D gluings); it maps families to families.
+    const Octant<D> o = nb.xform.apply(key_oct<D>(*lo));
+    ++work.decisions;
+    if (balanced_pair(o, q, k)) continue;  // O(1) decision
+    ++work.seed_calls;
+    for (const auto& s : balance_seeds(o, q, k)) {
+      out.push_back(WirePair<D>{w, s.level, s.x});
+    }
+  }
+}
+
 }  // namespace
 
 template <int D>
@@ -60,6 +125,9 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
   obs::Metrics& met = comm.metrics();
   obs::Counter& c_queries = met.counter("balance/queries_sent");
   obs::Counter& c_responses = met.counter("balance/response_items");
+  obs::Counter& c_visited = met.counter("balance/response_visited");
+  obs::Counter& c_decisions = met.counter("balance/response_decisions");
+  obs::Counter& c_seed_calls = met.counter("balance/seed_calls");
   obs::Counter& c_leaves = met.counter("balance/leaves_after");
   obs::Counter& c_owner_lookups = met.counter("balance/owner_lookups");
   obs::Counter& c_owner_cache = met.counter("balance/owner_cache_hits");
@@ -76,6 +144,7 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
   std::vector<SubtreeBalanceStats> rank_subtree(P);
   std::vector<std::uint64_t> rank_count(P);
   std::vector<OwnerScanStats> rank_owner(P);
+  std::vector<ResponseWork> rank_work(P);
   const auto reduce_secs = [&]() {
     double worst = 0;
     for (int r = 0; r < P; ++r) worst = std::max(worst, rank_secs[r]);
@@ -377,13 +446,20 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       const obs::MemRank mem_rank(r);
       Timer t;
       const auto& mine = f.local(r);
-      const auto runs = tree_runs(mine);
-      // Per-tree views for range searches.
-      std::map<int, std::vector<Octant<D>>> by_tree;
-      for (const auto& [i, j] : runs) {
-        auto& v = by_tree[mine[i].tree];
-        for (std::size_t q = i; q < j; ++q) v.push_back(mine[q].oct);
+      // The rank's leaves as packed keys; a tree's leaves are one
+      // contiguous run of the sorted array.
+      std::vector<okey_t> keys(mine.size());
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        keys[i] = key_of(mine[i].oct);
       }
+      const auto runs = tree_runs(mine);
+      const auto run_of = [&](int tree) {
+        const auto it = std::partition_point(
+            runs.begin(), runs.end(),
+            [&](const auto& ij) { return mine[ij.first].tree < tree; });
+        if (it == runs.end() || mine[it->first].tree != tree) return KeySpan();
+        return KeySpan(keys.data() + it->first, it->second - it->first);
+      };
       std::map<int, std::vector<WirePair<D>>> reply;
       const auto& offs = full_offsets<D>();
       for (const auto& [from, queries] : qrecv[r]) {
@@ -393,27 +469,8 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
           for (const auto& off : offs) {
             const auto nb = conn.neighbor(q.tree, q.oct, off);
             if (!nb) continue;
-            const auto it = by_tree.find(nb->tree);
-            if (it == by_tree.end()) continue;
-            const auto& run = it->second;
-            const auto [lo, hi] = overlapping_range(run, nb->oct);
-            if (lo >= hi) continue;
-            // Map from the piece's own tree frame into q's frame (a pure
-            // translation for brick connectivities, a signed permutation
-            // plus translation for general 2D gluings).
-            for (std::size_t ji = lo; ji < hi; ++ji) {
-              if (run[ji].level <= q.oct.level) continue;  // too coarse
-              const Octant<D> o = nb->xform.apply(run[ji]);
-              if (opt.seed_response) {
-                if (o.level <= q.oct.level + 1) continue;     // 2:1 already
-                if (balanced_pair(o, q.oct, k)) continue;     // O(1) decision
-                for (const auto& s : balance_seeds(o, q.oct, k)) {
-                  out.push_back(WirePair<D>{w, s.level, s.x});
-                }
-              } else {
-                out.push_back(WirePair<D>{w, o.level, o.x});
-              }
-            }
+            respond_piece(run_of(nb->tree), *nb, w, q.oct, k,
+                          opt.seed_response, out, rank_work[r]);
           }
         }
         // Seeds from different response octants overlap; deduplicate.
@@ -450,6 +507,12 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
     for (int r = 0; r < P; ++r) {
       rep.response_items += rank_count[r];
       c_responses.add(r, rank_count[r]);
+      rep.response_visited += rank_work[r].visited;
+      rep.response_decisions += rank_work[r].decisions;
+      rep.seed_calls += rank_work[r].seed_calls;
+      c_visited.add(r, rank_work[r].visited);
+      c_decisions.add(r, rank_work[r].decisions);
+      c_seed_calls.add(r, rank_work[r].seed_calls);
     }
     rep.t_query_response += reduce_secs() + t.seconds();
   }

@@ -124,6 +124,12 @@ struct BalanceReport {
   std::uint64_t octants_after = 0;
   std::uint64_t queries_sent = 0;    ///< query octants shipped (incl. self)
   std::uint64_t response_items = 0;  ///< seeds or raw octants answered
+  /// Response-loop work: leaves the piece scans examined, balanced_pair
+  /// decisions made (one per sibling family and query piece) and
+  /// balance_seeds calls (one per unbalanced family and query piece).
+  std::uint64_t response_visited = 0;
+  std::uint64_t response_decisions = 0;
+  std::uint64_t seed_calls = 0;
   SubtreeBalanceStats subtree;    ///< accumulated serial-balance counters
   OwnerScanStats owner_scan;      ///< phase-2 windowed owner resolution
 };

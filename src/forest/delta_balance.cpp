@@ -93,6 +93,13 @@ void rebalance_with_aux(std::vector<TreeOct<D>>& mine,
 /// constraints arrive, so the insulation property confines the refinement
 /// to the constrained leaves.  Appends the created cells (the next
 /// frontier) to \p created.
+///
+/// Most constraints are refinement-created leaves, so siblings arrive next
+/// to each other.  For a leaf q at least two levels coarser than a
+/// constraint o, balanced_pair(o, q) and balance_seeds(o, q) depend on o
+/// only through parent(o) (DESIGN.md §2.18), so a run of consecutive
+/// siblings decides and seeds each leaf q once.  Siblings that arrive apart
+/// are decided again, which only repeats identical seeds.
 template <int D>
 void grouped_apply(std::vector<TreeOct<D>>& mine,
                    const std::map<std::int32_t, std::vector<Octant<D>>>& aux,
@@ -101,6 +108,9 @@ void grouped_apply(std::vector<TreeOct<D>>& mine,
   if (aux.empty()) return;
   const auto& offs = full_offsets<D>();
   std::vector<TreeOct<D>> extra;
+  const auto family = [](const Octant<D>& o) {
+    return o.level > 0 ? parent(o) : o;
+  };
   for (const auto& [i, j] : tree_runs(mine)) {
     const std::int32_t tree = mine[i].tree;
     const auto it = aux.find(tree);
@@ -114,8 +124,12 @@ void grouped_apply(std::vector<TreeOct<D>>& mine,
     // the piece and touches the constraint).
     std::map<Octant<D>, std::vector<Octant<D>>> groups;
     std::vector<std::size_t> cand;
+    std::vector<std::size_t> seeded;  // leaves the current sibling run seeded
     Octant<D> piece;
-    for (const Octant<D>& o : it->second) {
+    const auto& cons = it->second;
+    for (std::size_t ci = 0; ci < cons.size(); ++ci) {
+      const Octant<D>& o = cons[ci];
+      if (ci == 0 || family(cons[ci - 1]) != family(o)) seeded.clear();
       // A coarse leaf contains many of the constraint's halo pieces, so
       // collect the candidate leaves across all pieces and deduplicate
       // before seeding — otherwise every pair is seeded once per piece.
@@ -144,6 +158,10 @@ void grouped_apply(std::vector<TreeOct<D>>& mine,
         const Octant<D>& q = mine[qi].oct;
         if (opt.seed_response) {
           if (o.level <= q.level + 1) continue;  // 2:1 already
+          if (std::find(seeded.begin(), seeded.end(), qi) != seeded.end()) {
+            continue;  // a sibling of o already seeded q
+          }
+          seeded.push_back(qi);
           if (balanced_pair(o, q, k)) continue;  // O(1) decision
           for (const auto& s : balance_seeds(o, q, k)) {
             groups[q].push_back(s);

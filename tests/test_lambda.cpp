@@ -11,7 +11,10 @@
 
 #include "core/lambda.hpp"
 #include "core/linear.hpp"
+#include "core/neighborhood.hpp"
 #include "core/ripple.hpp"
+#include "core/seeds.hpp"
+#include "forest/connectivity.hpp"
 
 namespace octbal {
 namespace {
@@ -263,6 +266,92 @@ TEST(Lambda, OneDLogarithmicGrowth) {
     const int e = finest_exp_in(o, r, 1);
     EXPECT_EQ(e, size_exp(o) + j) << "j=" << j;
   }
+}
+
+/// The family rule behind the balance response loop (DESIGN.md §2.18): for
+/// a disjoint pair with r.level <= o.level - 2, balanced_pair(o, r) and
+/// balance_seeds(o, r) depend on o only through parent(o).  Checked for
+/// every family and every such r of a small domain (deeper than the λ sweep
+/// above), every k.
+template <int D>
+void family_rule_check(int lmax) {
+  const auto parents = all_octants<D>(0, lmax - 1);
+  const auto rs = all_octants<D>(1, lmax);
+  std::uint64_t pairs = 0, unbalanced = 0;
+  for (int k = 1; k <= D; ++k) {
+    for (const auto& p : parents) {
+      const Octant<D> o0 = child(p, 0);
+      for (const auto& r : rs) {
+        if (r.level > o0.level - 2 || overlaps(r, p)) continue;
+        const bool bal = balanced_pair(o0, r, k);
+        const auto seeds = balance_seeds(o0, r, k);
+        for (int c = 1; c < num_children<D>; ++c) {
+          const Octant<D> o = child(p, c);
+          ASSERT_EQ(balanced_pair(o, r, k), bal)
+              << "D=" << D << " k=" << k << " o=" << to_string(o)
+              << " r=" << to_string(r);
+          ASSERT_EQ(balance_seeds(o, r, k), seeds)
+              << "D=" << D << " k=" << k << " o=" << to_string(o)
+              << " r=" << to_string(r);
+        }
+        ++pairs;
+        if (!bal) ++unbalanced;
+      }
+    }
+  }
+  EXPECT_GT(pairs, 0u);
+  EXPECT_GT(unbalanced, 0u);  // the rule is exercised where seeds exist
+}
+
+TEST(FamilyRule, OneD) { family_rule_check<1>(10); }
+TEST(FamilyRule, TwoD) { family_rule_check<2>(6); }
+TEST(FamilyRule, ThreeD) { family_rule_check<3>(4); }
+
+/// The response loop applies the rule to leaves mapped from a neighbor
+/// tree's frame into the query's frame.  Through a rotated gluing (tree 0's
+/// +x face meets tree 1's -y face), the image of a sibling family must
+/// still be one family, and the rule must hold for the exterior images.
+TEST(FamilyRule, RotatedGluingThroughFrameTransform) {
+  constexpr int D = 2;
+  std::vector<std::array<FaceGlue, 4>> faces(2);
+  faces[0][1] = FaceGlue{1, 2, 0};
+  faces[1][2] = FaceGlue{0, 1, 0};
+  const auto conn = Connectivity<D>::general(2, std::move(faces));
+  ASSERT_TRUE(conn.validate());
+  const int lmax = 7;
+  const auto all = all_octants<D>(1, lmax - 1);
+  std::uint64_t pairs = 0, unbalanced = 0, rotated = 0;
+  for (int k = 1; k <= D; ++k) {
+    for (const auto& q : all) {
+      if (q.level > lmax - 3) continue;
+      for (const auto& off : full_offsets<D>()) {
+        const auto nb = conn.neighbor(0, q, off);
+        if (!nb || nb->tree != 1) continue;
+        if (nb->xform.perm[0] != 0) ++rotated;
+        for (const auto& p : all) {
+          if (p.level < q.level + 1 || !contains(nb->oct, p)) continue;
+          const Octant<D> o0 = nb->xform.apply(child(p, 0));
+          const bool bal = balanced_pair(o0, q, k);
+          const auto seeds = balance_seeds(o0, q, k);
+          for (int c = 1; c < num_children<D>; ++c) {
+            const Octant<D> o = nb->xform.apply(child(p, c));
+            ASSERT_EQ(parent(o), parent(o0)) << "image is not one family";
+            ASSERT_EQ(balanced_pair(o, q, k), bal)
+                << "k=" << k << " o=" << to_string(o)
+                << " q=" << to_string(q);
+            ASSERT_EQ(balance_seeds(o, q, k), seeds)
+                << "k=" << k << " o=" << to_string(o)
+                << " q=" << to_string(q);
+          }
+          ++pairs;
+          if (!bal) ++unbalanced;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rotated, 0u);
+  EXPECT_GT(pairs, 0u);
+  EXPECT_GT(unbalanced, 0u);
 }
 
 TEST(Lambda, FaceBalanceGrowsFasterDiagonally) {

@@ -7,7 +7,8 @@
 ///      fast answers are computed, never the answers — so the modeled
 ///      message/byte counts of the fixed Figure 15 workload are pinned
 ///      exactly (the same numbers live in BENCH_baseline.json, which CI
-///      diffs against fresh bench runs).
+///      diffs against fresh bench runs), next to the response loop's
+///      visited/decision/seed-call work counters.
 ///   2. Exact HashStats counts: the OctantHashSet sizing in
 ///      balance_subtree_new was tuned against the probe counters; pinning
 ///      them exactly means any change to sizing, hashing, or the ripple
@@ -66,6 +67,11 @@ TEST(PerfGuards, ModeledTrafficMatchesBaseline) {
     EXPECT_EQ(rep.notify_comm.messages, 64u);
     EXPECT_EQ(rep.notify_comm.bytes, 15360u);
     EXPECT_EQ(rep.queries_sent, 34240u);
+    EXPECT_EQ(rep.response_items, 421758u);
+    // The old configuration answers with every raw octant: no decisions.
+    EXPECT_EQ(rep.response_visited, 675246u);
+    EXPECT_EQ(rep.response_decisions, 0u);
+    EXPECT_EQ(rep.seed_calls, 0u);
   }
   {
     Forest<3> f = fig15_step2_forest();
@@ -77,6 +83,14 @@ TEST(PerfGuards, ModeledTrafficMatchesBaseline) {
     EXPECT_EQ(rep.notify_comm.messages, 64u);
     EXPECT_EQ(rep.notify_comm.bytes, 2400u);
     EXPECT_EQ(rep.queries_sent, 34240u);
+    EXPECT_EQ(rep.response_items, 3534u);
+    // Response-loop work (DESIGN.md §2.18): one decision per sibling family
+    // and query piece, one balance_seeds call per unbalanced family.  A
+    // per-leaf loop makes 68832 seed calls here (one per unbalanced leaf
+    // pair), 7.7x the family count.
+    EXPECT_EQ(rep.response_visited, 675246u);
+    EXPECT_EQ(rep.response_decisions, 28882u);
+    EXPECT_EQ(rep.seed_calls, 8914u);
   }
 }
 
