@@ -296,6 +296,10 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
       const GlobalPos own_lo = f.marker(r);
       const GlobalPos own_hi = f.marker(r + 1);
       for (const auto& to : frontier[r]) {
+        // Round 0's frontier was re-balanced whole-run by the pre-pass.
+        // Later frontiers come from grouped applies and can ripple inside
+        // their own run, so they also constrain it as self-directed aux.
+        if (round > 0) aux[r][to.tree].push_back(to.oct);
         const coord_t hh = side_len(to.oct);
         bool interior = true;
         for (int dd = 0; dd < D && interior; ++dd) {
@@ -325,7 +329,7 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
             const GlobalPos lo{to.tree, morton_key(piece)};
             const GlobalPos hi{to.tree, lo.key + sz};
             if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
-              continue;  // handled by this rank's own run re-balance
+              continue;  // own run: pre-pass or self constraint above
             }
             const auto [r0, r1] = owners.owners_of(lo, hi);
             for (int dest = r0; dest <= r1; ++dest) {
@@ -348,7 +352,7 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
               nb->xform == FrameTransform<D>::identity();
           if (nb->tree == to.tree && same_frame && own_lo <= lo &&
               GlobalPos{nb->tree, hi.key - 1} < own_hi) {
-            continue;  // handled by this rank's own run re-balance
+            continue;  // own run: pre-pass or self constraint above
           }
           // The receiver holds its leaves in the neighbor tree's frame, so
           // the announcement ships the frontier octant mapped *into* that

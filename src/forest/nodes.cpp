@@ -1,8 +1,13 @@
 #include "forest/nodes.hpp"
 
+#include <bit>
+#include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "core/linear.hpp"
+#include "core/octant_hash.hpp"
 #include "core/search.hpp"
 #include "forest/forest.hpp"
 #include "obs/trace.hpp"
@@ -25,20 +30,167 @@ GlobalCoord<D> domain_extent(const Connectivity<D>& conn) {
   return e;
 }
 
-/// Wrap periodic axes; returns false if the coordinate leaves the domain
-/// in a non-periodic direction.  \p upper_ok allows the closed upper bound
-/// (node coordinates live on [0, extent]).
+/// Check enumerate_nodes' preconditions in one O(n) sweep and return the
+/// finest leaf level: every leaf is a valid octant of an existing tree,
+/// the leaves of each tree appear in increasing Morton order without
+/// overlap, and their volumes add up to the whole tree.
 template <int D>
-bool canonicalize(const Connectivity<D>& conn, const GlobalCoord<D>& ext,
-                  GlobalCoord<D>& g, bool upper_ok) {
-  for (int i = 0; i < D; ++i) {
-    if (conn.periodic()[i]) {
-      g[i] = ((g[i] % ext[i]) + ext[i]) % ext[i];
-    } else if (g[i] < 0 || g[i] > ext[i] || (!upper_ok && g[i] == ext[i])) {
-      return false;
+int check_leaf_set(const std::vector<TreeOct<D>>& leaves,
+                   const Connectivity<D>& conn) {
+  const int trees = conn.num_trees();
+  // Per tree, the end of the Morton interval covered so far.  A leaf whose
+  // interval starts before it is out of order or overlaps its predecessor.
+  std::vector<morton_t> covered_to(trees, 0);
+  std::vector<std::uint64_t> volume(trees, 0);
+  int finest = 0;
+  for (const auto& to : leaves) {
+    if (to.tree < 0 || to.tree >= trees || !is_valid(to.oct)) {
+      throw std::invalid_argument("enumerate_nodes: leaf " +
+                                  to_string(to.oct) + " in tree " +
+                                  std::to_string(to.tree) +
+                                  " lies outside the domain");
+    }
+    const morton_t key = morton_key(to.oct);
+    if (key < covered_to[to.tree]) {
+      throw std::invalid_argument(
+          "enumerate_nodes: leaves of tree " + std::to_string(to.tree) +
+          " are not sorted and disjoint at " + to_string(to.oct));
+    }
+    const std::uint64_t cells = std::uint64_t{1} << (D * size_exp(to.oct));
+    covered_to[to.tree] = key + cells;
+    // Sorted and disjoint, so a tree's sum never exceeds its volume.
+    volume[to.tree] += cells;
+    finest = std::max<int>(finest, to.oct.level);
+  }
+  for (int t = 0; t < trees; ++t) {
+    if (volume[t] != std::uint64_t{1} << (D * max_level<D>)) {
+      throw std::invalid_argument("enumerate_nodes: leaves do not cover tree " +
+                                  std::to_string(t));
     }
   }
-  return true;
+  return finest;
+}
+
+std::uint64_t corner_hash(std::uint64_t key) { return detail::hash_mix(key); }
+
+template <std::size_t D>
+std::uint64_t corner_hash(const std::array<std::int64_t, D>& g) {
+  std::uint64_t h = 0;
+  for (const std::int64_t x : g) {
+    h = detail::hash_mix(h ^ static_cast<std::uint64_t>(x));
+  }
+  return h;
+}
+
+/// Open-addressing (linear probing) map from a corner key to its node id,
+/// with ids handed out in insertion order.  The keys live densely in id
+/// order and a slot holds only id + 1 (0 marks it empty), so a slot costs
+/// 4 bytes.  The power-of-two slot count doubles before the load passes
+/// 1/2, so no leaf set can overfill it.
+template <class Key>
+class CornerTable {
+ public:
+  explicit CornerTable(std::size_t expected) {
+    std::size_t cap = 16;
+    while (cap < 2 * expected) cap *= 2;
+    slots_.assign(cap, 0);
+  }
+
+  std::size_t size() const { return keys_.size(); }
+
+  /// The id of \p key.  A key seen for the first time gets id size() and
+  /// sets \p fresh.
+  std::int64_t find_or_insert(const Key& key, bool& fresh) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = corner_hash(key) & mask;; s = (s + 1) & mask) {
+      const std::uint32_t slot = slots_[s];
+      if (slot == 0) break;
+      if (keys_[slot - 1] == key) {
+        fresh = false;
+        return slot - 1;
+      }
+    }
+    if (keys_.size() + 1 >= std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("enumerate_nodes: more than 2^32 - 2 nodes");
+    }
+    keys_.push_back(key);
+    if (2 * keys_.size() > slots_.size()) {
+      rehash(2 * slots_.size());
+    } else {
+      place(keys_.size() - 1);
+    }
+    fresh = true;
+    return static_cast<std::int64_t>(keys_.size() - 1);
+  }
+
+ private:
+  void place(std::size_t id) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = corner_hash(keys_[id]) & mask;
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = static_cast<std::uint32_t>(id + 1);
+  }
+
+  void rehash(std::size_t cap) {
+    slots_.assign(cap, 0);
+    for (std::size_t id = 0; id < keys_.size(); ++id) place(id);
+  }
+
+  std::vector<std::uint32_t> slots_;
+  std::vector<Key> keys_;  ///< indexed by node id
+};
+
+/// The single pass of lattice node enumeration (DESIGN.md §2.19): number
+/// each leaf's canonical corners by first appearance through the table,
+/// and count per node the leaves that have it as a corner.  Each such
+/// leaf fills one of the 2^open orthants around the node, where open
+/// counts the axes on which the node is periodic or strictly interior; a
+/// node hangs exactly when some orthant is filled by a leaf it is not a
+/// corner of.  \p pack maps a canonical corner to its table key.
+template <int D, class Key, class Pack>
+void number_lattice_corners(const std::vector<TreeOct<D>>& leaves,
+                            const Connectivity<D>& conn, NodeNumbering& nn,
+                            const Pack& pack) {
+  const GlobalCoord<D> ext = domain_extent(conn);
+  const auto& periodic = conn.periodic();
+  std::vector<GlobalCoord<D>> origin(conn.num_trees());
+  for (int t = 0; t < conn.num_trees(); ++t) {
+    const auto tc = conn.tree_coords(t);
+    for (int i = 0; i < D; ++i) {
+      origin[t][i] = static_cast<std::int64_t>(tc[i]) * root_len<D>;
+    }
+  }
+  CornerTable<Key> table(leaves.size());
+  nn.element_nodes.resize(leaves.size());
+  // nn.hanging first holds, per node, the orthants not yet filled by a
+  // leaf cornered at the node.
+  for (std::size_t e = 0; e < leaves.size(); ++e) {
+    const TreeOct<D>& to = leaves[e];
+    const std::int64_t h = side_len(to.oct);
+    for (int c = 0; c < num_children<D>; ++c) {
+      GlobalCoord<D> g;
+      for (int i = 0; i < D; ++i) {
+        g[i] = origin[to.tree][i] + to.oct.x[i] + (((c >> i) & 1) ? h : 0);
+        if (periodic[i] && g[i] == ext[i]) g[i] = 0;
+      }
+      bool fresh = false;
+      const std::int64_t id = table.find_or_insert(pack(g), fresh);
+      if (fresh) {
+        int open = 0;
+        for (int i = 0; i < D; ++i) {
+          open += periodic[i] || (0 < g[i] && g[i] < ext[i]);
+        }
+        nn.hanging.push_back(static_cast<std::uint8_t>(1 << open));
+      }
+      --nn.hanging[id];
+      nn.element_nodes[e][c] = id;
+    }
+  }
+  nn.num_nodes = table.size();
+  for (std::uint8_t& missing : nn.hanging) {
+    missing = missing != 0;
+    nn.num_independent += !missing;
+  }
 }
 
 }  // namespace
@@ -193,93 +345,33 @@ NodeNumbering enumerate_nodes_general(const std::vector<TreeOct<D>>& leaves,
 template <int D>
 NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
                               const Connectivity<D>& conn) {
+  const int finest = check_leaf_set(leaves, conn);
   if (!conn.is_lattice()) return enumerate_nodes_general(leaves, conn);
   OBS_SPAN("enumerate_nodes");
   NodeNumbering nn;
+  // Every corner is a multiple of the finest leaf's side, so the key drops
+  // those low zero bits; each axis then needs bit_width(extent >> shift)
+  // bits for node coordinates on the closed range [0, extent].
   const GlobalCoord<D> ext = domain_extent(conn);
-
-  // Per-tree sorted leaf views for point location.
-  std::vector<std::vector<Octant<D>>> per_tree(conn.num_trees());
-  for (const auto& to : leaves) per_tree[to.tree].push_back(to.oct);
-
-  const auto global_anchor = [&](const TreeOct<D>& to) {
-    GlobalCoord<D> g{};
-    const auto tc = conn.tree_coords(to.tree);
-    for (int i = 0; i < D; ++i) {
-      g[i] = static_cast<std::int64_t>(tc[i]) * root_len<D> + to.oct.x[i];
-    }
-    return g;
-  };
-
-  // Pass 1: assign ids in order of first appearance along the curve.
-  std::map<GlobalCoord<D>, std::int64_t> ids;
-  nn.element_nodes.assign(leaves.size(), {});
-  for (std::size_t e = 0; e < leaves.size(); ++e) {
-    const GlobalCoord<D> a = global_anchor(leaves[e]);
-    const std::int64_t h = side_len(leaves[e].oct);
-    for (int c = 0; c < num_children<D>; ++c) {
-      GlobalCoord<D> g = a;
-      for (int i = 0; i < D; ++i) {
-        if ((c >> i) & 1) g[i] += h;
-      }
-      const bool ok = canonicalize<D>(conn, ext, g, true);
-      assert(ok);
-      (void)ok;
-      const auto [it, fresh] =
-          ids.try_emplace(g, static_cast<std::int64_t>(ids.size()));
-      (void)fresh;
-      nn.element_nodes[e][c] = it->second;
-    }
+  const int shift = max_level<D> - finest;
+  std::array<int, D> offset{};
+  int bits = 0;
+  for (int i = 0; i < D; ++i) {
+    offset[i] = bits;
+    bits += std::bit_width(static_cast<std::uint64_t>(ext[i]) >> shift);
   }
-  nn.num_nodes = ids.size();
-  nn.hanging.assign(nn.num_nodes, 0);
-
-  // Pass 2: a node hangs if some containing leaf does not have it as a
-  // corner (it then lies in the interior of that leaf's face or edge).
-  // Independent per node — chunked over the thread pool.
-  std::vector<const std::pair<const GlobalCoord<D>, std::int64_t>*> entries;
-  entries.reserve(ids.size());
-  for (const auto& kv : ids) entries.push_back(&kv);
-  par::parallel_for_blocked(entries.size(), 64, [&](std::size_t lo,
-                                                    std::size_t hi) {
-    for (std::size_t n = lo; n < hi; ++n) {
-      const auto& [node, id] = *entries[n];
-      for (int adj = 0; adj < num_children<D> && !nn.hanging[id]; ++adj) {
-        // The finest-level cell on the (-adj) side of the node.
-        GlobalCoord<D> cell = node;
-        for (int i = 0; i < D; ++i) {
-          if ((adj >> i) & 1) cell[i] -= 1;
-        }
-        GlobalCoord<D> canon = cell;
-        if (!canonicalize<D>(conn, ext, canon, false)) continue;
-        // Map to (tree, local anchor) and locate the containing leaf.
-        std::array<int, D> tc{};
-        std::array<coord_t, D> local{};
-        for (int i = 0; i < D; ++i) {
-          tc[i] = static_cast<int>(canon[i] / root_len<D>);
-          local[i] = static_cast<coord_t>(canon[i] % root_len<D>);
-        }
-        const int tree = conn.tree_index(tc);
-        const std::size_t li = find_containing_leaf<D>(per_tree[tree], local);
-        if (li == npos) continue;  // malformed input; tolerated here
-        const TreeOct<D> m{tree, per_tree[tree][li]};
-        // Corner test: does any canonicalized corner of m equal the node?
-        const GlobalCoord<D> ma = global_anchor(m);
-        const std::int64_t mh = side_len(m.oct);
-        bool corner = false;
-        for (int c = 0; c < num_children<D> && !corner; ++c) {
-          GlobalCoord<D> g = ma;
+  if (bits <= 64) {
+    number_lattice_corners<D, std::uint64_t>(
+        leaves, conn, nn, [&](const GlobalCoord<D>& g) {
+          std::uint64_t key = 0;
           for (int i = 0; i < D; ++i) {
-            if ((c >> i) & 1) g[i] += mh;
+            key |= (static_cast<std::uint64_t>(g[i]) >> shift) << offset[i];
           }
-          if (canonicalize<D>(conn, ext, g, true) && g == node) corner = true;
-        }
-        if (!corner) nn.hanging[id] = 1;
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < nn.num_nodes; ++i) {
-    nn.num_independent += !nn.hanging[i];
+          return key;
+        });
+  } else {
+    number_lattice_corners<D, GlobalCoord<D>>(
+        leaves, conn, nn, [](const GlobalCoord<D>& g) { return g; });
   }
   return nn;
 }

@@ -15,7 +15,24 @@
 ///
 /// This is the serial (gathered) version: deterministic global numbering
 /// in the order node coordinates first appear along the space-filling
-/// curve.
+/// curve.  On lattice connectivities (bricks, periodic or not) one pass
+/// over the leaves numbers the corners through a hash table of packed
+/// coordinate keys and derives the hanging flags by counting, per node,
+/// the leaves that have it as a corner (DESIGN.md §2.19).  That count rule
+/// is exact on any complete, disjoint leaf set, balanced or not and for
+/// every k, so enumerate_nodes checks those preconditions instead of
+/// assuming them.
+///
+/// Preconditions (checked in O(n); each violation throws
+/// std::invalid_argument):
+///   - every leaf is a valid octant (aligned, level <= max_level, inside
+///     the root) of a tree of \p conn;
+///   - within each tree, the leaves appear in increasing Morton order and
+///     do not overlap;
+///   - the leaves of each tree cover it (their volumes sum to the tree's).
+/// Leaves of different trees may interleave; element order is the order
+/// given, which is what assign_node_owners relies on (rank-major).  More
+/// than 2^32 - 2 distinct nodes throws std::length_error.
 
 #include <cstdint>
 #include <vector>
@@ -33,17 +50,18 @@ struct NodeNumbering {
   /// For each leaf (in the order given), its 2^D corner node ids in
   /// z-order.
   std::vector<std::array<std::int64_t, 8>> element_nodes;
-  /// Per node id: nonzero if the node hangs on a coarser neighbor.
-  /// (std::uint8_t, not bool: the classification pass writes entries
-  /// concurrently from the thread pool, and std::vector<bool>'s bit
-  /// packing would turn per-id writes into data races.)
+  /// Per node id: 1 if the node hangs on a coarser neighbor, else 0.  (A
+  /// byte, not a bit: the general-connectivity pass sets flags per id from
+  /// the thread pool.)
   std::vector<std::uint8_t> hanging;
 };
 
-/// Enumerate the corner nodes of a *face-balanced* forest.  Nodes on
-/// periodic boundaries are identified across the wrap; nodes shared across
-/// tree faces are identified through the lattice embedding (bricks) or the
-/// face-gluing orbit (general connectivities).
+/// Enumerate the corner nodes of a complete leaf set (see the file comment
+/// for the checked preconditions; 2:1 balance is what makes the hanging
+/// nodes interpolable, but the numbering itself does not need it).  Nodes
+/// on periodic boundaries are identified across the wrap; nodes shared
+/// across tree faces are identified through the lattice embedding (bricks)
+/// or the face-gluing orbit (general connectivities).
 template <int D>
 NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
                               const Connectivity<D>& conn);

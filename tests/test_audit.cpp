@@ -278,6 +278,23 @@ TEST(Audit, FuzzReportCarriesAttribution) {
   EXPECT_NE(doc.find("\"octbal-flight-v1\""), std::string::npos);
 }
 
+TEST(Audit, DeltaBalanceRegressionSeeds) {
+  // Seeds 1629 and 1691 are D = 2, k = 1 churn cases on multi-tree or
+  // periodic domains whose delta_balance output was not 2:1-balanced: a
+  // grouped apply in a push round created leaves that rippled into their
+  // own rank's run, and the next round's walk dropped those self-directed
+  // constraints.  They must stay green.
+  FuzzOptions opt;
+  const Fuzzer fz(opt);
+  for (std::uint64_t seed : {1629ull, 1691ull}) {
+    const CaseConfig cfg = random_case_config(seed, Tier::kFull);
+    FuzzFailure f;
+    EXPECT_TRUE(fz.run_case(cfg, &f))
+        << "seed " << seed << " regressed: " << f.invariant << " -- "
+        << f.detail;
+  }
+}
+
 TEST(Audit, CaseGenerationIsDeterministic) {
   for (std::uint64_t seed : {1ull, 42ull, 0xDEADull}) {
     const CaseConfig a = random_case_config(seed);

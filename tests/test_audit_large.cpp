@@ -46,6 +46,19 @@ TEST(AuditLarge, LambdaFractalCornerRegressionSeeds) {
   }
 }
 
+TEST(AuditLarge, DeltaBalanceRegressionSeed) {
+  // Large-tier seed 2 (inside CI's 12-seed sweep) hit the same push-round
+  // defect as the full-tier seeds in Audit.DeltaBalanceRegressionSeeds:
+  // ripple inside a rank's own run after a grouped apply was lost.
+  FuzzOptions opt;
+  opt.tier = Tier::kLarge;
+  const Fuzzer fz(opt);
+  const CaseConfig cfg = random_case_config(2, Tier::kLarge);
+  FuzzFailure f;
+  EXPECT_TRUE(fz.run_case(cfg, &f))
+      << "seed 2 regressed: " << f.invariant << " -- " << f.detail;
+}
+
 TEST(AuditLarge, CasesAreGenuinelyLarge) {
   // The tier only earns its name if the generator actually scales: every
   // large-tier case simulates at least 64 ranks, and the sweep range above

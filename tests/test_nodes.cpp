@@ -1,13 +1,18 @@
 /// \file test_nodes.cpp
 /// \brief Tests for corner-node enumeration: exact counts on known meshes,
 /// uniform-grid formulas, periodic identification, the hanging-node
-/// guarantee on balanced meshes, and element-connectivity consistency.
+/// guarantee on balanced meshes, element-connectivity consistency, the
+/// checked preconditions, and a differential battery against the
+/// map-plus-point-location reference (nodes_reference.hpp).
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "forest/balance.hpp"
 #include "core/balance_check.hpp"
 #include "forest/nodes.hpp"
+#include "nodes_reference.hpp"
 #include "util/rng.hpp"
 
 namespace octbal {
@@ -281,6 +286,150 @@ TEST(NodeOwnership, SharedInterfaceNodesGoToLowerRank) {
     }
   }
   EXPECT_EQ(centers, 1);
+}
+
+}  // namespace
+}  // namespace octbal
+
+namespace octbal {
+namespace {
+
+/// Numbering and ownership must match the reference byte for byte: ids,
+/// hanging flags, counts, owners and the shared-node count.
+template <int D>
+void expect_matches_reference(const Forest<D>& f, const std::string& what) {
+  const auto leaves = f.gather();
+  const NodeNumbering got = enumerate_nodes(leaves, f.connectivity());
+  const NodeNumbering want = reference::enumerate_nodes(leaves, f.connectivity());
+  ASSERT_EQ(got.num_nodes, want.num_nodes) << what;
+  EXPECT_EQ(got.num_independent, want.num_independent) << what;
+  EXPECT_TRUE(got.element_nodes == want.element_nodes) << what;
+  EXPECT_TRUE(got.hanging == want.hanging) << what;
+  SimComm comm_got(f.num_ranks()), comm_want(f.num_ranks());
+  const NodeOwnership own_got = assign_node_owners(f, got, comm_got);
+  const NodeOwnership own_want = assign_node_owners(f, want, comm_want);
+  EXPECT_TRUE(own_got.owner == own_want.owner) << what;
+  EXPECT_EQ(own_got.shared_nodes, own_want.shared_nodes) << what;
+  EXPECT_EQ(own_got.traffic.bytes, own_want.traffic.bytes) << what;
+}
+
+/// A random brick forest: dims 1..3 per axis, random periodicity, 1..4
+/// ranks, random recursive refinement; balanced at a random k in 1..D on
+/// odd seeds, left unbalanced on even ones.
+template <int D>
+Forest<D> random_brick_forest(std::uint64_t seed, std::string& what) {
+  Rng rng(seed);
+  std::array<int, D> dims{};
+  std::array<bool, D> per{};
+  for (int i = 0; i < D; ++i) {
+    dims[i] = 1 + static_cast<int>(rng.below(D == 3 ? 2 : 3));
+    per[i] = rng.chance(0.5);
+  }
+  const int ranks = 1 + static_cast<int>(rng.below(4));
+  const int depth = D == 1 ? 9 : (D == 2 ? 6 : 4);
+  const double p = D == 3 ? 0.3 : 0.4;
+  Forest<D> f(Connectivity<D>::brick(dims, per), ranks,
+              static_cast<int>(rng.below(2)));
+  f.refine(
+      [&](const TreeOct<D>& to) {
+        return to.oct.level < depth && rng.chance(p);
+      },
+      true);
+  f.partition_uniform();
+  const int k = 1 + static_cast<int>(rng.below(D));
+  const bool balanced = seed % 2 == 1;
+  if (balanced) {
+    SimComm comm(ranks);
+    BalanceOptions opt = BalanceOptions::new_config();
+    opt.k = k;
+    balance(f, opt, comm);
+  }
+  what = "D=" + std::to_string(D) + " seed=" + std::to_string(seed) +
+         " P=" + std::to_string(ranks) +
+         (balanced ? " k=" + std::to_string(k) : std::string(" unbalanced"));
+  return f;
+}
+
+template <int D>
+void differential_sweep(std::uint64_t seeds) {
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    std::string what;
+    const Forest<D> f = random_brick_forest<D>(seed, what);
+    expect_matches_reference(f, what);
+  }
+}
+
+TEST(NodesDifferential, RandomBricks1D) { differential_sweep<1>(60); }
+TEST(NodesDifferential, RandomBricks2D) { differential_sweep<2>(60); }
+TEST(NodesDifferential, RandomBricks3D) { differential_sweep<3>(40); }
+
+TEST(NodesDifferential, PeriodicSingleTreeRootLeaf) {
+  // One root leaf on a fully periodic one-tree brick: all 2^D corners wrap
+  // onto one node, which the leaf touches from every orthant.
+  Forest<3> f(Connectivity<3>::brick({1, 1, 1}, {true, true, true}), 1, 0);
+  const auto nn = enumerate_nodes(f.gather(), f.connectivity());
+  EXPECT_EQ(nn.num_nodes, 1u);
+  EXPECT_EQ(nn.num_independent, 1u);
+  expect_matches_reference(f, "periodic root");
+}
+
+TEST(NodesDifferential, WideKeyLevel19Brick) {
+  // Level-19 leaves in a 4x4x4 brick need 22 bits per axis: 66 bits, so
+  // the table runs on unpacked coordinate keys.  Refine one corner chain
+  // to the finest level (unbalanced) and check against the reference.
+  Forest<3> f(Connectivity<3>::brick({4, 4, 4}, {false, true, false}), 3, 0);
+  f.refine(
+      [](const TreeOct<3>& to) {
+        return to.tree == 21 && to.oct.x == std::array<coord_t, 3>{};
+      },
+      true);
+  f.partition_uniform();
+  const auto leaves = f.gather();
+  ASSERT_EQ(leaves.size(), 64u + 7u * max_level<3>);
+  expect_matches_reference(f, "wide key");
+}
+
+TEST(NodesPreconditions, LeafOutsideTheDomainThrows) {
+  Forest<2> f(Connectivity<2>::brick({2, 1}), 1, 1);
+  auto leaves = f.gather();
+  auto bad_tree = leaves;
+  bad_tree.back().tree = 2;
+  EXPECT_THROW(enumerate_nodes(bad_tree, f.connectivity()),
+               std::invalid_argument);
+  auto outside = leaves;
+  outside.back().oct.x[0] = root_len<2>;
+  EXPECT_THROW(enumerate_nodes(outside, f.connectivity()),
+               std::invalid_argument);
+}
+
+TEST(NodesPreconditions, UnsortedLeavesThrow) {
+  Forest<2> f(Connectivity<2>::unitcube(), 1, 1);
+  auto leaves = f.gather();
+  std::swap(leaves[1], leaves[2]);
+  EXPECT_THROW(enumerate_nodes(leaves, f.connectivity()),
+               std::invalid_argument);
+}
+
+TEST(NodesPreconditions, OverlappingLeavesThrow) {
+  // The root followed by one of its children: sorted, but not disjoint.
+  Forest<2> f(Connectivity<2>::unitcube(), 1, 1);
+  std::vector<TreeOct<2>> leaves{TreeOct<2>{0, root_octant<2>()},
+                                 f.gather().front()};
+  EXPECT_THROW(enumerate_nodes(leaves, f.connectivity()),
+               std::invalid_argument);
+}
+
+TEST(NodesPreconditions, IncompleteLeafSetThrows) {
+  Forest<3> f(Connectivity<3>::brick({2, 1, 1}), 1, 1);
+  auto leaves = f.gather();
+  leaves.erase(leaves.begin() + 3);
+  EXPECT_THROW(enumerate_nodes(leaves, f.connectivity()),
+               std::invalid_argument);
+  // A tree with no leaves at all is a gap too.
+  Forest<3> g(Connectivity<3>::brick({2, 1, 1}), 1, 0);
+  std::vector<TreeOct<3>> one_tree{g.gather().front()};
+  EXPECT_THROW(enumerate_nodes(one_tree, g.connectivity()),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// \file test_perf_guards.cpp
 /// \brief Perf-regression guards for the core-kernel perf pass — pinned to
-/// machine-independent *counters*, never wall-clock.  Three layers:
+/// machine-independent *counters*, never wall-clock.  Five layers:
 ///
 ///   1. Modeled traffic goldens: the optimization contract is that the
 ///      partition-window owner resolution and hash/sort tuning change how
@@ -17,7 +17,9 @@
 ///      keep being served by the one-entry cache and bounded window scans
 ///      — per-lookup comparison budgets far below the O(log P) binary
 ///      search it replaced, and a capped full-search fallback rate.
-///   4. Repartition convergence goldens: the repeated balance→repartition
+///   4. Node numbering golden: counts and an FNV-1a hash of the node ids
+///      and hanging flags on the balanced fig15 forest.
+///   5. Repartition convergence goldens: the repeated balance→repartition
 ///      loop (bench_repartition's nudge mode) must keep reaching ≥ 25%
 ///      modeled-slack reduction inside the round budget, monotonically and
 ///      without backtracking — migration counters pinned exactly, so any
@@ -36,6 +38,7 @@
 #include "core/sort.hpp"
 #include "forest/balance.hpp"
 #include "forest/ghost.hpp"
+#include "forest/nodes.hpp"
 #include "forest/repartition.hpp"
 #include "obs/mem.hpp"
 #include "repartition_loop.hpp"
@@ -207,6 +210,40 @@ TEST(PerfGuards, GhostOwnerResolutionStaysWindowed) {
   // hits (measured 77.8%) and <= 5 comparisons per lookup (measured 4.0).
   EXPECT_GE(os.cache_hits * 10, os.lookups * 7);
   EXPECT_LE(os.comparisons, 5 * os.lookups);
+}
+
+/// FNV-1a 64 over the little-endian bytes of \p v, chained from \p h.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v, int bytes) {
+  for (int b = 0; b < bytes; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(PerfGuards, NodeNumberingPinned) {
+  // Node ids in order of first appearance, hanging flags and the
+  // independent count on the balanced fig15 forest, pinned so that any
+  // change to the enumeration (hashing, numbering, distribution) must
+  // keep the ids stable.  The counts are exact; the hash chains every
+  // element's 8 corner ids, then every node's flag.
+  Forest<3> f = fig15_step2_forest();
+  {
+    SimComm comm(16);
+    balance(f, BalanceOptions::new_config(), comm);
+  }
+  const NodeNumbering nn = enumerate_nodes(f.gather(), f.connectivity());
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& en : nn.element_nodes) {
+    for (const std::int64_t id : en) {
+      h = fnv1a(h, static_cast<std::uint64_t>(id), 8);
+    }
+  }
+  for (const std::uint8_t flag : nn.hanging) h = fnv1a(h, flag, 1);
+  EXPECT_EQ(nn.element_nodes.size(), 239672u);
+  EXPECT_EQ(nn.num_nodes, 392761u);
+  EXPECT_EQ(nn.num_independent, 148425u);
+  EXPECT_EQ(h, 1862774508384429827ull);
 }
 
 std::uint64_t tag_total(const obs::MemSnapshot& m, obs::MemTag tag) {
