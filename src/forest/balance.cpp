@@ -106,8 +106,7 @@ template <int D>
 BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
   OBS_SPAN("balance");
   const int P = f.num_ranks();
-  const int k = opt.k == 0 ? D : opt.k;
-  assert(1 <= k && k <= D);
+  const int k = balance_condition<D>(opt);
   const auto root = root_octant<D>();
   const auto& conn = f.connectivity();
   BalanceReport rep;

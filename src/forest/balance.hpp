@@ -23,6 +23,9 @@
 /// Every old/new choice is independently switchable, which is what the
 /// ablation benchmarks exercise.
 
+#include <stdexcept>
+#include <string>
+
 #include "comm/notify.hpp"
 #include "comm/simcomm.hpp"
 #include "core/balance_subtree.hpp"
@@ -134,9 +137,23 @@ struct BalanceReport {
   OwnerScanStats owner_scan;      ///< phase-2 windowed owner resolution
 };
 
+/// The balance condition \p opt asks for, with 0 resolved to full corner
+/// balance (k = D).  Throws std::invalid_argument when opt.k lies outside
+/// [0, D]; balance() and delta_balance() check it on entry.
+template <int D>
+int balance_condition(const BalanceOptions& opt) {
+  if (opt.k < 0 || opt.k > D) {
+    throw std::invalid_argument("balance condition k = " +
+                                std::to_string(opt.k) + " is outside [0, " +
+                                std::to_string(D) + "]");
+  }
+  return opt.k == 0 ? D : opt.k;
+}
+
 /// Run one-pass 2:1 balance over the forest.  The forest is modified in
 /// place (every rank's array is replaced by its balanced version; the
-/// partition ranges are unchanged).
+/// partition ranges are unchanged).  Throws std::invalid_argument when
+/// opt.k lies outside [0, D].
 template <int D>
 BalanceReport balance(Forest<D>& forest, const BalanceOptions& opt,
                       SimComm& comm);

@@ -1,11 +1,11 @@
 #include "forest/delta_balance.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <iterator>
 #include <map>
 
+#include "core/key.hpp"
 #include "core/lambda.hpp"
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
@@ -202,8 +202,7 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
                                  SimComm& comm) {
   OBS_SPAN("delta_balance");
   const int P = f.num_ranks();
-  const int k = opt.k == 0 ? D : opt.k;
-  assert(1 <= k && k <= D);
+  const int k = balance_condition<D>(opt);
   const auto& conn = f.connectivity();
   DeltaBalanceReport rep;
   rep.octants_before = f.global_num_octants();
@@ -218,40 +217,98 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   obs::Counter& c_created = met.counter("churn/octants_created");
   obs::Counter& c_rounds = met.counter("churn/delta_rounds");
 
-  // Validate the dirty log against the current leaves: entries split or
-  // collapsed away by a later batch are gone; the survivors, assigned to
-  // their current owners, are the first frontier.  (The log is global, so
-  // a repartition between the churn batch and this call just moves the
-  // entry to its new owner's intersection.)
-  std::vector<TreeOct<D>> dirty = f.dirty();
-  // The pass consumes the log up front: once copied it is dead weight, and
-  // releasing its accounted bytes here keeps it off the scratch peak.
+  // Validate the dirty log against the current leaves, per rank: bucket
+  // the entries by the rank whose marker range holds their first position
+  // (a current leaf lies in its owner's range), then every rank sorts its
+  // bucket and intersects it with its leaves.  Entries split or collapsed
+  // away by a later batch drop out; the survivors are the first frontier.
+  // (The log is global, so a repartition between the churn batch and this
+  // call just moves an entry to its new owner's bucket.)
+  const auto& log = f.dirty();
+  const auto& marks = f.markers();
+  const auto owner = [&](const TreeOct<D>& to) {
+    const auto it =
+        std::upper_bound(marks.begin(), marks.end(), position_of(to));
+    return std::clamp(static_cast<int>(it - marks.begin()) - 1, 0, P - 1);
+  };
+  std::vector<std::size_t> bucket_at(P + 1, 0);
+  for (const auto& to : log) ++bucket_at[owner(to) + 1];
+  for (int r = 0; r < P; ++r) bucket_at[r + 1] += bucket_at[r];
+  std::vector<TreeOct<D>> buckets(log.size());
+  {
+    std::vector<std::size_t> fill(bucket_at.begin(), bucket_at.end() - 1);
+    for (const auto& to : log) buckets[fill[owner(to)]++] = to;
+  }
+  // The pass consumes the log up front.  The buckets are the log in owner
+  // order, so they take over its charge, byte for byte.
   f.clear_dirty();
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  obs::MemScope bucket_mem(obs::MemTag::kDirtyLog,
+                           buckets.size() * sizeof(TreeOct<D>));
+
+  // Dirty-region completion (core/region.hpp), the region_octants counter:
+  // the coarsest cover of the frontier's insulation envelopes, per tree.
+  // Each rank covers its own frontier one tree run at a time; the covers
+  // are held (charged in key bytes to the rank) until the serial merge.
   std::vector<std::vector<TreeOct<D>>> frontier(P);
+  std::vector<std::vector<std::pair<std::int32_t, std::vector<okey_t>>>>
+      covers(P);
+  std::vector<obs::MemScope> cover_mem(P);
   par::parallel_for_ranks(P, [&](int r) {
+    const obs::MemRank mem_rank(r);
+    const auto b0 =
+        buckets.begin() + static_cast<std::ptrdiff_t>(bucket_at[r]);
+    const auto b1 =
+        buckets.begin() + static_cast<std::ptrdiff_t>(bucket_at[r + 1]);
+    std::sort(b0, b1);
     const auto& mine = f.local(r);
-    std::set_intersection(dirty.begin(), dirty.end(), mine.begin(),
-                          mine.end(), std::back_inserter(frontier[r]));
+    std::set_intersection(b0, b1, mine.begin(), mine.end(),
+                          std::back_inserter(frontier[r]));
+    if (frontier[r].empty()) return;
+    const obs::MemScope keys_mem(obs::MemTag::kRegionCover,
+                                 frontier[r].size() * sizeof(okey_t));
+    std::vector<okey_t> keys;
+    keys.reserve(frontier[r].size());
+    std::size_t held = 0;
+    for (const auto& [i, j] : tree_runs(frontier[r])) {
+      keys.clear();
+      for (std::size_t q = i; q < j; ++q) {
+        keys.push_back(key_of(frontier[r][q].oct));
+      }
+      covers[r].emplace_back(frontier[r][i].tree,
+                             dirty_region_cover<D>(keys));
+      held += covers[r].back().second.size();
+      cover_mem[r].set_slot(r, obs::MemTag::kRegionCover,
+                            held * sizeof(okey_t));
+    }
   });
-  std::vector<TreeOct<D>> validated;
+  bucket_mem.reset();
+  buckets = {};
   for (int r = 0; r < P; ++r) {
     rep.dirty_validated += frontier[r].size();
     c_dirty.add(r, frontier[r].size());
-    validated.insert(validated.end(), frontier[r].begin(), frontier[r].end());
   }
-
-  // Dirty-region completion (core/region.hpp): the coarsest cover of the
-  // validated octants' insulation envelopes, per tree — the sub-forest
-  // this pass may touch, reported for the churn benchmarks and asserted
-  // by the churn tests.
+  // Merge the per-rank covers of each tree with the cover's own fold:
+  // ranks hold disjoint, ascending ranges of the curve, so the trees
+  // arrive in order and a tree's covers arrive rank by rank.
   {
-    std::map<std::int32_t, std::vector<Octant<D>>> by_tree;
-    for (const auto& to : validated) by_tree[to.tree].push_back(to.oct);
-    for (const auto& [tree, octs] : by_tree) {
-      rep.region_octants += dirty_region_cover<D>(octs).size();
+    std::vector<okey_t> acc, scratch;
+    obs::MemScope merge_mem;
+    std::int32_t tree = -1;
+    for (int r = 0; r < P; ++r) {
+      for (const auto& [t, cover] : covers[r]) {
+        if (t != tree) {
+          rep.region_octants += acc.size();
+          acc.clear();
+          tree = t;
+        }
+        merge_mem.set(obs::MemTag::kRegionCover,
+                      2 * (acc.size() + cover.size()) * sizeof(okey_t));
+        cover_merge(acc, cover, scratch);
+      }
+      covers[r] = {};
+      cover_mem[r].reset();
     }
+    rep.region_octants += acc.size();
     c_region.add(0, rep.region_octants);
   }
 
@@ -283,10 +340,8 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   // Per-rank staging high water across rounds: frontier + pushes + aux.
   std::vector<obs::MemScope> stage_mem(P);
   const auto& offs = full_offsets<D>();
-  const int round_cap = 4 * max_level<D> + 8;
   for (int round = 0;; ++round) {
-    assert(round <= round_cap);
-    (void)round_cap;
+    detail::check_delta_round<D>(round);
     // Build the pushes.  Self-directed constraints (same rank but another
     // tree or a wrapped frame) bypass the network straight into aux.
     par::parallel_for_ranks(P, [&](int r) {

@@ -26,16 +26,53 @@
 /// created octant *pushes* itself, as an auxiliary exterior constraint, to
 /// the owners of its insulation-layer pieces (the old-scheme phase-4
 /// mechanism of balance.cpp); no rank ever has to ask "did anything near
-/// me change".  Receivers re-balance the affected (rank, tree) run whole
-/// — balance_subtree handles the intra-run ripple in one shot — and the
-/// leaves that re-balance creates become the next round's frontier.  The
-/// rounds terminate when a charged allreduce reports no work anywhere;
-/// runs that never receive a constraint are fixed points of local balance
-/// and are provably left byte-identical.
+/// me change".  The pass runs in three steps:
+///
+///   1. Each rank validates its share of the dirty log against its leaves
+///      and re-balances every run holding a surviving entry whole
+///      (balance_subtree settles the intra-run ripple in one shot).
+///   2. Push rounds: the leaves created so far are announced; receivers
+///      apply the constraints with the insulation-grouped mechanism of the
+///      full pipeline's phase 4 (grouped_apply: only the leaves a
+///      constraint violates are refined, from seeds).  The old
+///      configuration (grouped_rebalance = false) re-balances the
+///      constrained runs whole instead.  From round 1 on, the created
+///      leaves also constrain their own run.  The leaves a round creates
+///      are the next round's frontier.
+///   3. The rounds terminate when a charged allreduce reports no work
+///      anywhere; runs that never receive a constraint are fixed points of
+///      local balance and are provably left byte-identical.
+///
+/// The dirty-region cover (core/region.hpp) is built per rank alongside
+/// step 1 and only reported (region_octants); it restricts nothing.
+
+#include <stdexcept>
+#include <string>
 
 #include "forest/balance.hpp"
 
 namespace octbal {
+
+namespace detail {
+
+/// Push rounds delta_balance() runs before it gives up.  Every round's
+/// created leaves are finer than the leaves they split, so a forest meeting
+/// the precondition settles long before this.
+template <int D>
+inline constexpr int delta_round_cap = 4 * max_level<D> + 8;
+
+/// Throws std::logic_error once push round \p round exceeds the cap.
+template <int D>
+void check_delta_round(int round) {
+  if (round > delta_round_cap<D>) {
+    throw std::logic_error("delta_balance: no fixed point after " +
+                           std::to_string(delta_round_cap<D>) +
+                           " push rounds (was the forest balanced before "
+                           "the churn batch?)");
+  }
+}
+
+}  // namespace detail
 
 /// Traffic and work of one delta_balance() call.  All counts are
 /// deterministic and machine independent.
@@ -60,6 +97,11 @@ struct DeltaBalanceReport {
 /// exchange — senders know their destinations, so no notify algorithm is
 /// needed either).  Byte-identical to balance(f, opt, comm) under the
 /// precondition above.
+///
+/// Throws std::invalid_argument when opt.k lies outside [0, D], before
+/// anything is consumed.  Throws std::logic_error when the push rounds find
+/// no fixed point within detail::delta_round_cap rounds, which a forest meeting
+/// the precondition never reaches; the forest is then partly re-balanced.
 template <int D>
 DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
                                  SimComm& comm);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "forest/balance.hpp"
 #include "util/rng.hpp"
 
@@ -184,6 +186,20 @@ TEST(BalanceParallel, AlreadyBalancedMeshIsUntouched) {
   const auto rep = balance(f, BalanceOptions::new_config(), comm);
   EXPECT_EQ(f.gather(), before);
   EXPECT_EQ(rep.octants_before, rep.octants_after);
+}
+
+TEST(BalanceParallel, ThrowsOnOutOfRangeK) {
+  // A runtime check, not an assert: release builds reject it too, and the
+  // forest is left as it was.
+  Forest<2> f(Connectivity<2>::brick({2, 1}), 3, 3);
+  const auto before = f.gather();
+  for (const int k : {-1, 3, 7}) {
+    BalanceOptions opt = BalanceOptions::new_config();
+    opt.k = k;
+    SimComm comm(3);
+    EXPECT_THROW(balance(f, opt, comm), std::invalid_argument) << "k=" << k;
+  }
+  EXPECT_EQ(f.gather(), before);
 }
 
 TEST(BalanceParallel, SeedsShrinkResponseVolume) {

@@ -10,14 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/key.hpp"
 #include "core/neighborhood.hpp"
 #include "core/region.hpp"
 #include "forest/delta_balance.hpp"
 #include "forest/repartition.hpp"
+#include "obs/mem.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/workloads.hpp"
@@ -111,7 +115,8 @@ TEST(DirtyRegion, CoverIsSortedCoarsestAndCoversEveryEnvelope) {
     }
     dirty.push_back(o);
   }
-  const auto cover = dirty_region_cover<3>(dirty);
+  const auto cover =
+      keys_to_octants<3>(dirty_region_cover<3>(octants_to_keys(dirty)));
   ASSERT_FALSE(cover.empty());
   // Sorted, and no piece contains a later one (coarsest, overlap-free in
   // the ancestor sense).
@@ -130,6 +135,180 @@ TEST(DirtyRegion, CoverIsSortedCoarsestAndCoversEveryEnvelope) {
         }
       }
       EXPECT_TRUE(covered) << "uncovered envelope piece of " << to_string(o);
+    }
+  }
+}
+
+/// A random dirty set for the cover differentials: clustered descendants
+/// of one base octant (so envelope pieces contain one another), whole
+/// sibling families in child order (as refinement logs them), octants on
+/// the root's faces and corners, and finest-level octants.
+template <int D>
+std::vector<Octant<D>> random_dirty_set(Rng& rng, std::size_t n) {
+  const auto at = [](int level, const std::array<coord_t, D>& cell) {
+    Octant<D> o;
+    o.level = static_cast<level_t>(level);
+    for (int d = 0; d < D; ++d) {
+      o.x[d] = static_cast<coord_t>(cell[d] << (max_level<D> - level));
+    }
+    return o;
+  };
+  const int base_level = static_cast<int>(rng.below(max_level<D> - 3));
+  std::array<coord_t, D> base{};
+  for (int d = 0; d < D; ++d) {
+    base[d] = static_cast<coord_t>(rng.below(coord_t{1} << base_level));
+  }
+  std::vector<Octant<D>> out;
+  while (out.size() < n) {
+    const auto kind = rng.below(4);
+    // Finest level for a quarter of the picks, else anywhere.
+    int level = kind == 3 ? max_level<D>
+                          : static_cast<int>(rng.below(max_level<D> + 1));
+    std::array<coord_t, D> cell{};
+    const coord_t cells = coord_t{1} << level;
+    if (kind == 0) {
+      // Clustered: a descendant of the base, at most four levels down.
+      level = base_level + static_cast<int>(rng.below(5));
+      for (int d = 0; d < D; ++d) {
+        const int down = level - base_level;
+        cell[d] = static_cast<coord_t>((base[d] << down) +
+                                       rng.below(coord_t{1} << down));
+      }
+    } else {
+      // Each axis lands on the low face, the high face or anywhere, so
+      // faces, edges and corners of the root all occur.
+      for (int d = 0; d < D; ++d) {
+        const auto side = rng.below(3);
+        cell[d] = side == 0   ? 0
+                  : side == 1 ? cells - 1
+                              : static_cast<coord_t>(rng.below(cells));
+      }
+    }
+    const Octant<D> o = at(level, cell);
+    if (level < max_level<D> && rng.chance(0.3)) {
+      for (int c = 0; c < num_children<D>; ++c) out.push_back(child(o, c));
+    } else {
+      out.push_back(o);
+    }
+  }
+  return out;
+}
+
+/// The cover by brute force: every envelope piece, sorted with
+/// Octant::operator<, keeping a piece only when the last kept one does not
+/// contain it.
+template <int D>
+std::vector<Octant<D>> reference_cover(const std::vector<Octant<D>>& dirty) {
+  std::vector<Octant<D>> pieces;
+  for (const auto& o : dirty) {
+    for (const auto& p : envelope_pieces<D>(o)) pieces.push_back(p);
+  }
+  std::sort(pieces.begin(), pieces.end());
+  std::vector<Octant<D>> out;
+  for (const auto& p : pieces) {
+    if (!out.empty() && contains(out.back(), p)) continue;
+    out.push_back(p);
+  }
+  return out;
+}
+
+template <int D>
+void expect_cover_matches_reference(std::uint64_t seed) {
+  Rng rng(seed);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                              std::size_t{64}, std::size_t{65},
+                              std::size_t{300}}) {
+    const auto dirty = random_dirty_set<D>(rng, n);
+    const auto got =
+        keys_to_octants<D>(dirty_region_cover<D>(octants_to_keys(dirty)));
+    EXPECT_EQ(got, reference_cover<D>(dirty))
+        << "D=" << D << " seed " << seed << " n=" << n;
+  }
+}
+
+TEST(DirtyRegion, KeyCoverMatchesBruteForceReference) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    expect_cover_matches_reference<1>(seed);
+    expect_cover_matches_reference<2>(seed);
+    expect_cover_matches_reference<3>(seed);
+  }
+}
+
+template <int D>
+void expect_split_merge_matches_single(std::uint64_t seed) {
+  Rng rng(seed);
+  auto dirty = random_dirty_set<D>(rng, 400);
+  std::sort(dirty.begin(), dirty.end());
+  const std::vector<okey_t> keys = octants_to_keys(dirty);
+  const std::vector<okey_t> single = dirty_region_cover<D>(keys);
+  // Random contiguous parts, covered on their own and folded together —
+  // in order, as delta_balance folds the per-rank covers, and in reverse.
+  std::vector<std::size_t> cuts = {0, keys.size()};
+  const auto nparts = 1 + rng.below(9);
+  for (std::uint64_t i = 0; i < nparts; ++i) {
+    cuts.push_back(static_cast<std::size_t>(rng.below(keys.size() + 1)));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<std::vector<okey_t>> parts;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    parts.push_back(dirty_region_cover<D>(
+        KeySpan(keys.data() + cuts[i], cuts[i + 1] - cuts[i])));
+  }
+  std::vector<okey_t> forward, backward, scratch;
+  for (const auto& p : parts) cover_merge(forward, p, scratch);
+  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
+    cover_merge(backward, *it, scratch);
+  }
+  EXPECT_EQ(forward, single) << "D=" << D << " seed " << seed;
+  EXPECT_EQ(backward, single) << "D=" << D << " seed " << seed;
+}
+
+TEST(DirtyRegion, SplitCoversMergeToTheSingleCover) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    expect_split_merge_matches_single<1>(seed);
+    expect_split_merge_matches_single<2>(seed);
+    expect_split_merge_matches_single<3>(seed);
+  }
+}
+
+TEST(DirtyRegion, DeltaReportAndMemoryAreThreadInvariant) {
+  // The per-rank covers charge their own rank slots concurrently; the
+  // report counts and the whole accounted ledger must not notice.
+  ThreadGuard guard;
+  ChurnFrontParams cp;
+  cp.drift = 0.03;
+  cp.wake = 0.06;
+  std::string first;
+  for (const int threads : {1, 4, 8}) {
+    par::set_num_threads(threads);
+    Forest<3> f(Connectivity<3>::brick({4, 4, 1}), 16, 1);
+    front_refine(f, 5, cp, 0);
+    f.partition_uniform();
+    prebalance(f);
+    std::string seen;
+    for (int step = 1; step <= 3; ++step) {
+      front_refine(f, 5, cp, step);
+      SimComm dc(16);
+      dc.set_record_rounds(false);
+      obs::MemSession mem(16);
+      f.account_memory();
+      const DeltaBalanceReport rep =
+          delta_balance(f, BalanceOptions::new_config(), dc);
+      EXPECT_GT(rep.region_octants, 0u);
+      seen += std::to_string(rep.dirty_logged) + " " +
+              std::to_string(rep.dirty_validated) + " " +
+              std::to_string(rep.region_octants) + " " +
+              std::to_string(rep.constraints_sent) + " " +
+              std::to_string(rep.octants_created) + " " +
+              std::to_string(rep.rounds) + " " +
+              std::to_string(rep.octants_after) + "\n" +
+              mem.snapshot().serialize();
+      front_coarsen(f, cp, step, 3);
+    }
+    if (first.empty()) {
+      first = seen;
+    } else {
+      EXPECT_EQ(seen, first) << "threads=" << threads;
     }
   }
 }
@@ -281,6 +460,34 @@ TEST(DeltaBalance, NoopOnCleanForest) {
   EXPECT_EQ(rep.rounds, 0);
   EXPECT_EQ(rep.octants_created, 0u);
   EXPECT_EQ(f.gather(), before);
+}
+
+TEST(DeltaBalance, ThrowsOnOutOfRangeK) {
+  // A runtime check, not an assert: release builds reject it too, before
+  // the dirty log is consumed.
+  Forest<2> f(Connectivity<2>::brick({2, 1}), 2, 2);
+  f.refine([](const TreeOct<2>& to) { return to.tree == 0; }, false);
+  const std::size_t logged = f.dirty().size();
+  ASSERT_GT(logged, 0u);
+  for (const int k : {-1, 3}) {
+    BalanceOptions opt = BalanceOptions::new_config();
+    opt.k = k;
+    SimComm dc(2);
+    EXPECT_THROW(delta_balance(f, opt, dc), std::invalid_argument)
+        << "k=" << k;
+  }
+  EXPECT_EQ(f.dirty().size(), logged);
+}
+
+TEST(DeltaBalance, RoundCapThrowsLogicError) {
+  // No input meeting the precondition reaches the cap (every round's new
+  // leaves are finer than the ones they split), so the check is driven
+  // directly: past the cap it must throw in release builds too.
+  EXPECT_NO_THROW(detail::check_delta_round<3>(detail::delta_round_cap<3>));
+  EXPECT_THROW(detail::check_delta_round<3>(detail::delta_round_cap<3> + 1),
+               std::logic_error);
+  EXPECT_THROW(detail::check_delta_round<1>(detail::delta_round_cap<1> + 1),
+               std::logic_error);
 }
 
 TEST(DeltaBalance, CrossTreeRippleMatchesFullBalance) {
