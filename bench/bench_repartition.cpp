@@ -1,7 +1,6 @@
 /// \file bench_repartition.cpp
-/// \brief Slack convergence of the repeated balance→repartition loop: does
-/// acting on the critical-path profiler's signal actually shorten the BSP
-/// critical path?
+/// \brief Slack of the repeated balance→repartition loop: how much does a
+/// weighted re-split shorten the modeled BSP critical path of balance?
 ///
 /// Per (workload, ranks, mode) configuration the mesh is built, uniformly
 /// partitioned and pre-balanced once, so the mesh is *fixed* and every
@@ -12,14 +11,12 @@
 ///   static    — the partition_uniform split, measured once (the slack is
 ///               constant by construction; the trajectory replicates it)
 ///   weighted  — one-shot insulation-weighted re-split between rounds
-///   nudge     — bounded critical-path marker nudge between rounds
 ///
 /// Workloads are the paper's evaluation pair (fractal Figure 15 mesh and
 /// the synthetic ice-sheet mesh) at P ∈ {16, 64}.  The report (schema
 /// octbal-bench-report-v3) carries a per-run "repartition" section with
 /// the slack trajectory, rounds-to-converge and the modeled migration
-/// traffic — the machine-independent goldens tests/test_perf_guards.cpp
-/// and the CI baseline diff pin.
+/// traffic — machine-independent goldens the CI baseline diff pins.
 ///
 ///   ./bench_repartition [--rounds 8] [--threads N] [--json out.json]
 ///                       [--trace trace.json]
@@ -91,15 +88,6 @@ int main(int argc, char** argv) {
     o.weight = RepartitionWeight::kInsulation;
     modes.push_back({"weighted", true, o});
   }
-  {
-    RepartitionOptions o;
-    o.mode = RepartitionMode::kNudge;
-    // The default max_nudge is a conservative bound for in-simulation
-    // steady-state use; at bench scale (avg rank load 1.2k-15k octants)
-    // the controller needs room to actually chase the critical rank.
-    o.max_nudge = 2048;
-    modes.push_back({"nudge", true, o});
-  }
 
   for (const std::string workload : {"fig15", "icesheet"}) {
     for (const int ranks : {16, 64}) {
@@ -135,8 +123,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("\n(dynamic trajectories must be monotonically non-increasing "
-              "with >= 25%% total reduction inside 8 rounds; pinned by "
-              "tests/test_perf_guards.cpp and the CI baseline diff)\n");
+  std::printf("\n(dynamic trajectories are monotonically non-increasing by "
+              "construction; pinned by the CI baseline diff)\n");
   return report.all_ok() ? 0 : 1;
 }

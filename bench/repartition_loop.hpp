@@ -1,21 +1,20 @@
 #pragma once
 /// \file repartition_loop.hpp
-/// \brief The repeated balance→repartition driver shared by
-/// bench_repartition and the perf-guard goldens in
-/// tests/test_perf_guards.cpp.
+/// \brief The repeated balance→repartition driver behind
+/// bench_repartition.
 ///
-/// The driver is a deterministic greedy controller with backtracking line
-/// search: every round re-balances the (fixed, pre-balanced) mesh to
-/// measure the partition's balance-phase slack, then either *accepts* the
-/// state (slack did not increase over the best seen) or *reverts* to the
-/// best accepted cuts and halves the nudge gain before trying again.  A
-/// revert is a real migration — apply_cuts() charges it to the α–β model
-/// like any other move — so the migration totals honestly include the
-/// cost of rejected experiments.  The recorded trajectory is the slack of
-/// the partition the driver actually carries forward, which makes it
-/// monotonically non-increasing by construction; with a deterministic
-/// cost model the whole loop is a pure function of the mesh, so the
-/// trajectory can be pinned as a machine-independent golden.
+/// The driver is a deterministic greedy controller with backtracking:
+/// every round re-balances the (fixed, pre-balanced) mesh to measure the
+/// partition's balance-phase slack, then either *accepts* the state (slack
+/// did not increase over the best seen) or *reverts* to the best accepted
+/// cuts before repartitioning again.  A revert is a real migration —
+/// apply_cuts() charges it to the α–β model like any other move — so the
+/// migration totals honestly include the cost of rejected experiments.
+/// The recorded trajectory is the slack of the partition the driver
+/// actually carries forward, which makes it monotonically non-increasing
+/// by construction; with a deterministic cost model the whole loop is a
+/// pure function of the mesh, so the trajectory can be pinned as a
+/// machine-independent golden.
 
 #include <algorithm>
 #include <limits>
@@ -33,7 +32,7 @@ struct RepartitionLoopResult {
   std::uint64_t migration_messages = 0;
   std::uint64_t migration_bytes = 0;
   std::uint64_t max_marker_shift = 0;
-  int reverted_rounds = 0;      ///< rounds whose nudge was backtracked
+  int reverted_rounds = 0;      ///< rounds whose re-split was backtracked
   int rounds_to_converge = -1;  ///< first round at <= 75% of round-0 slack
 };
 
@@ -45,8 +44,8 @@ struct RepartitionLoopResult {
 /// has length \p rounds and starts from the identical round-0 figure.
 template <int D>
 RepartitionLoopResult repartition_loop(Forest<D> f, const BalanceOptions& bopt,
-                                       RepartitionOptions ropt, bool dynamic,
-                                       int rounds) {
+                                       const RepartitionOptions& ropt,
+                                       bool dynamic, int rounds) {
   const int p = f.num_ranks();
   {
     SimComm warm(p);
@@ -91,9 +90,8 @@ RepartitionLoopResult repartition_loop(Forest<D> f, const BalanceOptions& bopt,
       r.critical_path = comm.critical_path();
     } else {
       // Backtrack: re-install the best accepted cuts (charged — moving
-      // the data back is real traffic) and damp the controller.
+      // the data back is real traffic).
       charge(apply_cuts(f, best_cuts, &comm), lr);
-      ropt.gain *= 0.5;
       ++lr.reverted_rounds;
     }
     lr.slack.push_back(best_slack);

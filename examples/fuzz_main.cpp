@@ -21,8 +21,8 @@
 /// --tier large runs the oracle-free battery on ~10^5-octant cases with
 /// 64-192 simulated ranks (see src/audit/case.hpp).  --inject-bug N plants
 /// FaultInjection value N (1 = skip-insulation-neighbor, 2 = order-
-/// dependent reduce, 3 = stale-marker nudge in the repartition pass) so
-/// the battery's teeth can be demonstrated.
+/// dependent reduce, 3 = stale partition markers after the repartition
+/// pass migrates the data) so the battery's teeth can be demonstrated.
 ///
 /// Exit status 0 iff every case passed.  A failure report always includes
 /// the replay command line for its seed.
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       opt.inject = FaultInjection::kOrderDependentReduce;
       break;
     case 3:
-      opt.inject = FaultInjection::kStaleMarkerNudge;
+      opt.inject = FaultInjection::kStaleMarkers;
       break;
     default:
       std::fprintf(stderr, "unknown --inject-bug value\n");

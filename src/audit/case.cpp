@@ -81,15 +81,16 @@ CaseConfig random_case_config(std::uint64_t seed, Tier tier) {
   // exact sequence), so new dimensions must not perturb them.
   Rng rng2(seed ^ 0xC0FFEE0DD15EA5E5ull);
   const double rp = rng2.uniform();
-  c.repartition = rp < 0.4    ? RepartitionKind::kNone
-                  : rp < 0.6  ? RepartitionKind::kWeightedOctants
-                  : rp < 0.8  ? RepartitionKind::kWeightedInsulation
-                              : RepartitionKind::kNudge;
+  c.repartition = rp < 0.4   ? RepartitionKind::kNone
+                  : rp < 0.6 ? RepartitionKind::kWeightedOctants
+                             : RepartitionKind::kWeightedInsulation;
   c.repartition_rounds = 1 + static_cast<int>(rng2.below(2));
-  c.repartition_max_nudge = rng2.chance(0.5) ? 4 : 32;
-  // Appending draws to this stream is safe for the same reason the stream
-  // exists; search = 0 exercises the descent-disabled diffusive path.
-  c.repartition_search = rng2.chance(0.25) ? 0 : 1 + static_cast<int>(rng2.below(4));
+  // Two retired dimensions (a per-cut shift cap and a search budget) drew
+  // here.  Their draws stay, values discarded, so the churn and layout
+  // draws below (and every seed-pinned case that depends on them) keep
+  // their values.
+  (void)rng2.chance(0.5);
+  if (!rng2.chance(0.25)) (void)rng2.below(4);
   // Churn lifecycle dimensions: random refine/coarsen batches after the
   // main balance, each checked delta-vs-full ("churn/delta_equiv").
   c.churn_steps =
@@ -103,22 +104,9 @@ CaseConfig random_case_config(std::uint64_t seed, Tier tier) {
 
 RepartitionOptions repartition_options(const CaseConfig& c) {
   RepartitionOptions o;
-  switch (c.repartition) {
-    case RepartitionKind::kNone:
-    case RepartitionKind::kWeightedOctants:
-      o.mode = RepartitionMode::kWeighted;
-      o.weight = RepartitionWeight::kOctants;
-      break;
-    case RepartitionKind::kWeightedInsulation:
-      o.mode = RepartitionMode::kWeighted;
-      o.weight = RepartitionWeight::kInsulation;
-      break;
-    case RepartitionKind::kNudge:
-      o.mode = RepartitionMode::kNudge;
-      break;
-  }
-  o.max_nudge = c.repartition_max_nudge;
-  o.search = c.repartition_search;
+  o.weight = c.repartition == RepartitionKind::kWeightedInsulation
+                 ? RepartitionWeight::kInsulation
+                 : RepartitionWeight::kOctants;
   return o;
 }
 
@@ -149,12 +137,9 @@ std::string describe(const CaseConfig& c) {
   os << " scramble=" << (c.scramble ? 1 : 0);
   if (c.repartition != RepartitionKind::kNone) {
     os << " repart="
-       << (c.repartition == RepartitionKind::kWeightedOctants      ? "octants"
-           : c.repartition == RepartitionKind::kWeightedInsulation ? "insulation"
-                                                                   : "nudge")
-       << " repart_rounds=" << c.repartition_rounds
-       << " max_nudge=" << c.repartition_max_nudge
-       << " search=" << c.repartition_search;
+       << (c.repartition == RepartitionKind::kWeightedOctants ? "octants"
+                                                               : "insulation")
+       << " repart_rounds=" << c.repartition_rounds;
   }
   if (c.churn_steps > 0) {
     os << " churn=" << c.churn_steps

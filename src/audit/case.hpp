@@ -41,7 +41,6 @@ enum class RepartitionKind : std::uint8_t {
   kNone = 0,
   kWeightedOctants = 1,     ///< one-shot re-split, unit weights
   kWeightedInsulation = 2,  ///< one-shot re-split, envelope-size weights
-  kNudge = 3,               ///< critical-path marker nudge
 };
 
 /// How much of the invariant battery a case affords.  The full tier runs
@@ -79,13 +78,10 @@ struct CaseConfig {
   PartitionKind partition = PartitionKind::kEven;
   bool scramble = false;  ///< pseudo-random SimComm delivery order
 
-  /// Dynamic repartitioning after balance: mode, balance→repartition round
-  /// count, the nudge's per-cut SFC-position cap, and its descent step
-  /// budget (0 = diffusive target only, no oracle search).
+  /// Dynamic repartitioning after balance: weight kind and
+  /// balance→repartition round count.
   RepartitionKind repartition = RepartitionKind::kNone;
   int repartition_rounds = 1;
-  int repartition_max_nudge = 8;
-  int repartition_search = 4;
 
   /// Churn lifecycle dimension: run this many random refine(+coarsen)
   /// batches on the balanced forest, each followed by a delta_balance that

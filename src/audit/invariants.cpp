@@ -266,7 +266,7 @@ InvariantReport Invariants::check(const CaseConfig& cfg,
   // checksum, the gathered leaf set and the 2:1 verdict are unchanged, and
   // the marker array stays sorted and consistent with the local arrays.
   // This is the one block that runs the pass *with* the fault channel
-  // (kStaleMarkerNudge) installed — run_pipeline strips it above.
+  // (kStaleMarkers) installed — run_pipeline strips it above.
   if (cfg.repartition != RepartitionKind::kNone) {
     Forest<D> f(data.conn, cfg.ranks, data.leaves);
     switch (cfg.partition) {

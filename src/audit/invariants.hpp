@@ -17,7 +17,7 @@
 ///                             partition-independent checksum, leaf set
 ///                             and 2:1 verdict are unchanged and the
 ///                             markers stay sorted/consistent.  The only
-///                             block that runs the kStaleMarkerNudge
+///                             block that runs the kStaleMarkers
 ///                             fault channel.
 ///   "scramble_invariance"   — rerunning with the SimComm delivery order
 ///                             toggled (canonical vs pseudo-randomly

@@ -148,14 +148,6 @@ ShrinkOutcome<D> Shrinker::shrink(const CaseConfig& cfg,
     c.repartition_rounds = 1;
     if (fails_same(c, out.leaves, &out.report)) out.cfg = c;
   }
-  if (out.cfg.repartition == RepartitionKind::kNudge &&
-      out.cfg.repartition_search > 0) {
-    // A nudge failure that survives without the oracle descent is a much
-    // simpler repro (the diffusive target is one arithmetic pass).
-    CaseConfig c = out.cfg;
-    c.repartition_search = 0;
-    if (fails_same(c, out.leaves, &out.report)) out.cfg = c;
-  }
   for (const int r : {1, 2, out.cfg.ranks / 2}) {
     if (r < 1 || r >= out.cfg.ranks) continue;
     CaseConfig c = out.cfg;
@@ -292,16 +284,11 @@ std::string Shrinker::regression_source(const CaseConfig& cfg,
   os << "  balance(f, opt, comm);\n";
   if (cfg.repartition != RepartitionKind::kNone) {
     os << "  RepartitionOptions ropt;\n"
-       << "  ropt.mode = RepartitionMode::"
-       << (cfg.repartition == RepartitionKind::kNudge ? "kNudge" : "kWeighted")
-       << ";\n"
        << "  ropt.weight = RepartitionWeight::"
        << (cfg.repartition == RepartitionKind::kWeightedInsulation
                ? "kInsulation"
                : "kOctants")
-       << ";\n"
-       << "  ropt.max_nudge = " << cfg.repartition_max_nudge << ";\n"
-       << "  ropt.search = " << cfg.repartition_search << ";\n";
+       << ";\n";
     if (cfg.opt.inject != FaultInjection::kNone) {
       os << "  ropt.inject = static_cast<FaultInjection>("
          << static_cast<int>(cfg.opt.inject) << ");\n";

@@ -63,7 +63,6 @@ SimComm::PhaseCost& SimComm::phase_cost() {
   PhaseCost p;
   p.name = phase_;
   p.critical_by_rank.assign(static_cast<std::size_t>(size()), 0);
-  p.time_by_rank.assign(static_cast<std::size_t>(size()), 0.0);
   phases_.push_back(std::move(p));
   return phases_.back();
 }
@@ -187,9 +186,6 @@ void SimComm::deliver() {
     pc.critical_by_rank[static_cast<std::size_t>(critical)] += 1;
     c_critical_rounds_->add(critical);
   }
-  for (std::size_t r = 0; r < per_rank.size(); ++r) {
-    pc.time_by_rank[r] += model_.time(per_rank[r]);
-  }
   c_rounds_->add(0);
   round.critical_rank = critical;
   round.critical_time = worst;
@@ -288,7 +284,6 @@ void SimComm::charge_collective(std::size_t total_bytes) {
     pc.collectives += 1;
     pc.time += t;
     pc.mean_time += t;
-    for (double& tr : pc.time_by_rank) tr += t;
   }
 }
 

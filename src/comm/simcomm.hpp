@@ -202,13 +202,6 @@ class SimComm {
     double mean_time = 0;  ///< Σ mean-over-ranks round times + collectives
     double slack = 0;      ///< Σ per-round total slack
     std::vector<std::uint64_t> critical_by_rank;  ///< rounds bounded, per rank
-    /// Σ per-round α–β cost, per rank — the full cost vector behind the
-    /// critical-path summary (time == max is the phase's wall clock; every
-    /// rank's gap to the per-round max is the slack).  Collectives charge
-    /// uniformly.  Consumers that need "who is expensive in *this* phase"
-    /// (e.g. the repartition nudge) read this instead of the lifetime
-    /// comm/* counters, which mix all phases together.
-    std::vector<double> time_by_rank;
     /// Aggregate imbalance: modeled wall clock over the perfectly balanced
     /// wall clock (max/mean convention, matching obs::Reduction).
     double imbalance() const { return mean_time > 0 ? time / mean_time : 0; }

@@ -24,8 +24,7 @@ using detail::tree_runs;
 
 /// Wire format for one response item: a payload octant expressed in the
 /// query octant's tree frame (possibly exterior), tagged with its query.
-/// (WireOct itself lives in balance.hpp: the repartition oracle models
-/// the query exchange and must charge the identical wire size.)
+/// (WireOct itself lives in balance.hpp, shared with delta_balance.)
 template <int D>
 struct WirePair {
   WireOct<D> query;

@@ -34,9 +34,8 @@
 namespace octbal {
 
 /// Wire format for one octant within a tree (trivially copyable): the
-/// payload of the balance query exchange.  Shared so consumers that model
-/// that exchange (the repartition nudge's query-replay oracle) charge the
-/// exact bytes the pipeline puts on the wire.
+/// payload of the balance query exchange, shared with the delta-balance
+/// push rounds so both charge the same bytes per octant.
 template <int D>
 struct WireOct {
   std::int32_t tree;
@@ -77,12 +76,12 @@ enum class FaultInjection : std::uint8_t {
   /// scramble invariant must catch it (src/audit self-tests), the same way
   /// kSkipInsulationNeighbor proves the balance invariants have teeth.
   kOrderDependentReduce = 2,
-  /// The repartition pass's marker nudge migrates the octants and charges
-  /// the traffic, but skips the refresh_markers() rebuild, leaving the
-  /// previous partition's markers installed — a "moved the data, forgot
-  /// the index" bug.  The audit battery's repartition/preserves_content
-  /// invariant must catch it (see forest/repartition.cpp).
-  kStaleMarkerNudge = 3,
+  /// The repartition pass migrates the octants and charges the traffic,
+  /// but skips the refresh_markers() rebuild, leaving the previous
+  /// partition's markers installed — a "moved the data, forgot the index"
+  /// bug.  The audit battery's repartition/preserves_content invariant
+  /// must catch it (see forest/repartition.cpp).
+  kStaleMarkers = 3,
 };
 
 struct BalanceOptions {

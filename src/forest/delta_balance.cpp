@@ -217,116 +217,126 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   obs::Counter& c_created = met.counter("churn/octants_created");
   obs::Counter& c_rounds = met.counter("churn/delta_rounds");
 
-  // Validate the dirty log against the current leaves, per rank: bucket
-  // the entries by the rank whose marker range holds their first position
-  // (a current leaf lies in its owner's range), then every rank sorts its
-  // bucket and intersects it with its leaves.  Entries split or collapsed
-  // away by a later batch drop out; the survivors are the first frontier.
-  // (The log is global, so a repartition between the churn batch and this
-  // call just moves an entry to its new owner's bucket.)
-  const auto& log = f.dirty();
-  const auto& marks = f.markers();
-  const auto owner = [&](const TreeOct<D>& to) {
-    const auto it =
-        std::upper_bound(marks.begin(), marks.end(), position_of(to));
-    return std::clamp(static_cast<int>(it - marks.begin()) - 1, 0, P - 1);
-  };
-  std::vector<std::size_t> bucket_at(P + 1, 0);
-  for (const auto& to : log) ++bucket_at[owner(to) + 1];
-  for (int r = 0; r < P; ++r) bucket_at[r + 1] += bucket_at[r];
-  std::vector<TreeOct<D>> buckets(log.size());
-  {
-    std::vector<std::size_t> fill(bucket_at.begin(), bucket_at.end() - 1);
-    for (const auto& to : log) buckets[fill[owner(to)]++] = to;
-  }
-  // The pass consumes the log up front.  The buckets are the log in owner
-  // order, so they take over its charge, byte for byte.
-  f.clear_dirty();
-  obs::MemScope bucket_mem(obs::MemTag::kDirtyLog,
-                           buckets.size() * sizeof(TreeOct<D>));
-
-  // Dirty-region completion (core/region.hpp), the region_octants counter:
-  // the coarsest cover of the frontier's insulation envelopes, per tree.
-  // Each rank covers its own frontier one tree run at a time; the covers
-  // are held (charged in key bytes to the rank) until the serial merge.
+  // Validate the dirty log and cover the frontier.  The frontier outlives
+  // this block; everything else in it is scratch.
   std::vector<std::vector<TreeOct<D>>> frontier(P);
-  std::vector<std::vector<std::pair<std::int32_t, std::vector<okey_t>>>>
-      covers(P);
-  std::vector<obs::MemScope> cover_mem(P);
-  par::parallel_for_ranks(P, [&](int r) {
-    const obs::MemRank mem_rank(r);
-    const auto b0 =
-        buckets.begin() + static_cast<std::ptrdiff_t>(bucket_at[r]);
-    const auto b1 =
-        buckets.begin() + static_cast<std::ptrdiff_t>(bucket_at[r + 1]);
-    std::sort(b0, b1);
-    const auto& mine = f.local(r);
-    std::set_intersection(b0, b1, mine.begin(), mine.end(),
-                          std::back_inserter(frontier[r]));
-    if (frontier[r].empty()) return;
-    const obs::MemScope keys_mem(obs::MemTag::kRegionCover,
-                                 frontier[r].size() * sizeof(okey_t));
-    std::vector<okey_t> keys;
-    keys.reserve(frontier[r].size());
-    std::size_t held = 0;
-    for (const auto& [i, j] : tree_runs(frontier[r])) {
-      keys.clear();
-      for (std::size_t q = i; q < j; ++q) {
-        keys.push_back(key_of(frontier[r][q].oct));
-      }
-      covers[r].emplace_back(frontier[r][i].tree,
-                             dirty_region_cover<D>(keys));
-      held += covers[r].back().second.size();
-      cover_mem[r].set_slot(r, obs::MemTag::kRegionCover,
-                            held * sizeof(okey_t));
-    }
-  });
-  bucket_mem.reset();
-  buckets = {};
-  for (int r = 0; r < P; ++r) {
-    rep.dirty_validated += frontier[r].size();
-    c_dirty.add(r, frontier[r].size());
-  }
-  // Merge the per-rank covers of each tree with the cover's own fold:
-  // ranks hold disjoint, ascending ranges of the curve, so the trees
-  // arrive in order and a tree's covers arrive rank by rank.
   {
-    std::vector<okey_t> acc, scratch;
-    obs::MemScope merge_mem;
-    std::int32_t tree = -1;
-    for (int r = 0; r < P; ++r) {
-      for (const auto& [t, cover] : covers[r]) {
-        if (t != tree) {
-          rep.region_octants += acc.size();
-          acc.clear();
-          tree = t;
-        }
-        merge_mem.set(obs::MemTag::kRegionCover,
-                      2 * (acc.size() + cover.size()) * sizeof(okey_t));
-        cover_merge(acc, cover, scratch);
-      }
-      covers[r] = {};
-      cover_mem[r].reset();
+    OBS_SPAN("delta_cover");
+    // Validate the dirty log against the current leaves, per rank: bucket
+    // the entries by the rank whose marker range holds their first position
+    // (a current leaf lies in its owner's range), then every rank sorts its
+    // bucket and intersects it with its leaves.  Entries split or collapsed
+    // away by a later batch drop out; the survivors are the first frontier.
+    // (The log is global, so a repartition between the churn batch and this
+    // call just moves an entry to its new owner's bucket.)
+    const auto& log = f.dirty();
+    const auto& marks = f.markers();
+    const auto owner = [&](const TreeOct<D>& to) {
+      const auto it =
+          std::upper_bound(marks.begin(), marks.end(), position_of(to));
+      return std::clamp(static_cast<int>(it - marks.begin()) - 1, 0, P - 1);
+    };
+    std::vector<std::size_t> bucket_at(P + 1, 0);
+    for (const auto& to : log) ++bucket_at[owner(to) + 1];
+    for (int r = 0; r < P; ++r) bucket_at[r + 1] += bucket_at[r];
+    std::vector<TreeOct<D>> buckets(log.size());
+    {
+      std::vector<std::size_t> fill(bucket_at.begin(), bucket_at.end() - 1);
+      for (const auto& to : log) buckets[fill[owner(to)]++] = to;
     }
-    rep.region_octants += acc.size();
-    c_region.add(0, rep.region_octants);
+    // The pass consumes the log up front.  The buckets are the log in owner
+    // order, so they take over its charge, byte for byte.
+    f.clear_dirty();
+    obs::MemScope bucket_mem(obs::MemTag::kDirtyLog,
+                             buckets.size() * sizeof(TreeOct<D>));
+
+    // Dirty-region completion (core/region.hpp), the region_octants counter:
+    // the coarsest cover of the frontier's insulation envelopes, per tree.
+    // Each rank covers its own frontier one tree run at a time; the covers
+    // are held (charged in key bytes to the rank) until the serial merge.
+    std::vector<std::vector<std::pair<std::int32_t, std::vector<okey_t>>>>
+        covers(P);
+    std::vector<obs::MemScope> cover_mem(P);
+    par::parallel_for_ranks(P, [&](int r) {
+      OBS_SPAN_RANK("delta_cover", r);
+      const obs::MemRank mem_rank(r);
+      const auto b0 =
+          buckets.begin() + static_cast<std::ptrdiff_t>(bucket_at[r]);
+      const auto b1 =
+          buckets.begin() + static_cast<std::ptrdiff_t>(bucket_at[r + 1]);
+      std::sort(b0, b1);
+      const auto& mine = f.local(r);
+      std::set_intersection(b0, b1, mine.begin(), mine.end(),
+                            std::back_inserter(frontier[r]));
+      if (frontier[r].empty()) return;
+      const obs::MemScope keys_mem(obs::MemTag::kRegionCover,
+                                   frontier[r].size() * sizeof(okey_t));
+      std::vector<okey_t> keys;
+      keys.reserve(frontier[r].size());
+      std::size_t held = 0;
+      for (const auto& [i, j] : tree_runs(frontier[r])) {
+        keys.clear();
+        for (std::size_t q = i; q < j; ++q) {
+          keys.push_back(key_of(frontier[r][q].oct));
+        }
+        covers[r].emplace_back(frontier[r][i].tree,
+                               dirty_region_cover<D>(keys));
+        held += covers[r].back().second.size();
+        cover_mem[r].set_slot(r, obs::MemTag::kRegionCover,
+                              held * sizeof(okey_t));
+      }
+    });
+    bucket_mem.reset();
+    buckets = {};
+    for (int r = 0; r < P; ++r) {
+      rep.dirty_validated += frontier[r].size();
+      c_dirty.add(r, frontier[r].size());
+    }
+    // Merge the per-rank covers of each tree with the cover's own fold:
+    // ranks hold disjoint, ascending ranges of the curve, so the trees
+    // arrive in order and a tree's covers arrive rank by rank.
+    {
+      std::vector<okey_t> acc, scratch;
+      obs::MemScope merge_mem;
+      std::int32_t tree = -1;
+      for (int r = 0; r < P; ++r) {
+        for (const auto& [t, cover] : covers[r]) {
+          if (t != tree) {
+            rep.region_octants += acc.size();
+            acc.clear();
+            tree = t;
+          }
+          merge_mem.set(obs::MemTag::kRegionCover,
+                        2 * (acc.size() + cover.size()) * sizeof(okey_t));
+          cover_merge(acc, cover, scratch);
+        }
+        covers[r] = {};
+        cover_mem[r].reset();
+      }
+      rep.region_octants += acc.size();
+      c_region.add(0, rep.region_octants);
+    }
   }
 
   // Local pre-pass: re-balance every run containing a frontier octant
   // (whole-run, no constraints yet) — the phase-1 restriction to dirty
   // runs.  Runs without a frontier octant are fixed points of local
   // balance and are skipped.  Created leaves join the frontier.
-  obs::mem_set_phase("churn/local");
-  par::parallel_for_ranks(P, [&](int r) {
-    const obs::MemRank mem_rank(r);
-    if (frontier[r].empty()) return;
-    std::map<std::int32_t, std::vector<Octant<D>>> touch;
-    for (const auto& to : frontier[r]) touch[to.tree];  // empty aux: run-only
-    std::vector<TreeOct<D>> created;
-    rebalance_with_aux(f.local(r), touch, opt, k, created);
-    frontier[r].insert(frontier[r].end(), created.begin(), created.end());
-    std::sort(frontier[r].begin(), frontier[r].end());
-  });
+  {
+    OBS_SPAN("delta_local");
+    obs::mem_set_phase("churn/local");
+    par::parallel_for_ranks(P, [&](int r) {
+      OBS_SPAN_RANK("delta_local", r);
+      const obs::MemRank mem_rank(r);
+      if (frontier[r].empty()) return;
+      std::map<std::int32_t, std::vector<Octant<D>>> touch;
+      for (const auto& to : frontier[r]) touch[to.tree];  // empty aux: run-only
+      std::vector<TreeOct<D>> created;
+      rebalance_with_aux(f.local(r), touch, opt, k, created);
+      frontier[r].insert(frontier[r].end(), created.begin(), created.end());
+      std::sort(frontier[r].begin(), frontier[r].end());
+    });
+  }
 
   // Push rounds: every frontier octant announces itself to the owners of
   // its insulation-layer pieces (mapped into the receiver's tree frame);
@@ -342,180 +352,186 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   const auto& offs = full_offsets<D>();
   for (int round = 0;; ++round) {
     detail::check_delta_round<D>(round);
-    // Build the pushes.  Self-directed constraints (same rank but another
-    // tree or a wrapped frame) bypass the network straight into aux.
-    par::parallel_for_ranks(P, [&](int r) {
-      qsend[r].assign(P, {});
-      aux[r].clear();
-      OwnerWindow<D> owners(f);
-      const GlobalPos own_lo = f.marker(r);
-      const GlobalPos own_hi = f.marker(r + 1);
-      for (const auto& to : frontier[r]) {
-        // Round 0's frontier was re-balanced whole-run by the pre-pass.
-        // Later frontiers come from grouped applies and can ripple inside
-        // their own run, so they also constrain it as self-directed aux.
-        if (round > 0) aux[r][to.tree].push_back(to.oct);
-        const coord_t hh = side_len(to.oct);
-        bool interior = true;
-        for (int dd = 0; dd < D && interior; ++dd) {
-          interior =
-              to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
-        }
-        if (interior) {
-          // Whole-envelope early-out and per-piece owner windows, exactly
-          // as in the full pipeline's query walk (balance.cpp phase 2a).
-          Octant<D> lo_p = to.oct, hi_p = to.oct;
-          for (int dd = 0; dd < D; ++dd) {
-            lo_p.x[dd] -= hh;
-            hi_p.x[dd] += hh;
+    {
+      OBS_SPAN("delta_push");
+      // Build the pushes.  Self-directed constraints (same rank but another
+      // tree or a wrapped frame) bypass the network straight into aux.
+      par::parallel_for_ranks(P, [&](int r) {
+        OBS_SPAN_RANK("delta_push", r);
+        qsend[r].assign(P, {});
+        aux[r].clear();
+        OwnerWindow<D> owners(f);
+        const GlobalPos own_lo = f.marker(r);
+        const GlobalPos own_hi = f.marker(r + 1);
+        for (const auto& to : frontier[r]) {
+          // Round 0's frontier was re-balanced whole-run by the pre-pass.
+          // Later frontiers come from grouped applies and can ripple inside
+          // their own run, so they also constrain it as self-directed aux.
+          if (round > 0) aux[r][to.tree].push_back(to.oct);
+          const coord_t hh = side_len(to.oct);
+          bool interior = true;
+          for (int dd = 0; dd < D && interior; ++dd) {
+            interior =
+                to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
           }
-          const GlobalPos env_lo{to.tree, morton_key(lo_p)};
-          const GlobalPos env_hi{
-              to.tree,
-              morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
-          if (own_lo <= env_lo && env_hi < own_hi) continue;
-          owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
-          const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
-          for (const auto& off : offs) {
-            Octant<D> piece = to.oct;
+          if (interior) {
+            // Whole-envelope early-out and per-piece owner windows, exactly
+            // as in the full pipeline's query walk (balance.cpp phase 2a).
+            Octant<D> lo_p = to.oct, hi_p = to.oct;
             for (int dd = 0; dd < D; ++dd) {
-              piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
+              lo_p.x[dd] -= hh;
+              hi_p.x[dd] += hh;
             }
-            const GlobalPos lo{to.tree, morton_key(piece)};
-            const GlobalPos hi{to.tree, lo.key + sz};
-            if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
+            const GlobalPos env_lo{to.tree, morton_key(lo_p)};
+            const GlobalPos env_hi{
+                to.tree,
+                morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
+            if (own_lo <= env_lo && env_hi < own_hi) continue;
+            owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
+            const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
+            for (const auto& off : offs) {
+              Octant<D> piece = to.oct;
+              for (int dd = 0; dd < D; ++dd) {
+                piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
+              }
+              const GlobalPos lo{to.tree, morton_key(piece)};
+              const GlobalPos hi{to.tree, lo.key + sz};
+              if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
+                continue;  // own run: pre-pass or self constraint above
+              }
+              const auto [r0, r1] = owners.owners_of(lo, hi);
+              for (int dest = r0; dest <= r1; ++dest) {
+                if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
+                if (dest == r) continue;
+                qsend[r][dest].push_back(to_wire(to));
+              }
+            }
+            continue;
+          }
+          owners.clear_window();
+          for (const auto& off : offs) {
+            const auto nb = conn.neighbor(to.tree, to.oct, off);
+            if (!nb) continue;
+            const GlobalPos lo{nb->tree, morton_key(nb->oct)};
+            const GlobalPos hi{
+                nb->tree,
+                morton_key(nb->oct) + (morton_t{1} << (D * size_exp(nb->oct)))};
+            const bool same_frame =
+                nb->xform == FrameTransform<D>::identity();
+            if (nb->tree == to.tree && same_frame && own_lo <= lo &&
+                GlobalPos{nb->tree, hi.key - 1} < own_hi) {
               continue;  // own run: pre-pass or self constraint above
             }
+            // The receiver holds its leaves in the neighbor tree's frame, so
+            // the announcement ships the frontier octant mapped *into* that
+            // frame (nb->xform maps neighbor -> source; its inverse maps the
+            // source octant to its — possibly exterior — image there).
+            const Octant<D> img =
+                same_frame ? to.oct : nb->xform.inverse().apply(to.oct);
             const auto [r0, r1] = owners.owners_of(lo, hi);
             for (int dest = r0; dest <= r1; ++dest) {
               if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
-              if (dest == r) continue;
-              qsend[r][dest].push_back(to_wire(to));
-            }
-          }
-          continue;
-        }
-        owners.clear_window();
-        for (const auto& off : offs) {
-          const auto nb = conn.neighbor(to.tree, to.oct, off);
-          if (!nb) continue;
-          const GlobalPos lo{nb->tree, morton_key(nb->oct)};
-          const GlobalPos hi{
-              nb->tree,
-              morton_key(nb->oct) + (morton_t{1} << (D * size_exp(nb->oct)))};
-          const bool same_frame =
-              nb->xform == FrameTransform<D>::identity();
-          if (nb->tree == to.tree && same_frame && own_lo <= lo &&
-              GlobalPos{nb->tree, hi.key - 1} < own_hi) {
-            continue;  // own run: pre-pass or self constraint above
-          }
-          // The receiver holds its leaves in the neighbor tree's frame, so
-          // the announcement ships the frontier octant mapped *into* that
-          // frame (nb->xform maps neighbor -> source; its inverse maps the
-          // source octant to its — possibly exterior — image there).
-          const Octant<D> img =
-              same_frame ? to.oct : nb->xform.inverse().apply(to.oct);
-          const auto [r0, r1] = owners.owners_of(lo, hi);
-          for (int dest = r0; dest <= r1; ++dest) {
-            if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
-            if (dest == r && nb->tree == to.tree && same_frame) continue;
-            if (dest == r) {
-              aux[r][nb->tree].push_back(img);
-            } else {
-              qsend[r][dest].push_back(
-                  WireOct<D>{nb->tree, img.level, img.x});
+              if (dest == r && nb->tree == to.tree && same_frame) continue;
+              if (dest == r) {
+                aux[r][nb->tree].push_back(img);
+              } else {
+                qsend[r][dest].push_back(
+                    WireOct<D>{nb->tree, img.level, img.x});
+              }
             }
           }
         }
-      }
-      for (int dest = 0; dest < P; ++dest) {
-        auto& q = qsend[r][dest];
-        std::sort(q.begin(), q.end());
-        q.erase(std::unique(q.begin(), q.end()), q.end());
-      }
-      // The frontier's last reader is the push walk above: free it here so
-      // its bytes never overlap the exchange or the apply (it comes back
-      // as the apply's created leaves).
-      frontier[r].clear();
-      frontier[r].shrink_to_fit();
-      std::size_t staged = 0;
-      for (const auto& q : qsend[r]) staged += q.size() * sizeof(WireOct<D>);
-      for (const auto& [tree, octs] : aux[r]) {
-        staged += octs.size() * sizeof(Octant<D>);
-      }
-      stage_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
-    });
-
-    // Charged termination consensus: one scalar allreduce of the round's
-    // push work (network announcements plus self-directed constraints).
-    // This is the NBX-style agreement that also closes the exchange below:
-    // senders know their destinations from the owner search, so direct
-    // point-to-point sends plus this consensus are a complete dynamic
-    // sparse data exchange — no notify algorithm needed, unlike the full
-    // pipeline's query phase where receivers are unknown to themselves.
-    std::uint64_t net_total = 0, work_total = 0;
-    {
-      comm.set_phase("churn/reduce");
-      std::vector<std::uint64_t> per(P, 0);
-      for (int r = 0; r < P; ++r) {
-        for (int dest = 0; dest < P; ++dest) per[r] += qsend[r][dest].size();
-        net_total += per[r];
-        std::uint64_t self = 0;
-        for (const auto& [tree, octs] : aux[r]) self += octs.size();
-        per[r] += self;
-      }
-      work_total = comm.allreduce_sum(per);
-    }
-    if (work_total == 0) break;
-    ++rep.rounds;
-    rep.constraints_sent += net_total;
-    for (int r = 0; r < P; ++r) {
-      std::uint64_t sent = 0;
-      for (int dest = 0; dest < P; ++dest) sent += qsend[r][dest].size();
-      c_sent.add(r, sent);
-    }
-
-    // Exchange the announcements with direct point-to-point sends (the
-    // consensus above already told every rank the round is live; skipped
-    // when every constraint this round was self-directed).
-    if (net_total > 0) {
-      comm.set_phase("churn/exchange");
-      par::parallel_for_ranks(P, [&](int r) {
         for (int dest = 0; dest < P; ++dest) {
-          if (qsend[r][dest].empty() || dest == r) continue;
-          comm.send_items<WireOct<D>>(r, dest, qsend[r][dest]);
+          auto& q = qsend[r][dest];
+          std::sort(q.begin(), q.end());
+          q.erase(std::unique(q.begin(), q.end()), q.end());
         }
+        // The frontier's last reader is the push walk above: free it here so
+        // its bytes never overlap the exchange or the apply (it comes back
+        // as the apply's created leaves).
+        frontier[r].clear();
+        frontier[r].shrink_to_fit();
+        std::size_t staged = 0;
+        for (const auto& q : qsend[r]) staged += q.size() * sizeof(WireOct<D>);
+        for (const auto& [tree, octs] : aux[r]) {
+          staged += octs.size() * sizeof(Octant<D>);
+        }
+        stage_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
       });
-      comm.deliver();
-      par::parallel_for_ranks(P, [&](int r) {
-        for (const auto& m : comm.recv_all(r)) {
-          for (const auto& w : SimComm::decode_items<WireOct<D>>(m)) {
-            Octant<D> o;
-            o.level = static_cast<level_t>(w.level);
-            o.x = w.x;
-            aux[r][w.tree].push_back(o);
-          }
+
+      // Charged termination consensus: one scalar allreduce of the round's
+      // push work (network announcements plus self-directed constraints).
+      // This is the NBX-style agreement that also closes the exchange below:
+      // senders know their destinations from the owner search, so direct
+      // point-to-point sends plus this consensus are a complete dynamic
+      // sparse data exchange — no notify algorithm needed, unlike the full
+      // pipeline's query phase where receivers are unknown to themselves.
+      std::uint64_t net_total = 0, work_total = 0;
+      {
+        comm.set_phase("churn/reduce");
+        std::vector<std::uint64_t> per(P, 0);
+        for (int r = 0; r < P; ++r) {
+          for (int dest = 0; dest < P; ++dest) per[r] += qsend[r][dest].size();
+          net_total += per[r];
+          std::uint64_t self = 0;
+          for (const auto& [tree, octs] : aux[r]) self += octs.size();
+          per[r] += self;
         }
+        work_total = comm.allreduce_sum(per);
+      }
+      if (work_total == 0) break;
+      ++rep.rounds;
+      rep.constraints_sent += net_total;
+      for (int r = 0; r < P; ++r) {
+        std::uint64_t sent = 0;
+        for (int dest = 0; dest < P; ++dest) sent += qsend[r][dest].size();
+        c_sent.add(r, sent);
+      }
+
+      // Exchange the announcements with direct point-to-point sends (the
+      // consensus above already told every rank the round is live; skipped
+      // when every constraint this round was self-directed).
+      if (net_total > 0) {
+        comm.set_phase("churn/exchange");
+        par::parallel_for_ranks(P, [&](int r) {
+          for (int dest = 0; dest < P; ++dest) {
+            if (qsend[r][dest].empty() || dest == r) continue;
+            comm.send_items<WireOct<D>>(r, dest, qsend[r][dest]);
+          }
+        });
+        comm.deliver();
+        par::parallel_for_ranks(P, [&](int r) {
+          for (const auto& m : comm.recv_all(r)) {
+            for (const auto& w : SimComm::decode_items<WireOct<D>>(m)) {
+              Octant<D> o;
+              o.level = static_cast<level_t>(w.level);
+              o.x = w.x;
+              aux[r][w.tree].push_back(o);
+            }
+          }
+        });
+      }
+
+      // The announcements are delivered: drop them — buffers and staging
+      // charge both — before the apply phase stacks its balance scratch on
+      // top of the same rank slots.  Only the constraints stay staged.
+      par::parallel_for_ranks(P, [&](int r) {
+        qsend[r].assign(P, {});
+        std::size_t staged = 0;
+        for (const auto& [tree, octs] : aux[r]) {
+          staged += octs.size() * sizeof(Octant<D>);
+        }
+        stage_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
       });
     }
-
-    // The announcements are delivered: drop them — buffers and staging
-    // charge both — before the apply phase stacks its balance scratch on
-    // top of the same rank slots.  Only the constraints stay staged.
-    par::parallel_for_ranks(P, [&](int r) {
-      qsend[r].assign(P, {});
-      std::size_t staged = 0;
-      for (const auto& [tree, octs] : aux[r]) {
-        staged += octs.size() * sizeof(Octant<D>);
-      }
-      stage_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
-    });
 
     // Apply the constraints; the created leaves are the next frontier.
     // Under the new configuration the grouped mechanism keeps the apply
     // scratch proportional to the violations; the old configuration keeps
     // the paper's whole-run re-balance for comparison.
+    OBS_SPAN("delta_apply");
     par::parallel_for_ranks(P, [&](int r) {
+      OBS_SPAN_RANK("delta_apply", r);
       const obs::MemRank mem_rank(r);
       std::vector<TreeOct<D>> created;
       if (opt.grouped_rebalance) {

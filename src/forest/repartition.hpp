@@ -1,38 +1,21 @@
 #pragma once
 /// \file repartition.hpp
-/// \brief Slack-driven dynamic repartitioning: the first pass that mutates
-/// the partition in response to runtime measurement (closing the loop the
-/// critical-path profiler opened).
+/// \brief Dynamic repartitioning: a one-shot weighted re-split of the
+/// partition markers along the space-filling curve.
 ///
-/// Two modes:
+/// Per-octant weights are derived from a cost proxy (octant count,
+/// insulation-envelope size, or a caller-supplied functor, e.g. measured
+/// per-rank seconds divided down to octants) and the markers are rebuilt
+/// by the same prefix-sum cut rule as Forest::partition_weighted, so each
+/// rank's weight is equalized to within one maximum-weight octant (the
+/// p4est weighted partition).
 ///
-///   kWeighted — a one-shot weighted re-split.  Per-octant weights are
-///     derived from measured cost proxies (octant count, insulation-
-///     envelope size, or a caller-supplied functor, e.g. measured per-rank
-///     seconds divided down to octants) and the markers are rebuilt by the
-///     same prefix-sum cut rule as Forest::partition_weighted, so each
-///     rank's weight is equalized to within one maximum-weight octant.
-///
-///   kNudge — an incremental marker nudge.  The pass reads the
-///     communicator's per-phase critical-path attribution
-///     (SimComm::critical_path() / PhaseCost.time_by_rank, the "partition"
-///     phase excluded so migration traffic never feeds back into the
-///     signal) and shifts every partition marker a *bounded* number of SFC
-///     positions away from chronically expensive ranks.  Candidate cut
-///     vectors — diffusive re-split targets, critical-band shaves, argmax
-///     trims and a per-cut polish sweep — are scored against an exact
-///     static replay of the balance query exchange (predicted_query_slack)
-///     and the best strict improvement wins; every cut stays within
-///     RepartitionOptions::max_nudge positions of where the call found it,
-///     and a call where no candidate beats the incumbent is a no-op.
-///
-/// Either way the pass only moves ownership along the space-filling curve:
-/// the leaf set, the partition-independent checksum and the 2:1 verdict
-/// are unchanged (the audit battery's "repartition/preserves_content"
-/// invariant enforces exactly this).  Migrated octants are charged to the
-/// α–β model under the communicator's "partition" phase bracket, so the
-/// migration cost is visible in `octbal_inspect critpath` next to the
-/// balance phases it is trying to shorten.
+/// The pass only moves ownership along the curve: the leaf set, the
+/// partition-independent checksum and the 2:1 verdict are unchanged (the
+/// audit battery's "repartition/preserves_content" invariant enforces
+/// exactly this).  Migrated octants are charged to the α–β model under the
+/// communicator's "partition" phase bracket, so the migration cost is
+/// visible in `octbal_inspect critpath` next to the balance phases.
 
 #include <cstdint>
 #include <functional>
@@ -44,12 +27,13 @@
 
 namespace octbal {
 
+/// The repartitioning algorithm.  kWeighted is the only one; the enum
+/// keeps callers that name it explicitly compiling.
 enum class RepartitionMode : std::uint8_t {
   kWeighted = 0,  ///< one-shot weighted re-split (prefix-sum cuts)
-  kNudge = 1,     ///< bounded marker shift away from critical ranks
 };
 
-/// Weight derivation for RepartitionMode::kWeighted.
+/// Weight derivation for the weighted re-split.
 enum class RepartitionWeight : std::uint8_t {
   kOctants = 0,     ///< unit weight: equalize octant counts
   kInsulation = 1,  ///< 1 + in-domain insulation-envelope size (comm proxy)
@@ -59,22 +43,6 @@ enum class RepartitionWeight : std::uint8_t {
 struct RepartitionOptions {
   RepartitionMode mode = RepartitionMode::kWeighted;
   RepartitionWeight weight = RepartitionWeight::kInsulation;
-  /// kNudge: hard cap on how many SFC positions any single cut may move
-  /// per call.  Bounds both the migration volume and the worst case of a
-  /// misattributed signal.
-  int max_nudge = 64;
-  /// kNudge: fraction of the measured criticality imbalance converted
-  /// into transferred octants per call (< 1 damps oscillation).
-  double gain = 0.5;
-  /// kNudge: maximum improving steps of the oracle-guided descent.  Each
-  /// step scores candidate cut vectors against an exact static replay of
-  /// the query-phase traffic (diffusive targets over a gain ladder on the
-  /// first step; "shave the predicted-critical rank" moves on every step)
-  /// and keeps the best strict improvement.  The incumbent partition
-  /// competes too, so a call where nothing ever improves is a no-op.  0
-  /// disables the search and installs the full-gain diffusive target
-  /// directly.
-  int search = 4;
   /// Fault injection for audit self-tests; kNone for real runs.
   FaultInjection inject = FaultInjection::kNone;
 };
@@ -83,7 +51,7 @@ struct RepartitionReport {
   std::uint64_t octants_moved = 0;   ///< octants that changed owner
   CommStats migration;               ///< modeled migration traffic
   std::uint64_t max_marker_shift = 0;  ///< max |cut move|, SFC positions
-  /// kWeighted only: the weight distribution the cuts equalized.
+  /// The weight distribution the cuts equalized.
   std::uint64_t total_weight = 0;
   std::uint64_t max_octant_weight = 0;
   std::vector<std::uint64_t> weight_per_rank;
@@ -93,11 +61,9 @@ struct RepartitionReport {
 template <int D>
 using RepartitionWeightFn = std::function<std::uint64_t(const TreeOct<D>&)>;
 
-/// Repartition \p f in place.  \p comm supplies the critical-path signal
-/// for kNudge and is charged the migration traffic under a "partition"
-/// phase bracket; nullptr runs uncharged (and makes kNudge a no-op, since
-/// there is no measurement to act on).  \p custom is consulted only for
-/// RepartitionWeight::kCustom.
+/// Repartition \p f in place.  \p comm is charged the migration traffic
+/// under a "partition" phase bracket; nullptr runs uncharged.  \p custom
+/// is consulted only for RepartitionWeight::kCustom.
 template <int D>
 RepartitionReport repartition(Forest<D>& f, const RepartitionOptions& opt,
                               SimComm* comm,
@@ -107,20 +73,13 @@ RepartitionReport repartition(Forest<D>& f, const RepartitionOptions& opt,
 /// cuts[0] == 0, cuts[P] == global octant count, monotone.  Rank r
 /// receives the leaves in [cuts[r], cuts[r+1]).  Migration is swept out
 /// and charged exactly like repartition() itself — the repeated-balance
-/// driver uses this to *revert* a rejected nudge, and the revert traffic
-/// is real traffic.
+/// driver uses this to *revert* a rejected re-split, and the revert
+/// traffic is real traffic.  Throws std::invalid_argument when \p cuts
+/// breaks any of those conditions.
 template <int D>
 RepartitionReport apply_cuts(Forest<D>& f,
                              const std::vector<std::size_t>& cuts,
                              SimComm* comm);
-
-/// Exact static replay of the balance query exchange under \p f's current
-/// partition: the modeled slack of the query round (P · max per-rank α–β
-/// cost − Σ), computed without running the pipeline.  This is the scoring
-/// function behind the kNudge candidate search; it is exposed so the test
-/// battery can pin it against the slack the profiler actually measures.
-template <int D>
-double predicted_query_slack(const Forest<D>& f, const CostModel& model);
 
 /// Σ slack over the phases whose label starts with \p prefix — the
 /// scalar objective the repartition loop drives down ("balance/" sums the

@@ -96,17 +96,18 @@ TEST(Audit, InjectedOrderDependentReduceIsCaught) {
 }
 
 TEST(Audit, InjectedStaleMarkerNudgeIsCaughtAndShrunk) {
-  // The repartition fault channel: the marker nudge migrates the octants
-  // and charges the traffic but skips the refresh_markers() rebuild —
-  // "moved the data, forgot the index".  Only the
-  // repartition/preserves_content invariant looks at the partition index,
-  // so every failure must surface there, and the shrinker must still
-  // reduce the failing mesh (the fault needs a nudge that actually moves
-  // octants, which survives coarsening down to a few dozen leaves).
+  // The repartition fault channel (kStaleMarkers; the test keeps the
+  // channel's former name): the re-split migrates the octants and charges
+  // the traffic but skips the refresh_markers() rebuild — "moved the
+  // data, forgot the index".  Only the repartition/preserves_content
+  // invariant looks at the partition index, so every failure must surface
+  // there, and the shrinker must still reduce the failing mesh (the fault
+  // needs a re-split that actually moves octants, which survives
+  // coarsening down to a few dozen leaves).
   FuzzOptions opt;
   opt.seeds = 120;
   opt.seed0 = 1;
-  opt.inject = FaultInjection::kStaleMarkerNudge;
+  opt.inject = FaultInjection::kStaleMarkers;
   opt.max_failures = 4;
   const FuzzSummary sum = Fuzzer(opt).run();
   ASSERT_GT(sum.failed, 0)
@@ -126,14 +127,16 @@ TEST(Audit, InjectedStaleMarkerNudgeIsCaughtAndShrunk) {
 }
 
 TEST(Audit, StaleMarkerNudgeReplaysDeterministically) {
-  // Seed 18 draws a kNudge case whose nudge moves octants (covered by the
-  // sweep above); the pinned replay must fail the same way every time.
+  // Seed 18 draws a two-round insulation-weighted case whose re-split
+  // moves octants (covered by the sweep above); the pinned replay must
+  // fail the same way every time.
   FuzzOptions opt;
-  opt.inject = FaultInjection::kStaleMarkerNudge;
+  opt.inject = FaultInjection::kStaleMarkers;
   opt.shrink = false;
   const Fuzzer fz(opt);
   CaseConfig cfg = random_case_config(18);
-  ASSERT_EQ(cfg.repartition, RepartitionKind::kNudge);
+  ASSERT_EQ(cfg.repartition, RepartitionKind::kWeightedInsulation);
+  ASSERT_EQ(cfg.repartition_rounds, 2);
   cfg.opt.inject = opt.inject;
   FuzzFailure a, b;
   ASSERT_FALSE(fz.run_case(cfg, &a));
@@ -293,6 +296,33 @@ TEST(Audit, DeltaBalanceRegressionSeeds) {
         << "seed " << seed << " regressed: " << f.invariant << " -- "
         << f.detail;
   }
+}
+
+TEST(Audit, CaseStreamPinned) {
+  // A seed's case is its identity: seed-pinned tests and shrunk repros
+  // replay by seed alone, so the draw sequence must not drift when a
+  // dimension is retired or re-mapped.  Seeds 1629 and 1691 are the
+  // regression pair above (1629's churn block keeps its power only while
+  // its churn draws stay put); large-tier seed 2 covers the size-knob
+  // overrides.
+  EXPECT_EQ(describe(random_case_config(1629, Tier::kFull)),
+            "seed=1629 dim=2 brick=1x2 periodic=00 ranks=5 threads=4 k=1 "
+            "lmax=4 density=0.224695 workload=random partition=weighted "
+            "scramble=0 repart=insulation repart_rounds=1 churn=3 "
+            "churn_coarsen=1 subtree=new seed_response=1 grouped=1 "
+            "notify=notify carries=0 layout=keysoa");
+  EXPECT_EQ(describe(random_case_config(1691, Tier::kFull)),
+            "seed=1691 dim=2 ring=3 orient=0 ranks=8 threads=2 k=1 lmax=5 "
+            "density=0.371543 workload=random partition=uniform scramble=0 "
+            "repart=octants repart_rounds=2 churn=2 churn_coarsen=1 "
+            "subtree=new seed_response=0 grouped=1 notify=notify carries=1 "
+            "layout=keysoa");
+  EXPECT_EQ(describe(random_case_config(2, Tier::kLarge)),
+            "seed=2 tier=large dim=2 brick=1x1 periodic=01 ranks=128 "
+            "threads=2 k=1 lmax=10 density=0.694114 workload=random "
+            "partition=even scramble=0 repart=octants repart_rounds=2 "
+            "churn=2 churn_coarsen=1 subtree=old seed_response=1 grouped=1 "
+            "notify=notify carries=0 layout=keysoa");
 }
 
 TEST(Audit, CaseGenerationIsDeterministic) {

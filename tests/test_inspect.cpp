@@ -318,18 +318,18 @@ TEST(Inspect, RepartitionSectionRoundTripsAndDiffs) {
   char* argv[] = {prog};
   const Cli cli(1, argv);
   BenchReport report("bench_repartition", cli);
-  report.add("fig15/nudge", r, 1.0, "repartition",
-             "{\"mode\": \"nudge\", \"rounds\": 4, \"rounds_to_converge\": 1,"
-             " \"octants_moved\": 42, \"migration_messages\": 6,"
-             " \"migration_bytes\": 840, \"max_marker_shift\": 16,"
-             " \"reverted_rounds\": 0,"
+  report.add("fig15/weighted", r, 1.0, "repartition",
+             "{\"mode\": \"weighted\", \"rounds\": 4,"
+             " \"rounds_to_converge\": 1, \"octants_moved\": 42,"
+             " \"migration_messages\": 6, \"migration_bytes\": 840,"
+             " \"max_marker_shift\": 16, \"reverted_rounds\": 0,"
              " \"slack_trajectory\": [4.0, 3.0, 2.0, 2.0],"
              " \"slack_reduction\": 0.5}");
   const JsonValue base = parse_ok(report.json());
   const JsonValue* sec = base.find("runs")->arr[0].find("repartition");
   ASSERT_NE(sec, nullptr);
   EXPECT_EQ(sec->uint_or("octants_moved", 0), 42u);
-  EXPECT_EQ(sec->string_or("mode", ""), "nudge");
+  EXPECT_EQ(sec->string_or("mode", ""), "weighted");
 
   {  // self-diff is clean and covers the section's exact keys
     DiffResult d;

@@ -1,6 +1,6 @@
 /// \file test_perf_guards.cpp
 /// \brief Perf-regression guards for the core-kernel perf pass — pinned to
-/// machine-independent *counters*, never wall-clock.  Five layers:
+/// machine-independent *counters*, never wall-clock.  Four layers:
 ///
 ///   1. Modeled traffic goldens: the optimization contract is that the
 ///      partition-window owner resolution and hash/sort tuning change how
@@ -19,18 +19,10 @@
 ///      search it replaced, and a capped full-search fallback rate.
 ///   4. Node numbering golden: counts and an FNV-1a hash of the node ids
 ///      and hanging flags on the balanced fig15 forest.
-///   5. Repartition convergence goldens: the repeated balance→repartition
-///      loop (bench_repartition's nudge mode) must keep reaching ≥ 25%
-///      modeled-slack reduction inside the round budget, monotonically and
-///      without backtracking — migration counters pinned exactly, so any
-///      change to the nudge controller or its query-replay oracle shows
-///      up as a diff here first.
 ///
 /// The workload is bench_fig15_weak's step-2 configuration (16 ranks,
 /// fractal depth 6, six-octree brick): deterministic, ~2.4e5 balanced
-/// octants, large enough that every fast path is exercised.  The
-/// repartition guards add the ice-sheet mesh (the bench's second
-/// workload) at the same rank count.
+/// octants, large enough that every fast path is exercised.
 
 #include <gtest/gtest.h>
 
@@ -39,9 +31,7 @@
 #include "forest/balance.hpp"
 #include "forest/ghost.hpp"
 #include "forest/nodes.hpp"
-#include "forest/repartition.hpp"
 #include "obs/mem.hpp"
-#include "repartition_loop.hpp"
 #include "util/rng.hpp"
 #include "workload/workloads.hpp"
 
@@ -287,63 +277,6 @@ TEST(PerfGuards, MemoryPeaksPinnedPerLayout) {
     EXPECT_EQ(tag_total(m, obs::MemTag::kBalanceStaging), 1496824u);
     EXPECT_EQ(tag_total(m, obs::MemTag::kCommMailbox), 1026640u);
   }
-}
-
-RepartitionOptions bench_nudge_options() {
-  RepartitionOptions o;
-  o.mode = RepartitionMode::kNudge;
-  o.max_nudge = 2048;  // bench_repartition's nudge-mode configuration
-  return o;
-}
-
-void expect_monotone_converging(const RepartitionLoopResult& lr,
-                                const char* ctx) {
-  ASSERT_TRUE(lr.run.ok) << ctx << ": " << lr.run.error;
-  ASSERT_FALSE(lr.slack.empty()) << ctx;
-  for (std::size_t i = 1; i < lr.slack.size(); ++i) {
-    EXPECT_LE(lr.slack[i], lr.slack[i - 1])
-        << ctx << ": trajectory rose at round " << i;
-  }
-  // The acceptance contract: >= 25% total modeled-slack reduction within
-  // the round budget (measured: 43.6% on fig15, 57.7% on icesheet).
-  EXPECT_LE(lr.slack.back(), 0.75 * lr.slack.front()) << ctx;
-  EXPECT_EQ(lr.rounds_to_converge, 1) << ctx;
-  EXPECT_EQ(lr.reverted_rounds, 0) << ctx;
-  EXPECT_LE(lr.max_marker_shift, 2048u) << ctx;
-  // Zero reverts means every migration shipped each moved octant once.
-  EXPECT_EQ(lr.migration_bytes, lr.octants_moved * sizeof(TreeOct<3>))
-      << ctx;
-}
-
-TEST(PerfGuards, RepartitionConvergesOnIcesheet) {
-  // bench_repartition's icesheet/nudge configuration at P = 16, pinned
-  // exactly — the same numbers live in BENCH_baseline.json, which CI
-  // diffs against a fresh bench run.
-  Forest<3> f(Connectivity<3>::brick({8, 8, 1}), 16, 1);
-  icesheet_refine(f, 6);
-  f.partition_uniform();
-  const RepartitionLoopResult lr = repartition_loop<3>(
-      std::move(f), BalanceOptions::new_config(), bench_nudge_options(),
-      /*dynamic=*/true, /*rounds=*/8);
-  expect_monotone_converging(lr, "icesheet/nudge P=16");
-  EXPECT_EQ(lr.octants_moved, 7491u);
-  EXPECT_EQ(lr.migration_messages, 36u);
-  EXPECT_EQ(lr.migration_bytes, 149820u);
-}
-
-TEST(PerfGuards, RepartitionConvergesOnFig15) {
-  // The fractal mesh is the hard case (mirror-symmetric: per-rank query
-  // costs tie in palindromic pairs, which single-cut moves cannot break —
-  // the descent's band shaves and polish sweep exist for exactly this).
-  // Four rounds keep the guard affordable; convergence lands in round 1.
-  Forest<3> f = fig15_step2_forest();
-  const RepartitionLoopResult lr = repartition_loop<3>(
-      std::move(f), BalanceOptions::new_config(), bench_nudge_options(),
-      /*dynamic=*/true, /*rounds=*/4);
-  expect_monotone_converging(lr, "fig15/nudge P=16");
-  EXPECT_EQ(lr.octants_moved, 3576u);
-  EXPECT_EQ(lr.migration_messages, 30u);
-  EXPECT_EQ(lr.migration_bytes, 71520u);
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 /// \file test_repartition.cpp
-/// \brief Property battery for the slack-driven dynamic repartitioner
-/// (forest/repartition.hpp): marker monotonicity, the bounded-nudge
-/// contract, weighted equalization, idempotence, no-op edge cases, exact
-/// migration accounting, oracle exactness against the measured profile,
-/// and byte-identical results across thread counts (the tsan label runs
-/// this file under the threaded rank engine).
+/// \brief Property battery for the weighted repartitioner
+/// (forest/repartition.hpp): marker monotonicity, weighted equalization,
+/// idempotence, no-op edge cases, exact migration accounting, apply_cuts
+/// input checks, the stale-marker fault channel, and byte-identical
+/// results across thread counts (the tsan label runs this file under the
+/// threaded rank engine).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,8 @@ void prebalance(Forest<3>& f) {
   balance(f, BalanceOptions::new_config(), warm);
 }
 
-/// Balance once on \p comm so its critical path carries the measured
-/// signal a subsequent kNudge call feeds on.
+/// Balance once on \p comm, so the repartition call that follows runs on a
+/// communicator that already carries a balance step's traffic.
 void measure(Forest<3>& f, SimComm& comm) {
   comm.set_record_rounds(false);
   balance(f, BalanceOptions::new_config(), comm);
@@ -63,6 +64,21 @@ std::vector<std::size_t> cuts_of(const Forest<3>& f) {
   return cuts;
 }
 
+/// Every interior cut moved 7 SFC positions up the curve (clamped to its
+/// successor).
+std::vector<std::size_t> shifted_cuts(const Forest<3>& f) {
+  std::vector<std::size_t> cuts = cuts_of(f);
+  for (std::size_t b = 1; b + 1 < cuts.size(); ++b) {
+    cuts[b] = std::min(cuts[b] + 7, cuts[b + 1]);
+  }
+  return cuts;
+}
+
+/// The fractal mesh is symmetric enough that its uniform split is already
+/// weight-balanced under both weight kinds, so a re-split of it moves
+/// nothing.  Tests that need migration start from shifted cuts instead.
+void skew(Forest<3>& f) { apply_cuts(f, shifted_cuts(f), nullptr); }
+
 void expect_markers_monotone(const Forest<3>& f, const char* ctx) {
   const auto& m = f.markers();
   ASSERT_EQ(m.size(), static_cast<std::size_t>(f.num_ranks()) + 1) << ctx;
@@ -73,47 +89,20 @@ void expect_markers_monotone(const Forest<3>& f, const char* ctx) {
 }
 
 TEST(Repartition, MarkersStayMonotoneInEveryMode) {
-  for (const RepartitionMode mode :
-       {RepartitionMode::kWeighted, RepartitionMode::kNudge}) {
+  for (const RepartitionWeight w :
+       {RepartitionWeight::kOctants, RepartitionWeight::kInsulation}) {
     Forest<3> f = small_fractal(8);
     prebalance(f);
+    skew(f);
     SimComm comm(8);
     measure(f, comm);
     RepartitionOptions opt;
-    opt.mode = mode;
-    opt.max_nudge = 64;
-    repartition(f, opt, &comm);
+    opt.weight = w;
+    ASSERT_GT(repartition(f, opt, &comm).octants_moved, 0u);
     const char* ctx =
-        mode == RepartitionMode::kWeighted ? "kWeighted" : "kNudge";
+        w == RepartitionWeight::kOctants ? "kOctants" : "kInsulation";
     expect_markers_monotone(f, ctx);
     EXPECT_TRUE(f.is_valid()) << ctx;
-  }
-}
-
-TEST(Repartition, NudgeHonorsMaxNudgeBound) {
-  for (const int max_nudge : {4, 16, 64}) {
-    Forest<3> f = small_fractal(8);
-    prebalance(f);
-    const std::vector<std::size_t> before = cuts_of(f);
-    SimComm comm(8);
-    measure(f, comm);
-    RepartitionOptions opt;
-    opt.mode = RepartitionMode::kNudge;
-    opt.max_nudge = max_nudge;
-    const RepartitionReport rep = repartition(f, opt, &comm);
-    EXPECT_LE(rep.max_marker_shift, static_cast<std::uint64_t>(max_nudge));
-    // The report is not just self-consistent: every cut really moved at
-    // most max_nudge SFC positions.
-    const std::vector<std::size_t> after = cuts_of(f);
-    std::uint64_t widest = 0;
-    for (std::size_t b = 0; b < before.size(); ++b) {
-      const std::uint64_t shift =
-          before[b] > after[b] ? before[b] - after[b] : after[b] - before[b];
-      EXPECT_LE(shift, static_cast<std::uint64_t>(max_nudge))
-          << "cut " << b << " with max_nudge " << max_nudge;
-      widest = std::max(widest, shift);
-    }
-    EXPECT_EQ(widest, rep.max_marker_shift);
   }
 }
 
@@ -123,7 +112,6 @@ TEST(Repartition, WeightedEqualizesWithinOneMaxWeightOctant) {
   for (const RepartitionWeight w :
        {RepartitionWeight::kOctants, RepartitionWeight::kInsulation}) {
     RepartitionOptions opt;
-    opt.mode = RepartitionMode::kWeighted;
     opt.weight = w;
     const RepartitionReport rep = repartition(f, opt, nullptr);
     ASSERT_EQ(rep.weight_per_rank.size(), 8u);
@@ -144,7 +132,6 @@ TEST(Repartition, WeightedIsIdempotent) {
   Forest<3> f = small_fractal(8);
   prebalance(f);
   RepartitionOptions opt;
-  opt.mode = RepartitionMode::kWeighted;
   opt.weight = RepartitionWeight::kInsulation;
   repartition(f, opt, nullptr);
   // Same mesh, same weights, same rule: the second call must find the
@@ -156,15 +143,15 @@ TEST(Repartition, WeightedIsIdempotent) {
 }
 
 TEST(Repartition, SingleRankIsNoOp) {
-  for (const RepartitionMode mode :
-       {RepartitionMode::kWeighted, RepartitionMode::kNudge}) {
+  for (const RepartitionWeight w :
+       {RepartitionWeight::kOctants, RepartitionWeight::kInsulation}) {
     Forest<3> f = small_fractal(1);
     prebalance(f);
     const std::uint64_t sum = forest_checksum(f);
     SimComm comm(1);
     measure(f, comm);
     RepartitionOptions opt;
-    opt.mode = mode;
+    opt.weight = w;
     const RepartitionReport rep = repartition(f, opt, &comm);
     EXPECT_EQ(rep.octants_moved, 0u);
     EXPECT_EQ(rep.migration.bytes, 0u);
@@ -173,33 +160,20 @@ TEST(Repartition, SingleRankIsNoOp) {
   }
 }
 
-TEST(Repartition, NudgeWithoutMeasurementIsNoOp) {
-  // kNudge acts on the communicator's critical path; with no communicator
-  // there is no measurement to act on (documented contract).
-  Forest<3> f = small_fractal(8);
-  prebalance(f);
-  const std::uint64_t sum = forest_checksum(f);
-  RepartitionOptions opt;
-  opt.mode = RepartitionMode::kNudge;
-  const RepartitionReport rep = repartition(f, opt, nullptr);
-  EXPECT_EQ(rep.octants_moved, 0u);
-  EXPECT_EQ(forest_checksum(f), sum);
-}
-
 TEST(Repartition, PreservesContentAndBalanceVerdict) {
-  for (const RepartitionMode mode :
-       {RepartitionMode::kWeighted, RepartitionMode::kNudge}) {
+  for (const RepartitionWeight w :
+       {RepartitionWeight::kOctants, RepartitionWeight::kInsulation}) {
     Forest<3> f = small_fractal(8);
     prebalance(f);
+    skew(f);
     const std::uint64_t sum = forest_checksum(f);
     const std::uint64_t count = f.global_num_octants();
     ASSERT_TRUE(forest_is_balanced(f.gather(), f.connectivity(), 3));
     SimComm comm(8);
     measure(f, comm);
     RepartitionOptions opt;
-    opt.mode = mode;
-    opt.max_nudge = 64;
-    repartition(f, opt, &comm);
+    opt.weight = w;
+    ASSERT_GT(repartition(f, opt, &comm).octants_moved, 0u);
     EXPECT_EQ(forest_checksum(f), sum);
     EXPECT_EQ(f.global_num_octants(), count);
     EXPECT_TRUE(forest_is_balanced(f.gather(), f.connectivity(), 3));
@@ -210,18 +184,26 @@ TEST(Repartition, PreservesContentAndBalanceVerdict) {
 TEST(Repartition, MigrationAccountingIsExact) {
   Forest<3> f = small_fractal(8);
   prebalance(f);
+  skew(f);
   SimComm comm(8);
   measure(f, comm);
-  RepartitionOptions opt;
-  opt.mode = RepartitionMode::kNudge;
-  opt.max_nudge = 64;
+  const std::vector<std::size_t> cuts_before = cuts_of(f);
   const CommStats before = comm.stats();
-  const RepartitionReport rep = repartition(f, opt, &comm);
+  const RepartitionReport rep = repartition(f, RepartitionOptions{}, &comm);
+  ASSERT_GT(rep.octants_moved, 0u);
+  // The reported marker shift is the widest real cut move.
+  const std::vector<std::size_t> cuts_after = cuts_of(f);
+  std::uint64_t widest = 0;
+  for (std::size_t b = 0; b < cuts_before.size(); ++b) {
+    const std::size_t a = cuts_before[b], c = cuts_after[b];
+    widest = std::max<std::uint64_t>(widest, a > c ? a - c : c - a);
+  }
+  EXPECT_EQ(rep.max_marker_shift, widest);
   // Every moved octant is shipped exactly once at its struct size, one
   // message per communicating (old owner, new owner) pair.
   EXPECT_EQ(rep.migration.bytes, rep.octants_moved * sizeof(TreeOct<3>));
   EXPECT_LE(rep.migration.messages, 8u * 7u);
-  if (rep.octants_moved > 0) EXPECT_GT(rep.migration.messages, 0u);
+  EXPECT_GT(rep.migration.messages, 0u);
   // ... and the communicator was charged the same traffic.
   const CommStats after = comm.stats();
   EXPECT_EQ(after.bytes - before.bytes, rep.migration.bytes);
@@ -231,26 +213,7 @@ TEST(Repartition, MigrationAccountingIsExact) {
   for (const auto& ph : comm.critical_path()) {
     if (ph.name == "partition") found = true;
   }
-  EXPECT_EQ(found, rep.octants_moved > 0);
-}
-
-TEST(Repartition, OracleMatchesMeasuredQuerySlack) {
-  // The kNudge scoring function is an exact static replay of the balance
-  // query exchange: its predicted slack must equal — bitwise — the slack
-  // the profiler measures when the pipeline actually runs.
-  for (const int ranks : {8, 16}) {
-    Forest<3> f = small_fractal(ranks, 5);
-    prebalance(f);
-    SimComm comm(ranks);
-    measure(f, comm);
-    double measured = -1;
-    for (const auto& ph : comm.critical_path()) {
-      if (ph.name == "balance/queries") measured = ph.slack;
-    }
-    ASSERT_GE(measured, 0) << "balance/queries phase missing";
-    EXPECT_EQ(predicted_query_slack(f, comm.cost_model()), measured)
-        << "P = " << ranks;
-  }
+  EXPECT_TRUE(found);
 }
 
 TEST(Repartition, ApplyCutsRoundTripRestoresPartition) {
@@ -258,10 +221,7 @@ TEST(Repartition, ApplyCutsRoundTripRestoresPartition) {
   prebalance(f);
   const std::vector<std::size_t> home = cuts_of(f);
   const std::uint64_t sum = forest_checksum(f);
-  std::vector<std::size_t> shifted = home;
-  for (std::size_t b = 1; b + 1 < shifted.size(); ++b) {
-    shifted[b] = std::min(shifted[b] + 7, shifted[b + 1]);
-  }
+  const std::vector<std::size_t> shifted = shifted_cuts(f);
   SimComm comm(8);
   const RepartitionReport out = apply_cuts(f, shifted, &comm);
   EXPECT_EQ(cuts_of(f), shifted);
@@ -275,26 +235,78 @@ TEST(Repartition, ApplyCutsRoundTripRestoresPartition) {
   EXPECT_EQ(out.migration.bytes, back.migration.bytes);
 }
 
-TEST(Repartition, StaleMarkerNudgeFaultIsObservable) {
-  // The kStaleMarkerNudge injection migrates the data but skips the
-  // marker rebuild; Forest::is_valid must notice the stale index (this is
-  // the defect the audit battery's repartition/preserves_content
-  // invariant exists to catch — its fuzz round trip lives in test_audit).
+/// apply_cuts must reject a malformed cut vector before it touches the
+/// forest: the partition and content stay exactly as they were.
+void expect_apply_cuts_rejects(const std::vector<std::size_t>& cuts,
+                               const char* ctx) {
   Forest<3> f = small_fractal(8);
   prebalance(f);
+  const std::vector<std::size_t> home = cuts_of(f);
+  const std::uint64_t sum = forest_checksum(f);
+  SimComm comm(8);
+  EXPECT_THROW(apply_cuts(f, cuts, &comm), std::invalid_argument) << ctx;
+  EXPECT_EQ(cuts_of(f), home) << ctx;
+  EXPECT_EQ(forest_checksum(f), sum) << ctx;
+  EXPECT_EQ(comm.stats().messages, 0u) << ctx;
+  EXPECT_TRUE(f.is_valid()) << ctx;
+}
+
+std::vector<std::size_t> home_cuts() {
+  Forest<3> f = small_fractal(8);
+  prebalance(f);
+  return cuts_of(f);
+}
+
+TEST(Repartition, ApplyCutsThrowsOnWrongCutCount) {
+  std::vector<std::size_t> cuts = home_cuts();
+  cuts.pop_back();
+  expect_apply_cuts_rejects(cuts, "P cuts");
+  cuts = home_cuts();
+  cuts.push_back(cuts.back());
+  expect_apply_cuts_rejects(cuts, "P + 2 cuts");
+  expect_apply_cuts_rejects({}, "no cuts");
+}
+
+TEST(Repartition, ApplyCutsThrowsOnWrongEndpoints) {
+  std::vector<std::size_t> cuts = home_cuts();
+  cuts.front() = 1;
+  expect_apply_cuts_rejects(cuts, "cuts[0] != 0");
+  cuts = home_cuts();
+  cuts.back() -= 1;
+  expect_apply_cuts_rejects(cuts, "cuts[P] short of the octant count");
+  cuts = home_cuts();
+  cuts.back() += 1;
+  expect_apply_cuts_rejects(cuts, "cuts[P] past the octant count");
+}
+
+TEST(Repartition, ApplyCutsThrowsOnNonMonotoneCuts) {
+  std::vector<std::size_t> cuts = home_cuts();
+  std::swap(cuts[3], cuts[4]);
+  ASSERT_GT(cuts[3], cuts[4]);
+  expect_apply_cuts_rejects(cuts, "cuts[3] > cuts[4]");
+}
+
+TEST(Repartition, StaleMarkerNudgeFaultIsObservable) {
+  // The kStaleMarkers injection (the test keeps the channel's former
+  // name) migrates the data but skips the marker rebuild; Forest::is_valid
+  // must notice the stale index (this is the defect the audit battery's
+  // repartition/preserves_content invariant exists to catch — its fuzz
+  // round trip lives in test_audit).
+  Forest<3> f = small_fractal(8);
+  prebalance(f);
+  skew(f);
   SimComm comm(8);
   measure(f, comm);
   RepartitionOptions opt;
-  opt.mode = RepartitionMode::kNudge;
-  opt.max_nudge = 64;
-  opt.inject = FaultInjection::kStaleMarkerNudge;
+  opt.inject = FaultInjection::kStaleMarkers;
   const RepartitionReport rep = repartition(f, opt, &comm);
   ASSERT_GT(rep.octants_moved, 0u)
-      << "fault test needs a signal strong enough to move octants";
+      << "fault test needs a re-split that moves octants";
   EXPECT_FALSE(f.is_valid());
   // The same call without the fault leaves a valid forest (control).
   Forest<3> g = small_fractal(8);
   prebalance(g);
+  skew(g);
   SimComm comm2(8);
   measure(g, comm2);
   opt.inject = FaultInjection::kNone;
@@ -319,14 +331,13 @@ TEST(Repartition, ResultIsByteIdenticalAcrossThreadCounts) {
     par::set_num_threads(threads);
     Forest<3> f = small_fractal(8);
     prebalance(f);
+    skew(f);
     Outcome o;
-    RepartitionOptions opt;
-    opt.mode = RepartitionMode::kNudge;
-    opt.max_nudge = 64;
     for (int round = 0; round < 2; ++round) {
       SimComm comm(8);
       measure(f, comm);
-      const RepartitionReport rep = repartition(f, opt, &comm);
+      const RepartitionReport rep =
+          repartition(f, RepartitionOptions{}, &comm);
       o.moved += rep.octants_moved;
       o.bytes += rep.migration.bytes;
       o.shift = std::max(o.shift, rep.max_marker_shift);
@@ -336,6 +347,7 @@ TEST(Repartition, ResultIsByteIdenticalAcrossThreadCounts) {
     return o;
   };
   const Outcome base = run(1);
+  ASSERT_GT(base.moved, 0u);
   for (const int threads : {4, 8}) {
     const Outcome o = run(threads);
     EXPECT_EQ(o.octants, base.octants) << threads << " threads";
