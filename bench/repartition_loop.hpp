@@ -18,12 +18,29 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "forest/repartition.hpp"
 #include "harness.hpp"
 
 namespace octbal {
+
+/// Σ slack over the phases whose label starts with \p prefix — the
+/// scalar objective the repartition loop drives down ("balance/" sums the
+/// notify/query/response brackets and excludes the "partition" phase, so
+/// migration cost never hides inside the convergence metric).
+inline double slack_total(const std::vector<SimComm::PhaseCost>& phases,
+                          std::string_view prefix = "balance/") {
+  double s = 0;
+  for (const auto& ph : phases) {
+    if (ph.name.size() >= prefix.size() &&
+        ph.name.compare(0, prefix.size(), prefix) == 0) {
+      s += ph.slack;
+    }
+  }
+  return s;
+}
 
 struct RepartitionLoopResult {
   RunResult run;              ///< the last accepted measured round

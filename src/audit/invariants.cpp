@@ -37,18 +37,10 @@ struct RunFlags {
   bool account_mem = false;
 };
 
+/// The case's forest over \p ranks, split by its partition strategy.
 template <int D>
-PipelineRun<D> run_pipeline(const CaseConfig& cfg, const CaseData<D>& data,
-                            const BalanceOptions& opt, int ranks,
-                            RunFlags flags = {}) {
-  // Every pipeline run (main, A/B re-runs, attribution) executes on the
-  // case's core layout, so a key-SoA divergence reproduces wherever the
-  // case does.
-  ScopedCoreLayout layout(cfg.layout);
-  // The session (when requested) must be live before the forest exists so
-  // construction-time charges land in it.
-  std::optional<obs::MemSession> mem;
-  if (flags.account_mem) mem.emplace(ranks);
+Forest<D> partitioned_forest(const CaseConfig& cfg, const CaseData<D>& data,
+                             int ranks) {
   Forest<D> f(data.conn, ranks, data.leaves);
   switch (cfg.partition) {
     case PartitionKind::kEven:
@@ -61,6 +53,22 @@ PipelineRun<D> run_pipeline(const CaseConfig& cfg, const CaseData<D>& data,
           [](const TreeOct<D>& to) { return 1 + to.oct.level; });
       break;
   }
+  return f;
+}
+
+template <int D>
+PipelineRun<D> run_pipeline(const CaseConfig& cfg, const CaseData<D>& data,
+                            const BalanceOptions& opt, int ranks,
+                            RunFlags flags = {}) {
+  // Every pipeline run (main, A/B re-runs, attribution) executes on the
+  // case's core layout, so a key-SoA divergence reproduces wherever the
+  // case does.
+  ScopedCoreLayout layout(cfg.layout);
+  // The session (when requested) must be live before the forest exists so
+  // construction-time charges land in it.
+  std::optional<obs::MemSession> mem;
+  if (flags.account_mem) mem.emplace(ranks);
+  Forest<D> f = partitioned_forest(cfg, data, ranks);
   SimComm comm(ranks);
   comm.set_flight_recording(flags.flight);
   if (cfg.scramble) comm.set_scramble(cfg.seed);
@@ -268,18 +276,7 @@ InvariantReport Invariants::check(const CaseConfig& cfg,
   // This is the one block that runs the pass *with* the fault channel
   // (kStaleMarkers) installed — run_pipeline strips it above.
   if (cfg.repartition != RepartitionKind::kNone) {
-    Forest<D> f(data.conn, cfg.ranks, data.leaves);
-    switch (cfg.partition) {
-      case PartitionKind::kEven:
-        break;
-      case PartitionKind::kUniform:
-        f.partition_uniform();
-        break;
-      case PartitionKind::kWeighted:
-        f.partition_weighted(
-            [](const TreeOct<D>& to) { return 1 + to.oct.level; });
-        break;
-    }
+    Forest<D> f = partitioned_forest(cfg, data, cfg.ranks);
     SimComm comm(cfg.ranks);
     if (cfg.scramble) comm.set_scramble(cfg.seed);
     balance(f, cfg.opt, comm);
@@ -336,18 +333,7 @@ InvariantReport Invariants::check(const CaseConfig& cfg,
   if (cfg.churn_steps > 0) {
     BalanceOptions copt = cfg.opt;
     copt.inject = FaultInjection::kNone;
-    Forest<D> f(data.conn, cfg.ranks, data.leaves);
-    switch (cfg.partition) {
-      case PartitionKind::kEven:
-        break;
-      case PartitionKind::kUniform:
-        f.partition_uniform();
-        break;
-      case PartitionKind::kWeighted:
-        f.partition_weighted(
-            [](const TreeOct<D>& to) { return 1 + to.oct.level; });
-        break;
-    }
+    Forest<D> f = partitioned_forest(cfg, data, cfg.ranks);
     {
       SimComm comm(cfg.ranks);
       if (cfg.scramble) comm.set_scramble(cfg.seed);

@@ -8,7 +8,7 @@
 /// layers with partition boundaries determines which processes must
 /// exchange information during 2:1 balance.
 
-#include <vector>
+#include <cstdint>
 
 #include "core/octant.hpp"
 
@@ -28,10 +28,20 @@ constexpr bool in_insulation(const Octant<D>& o, const Octant<D>& r) {
   return true;
 }
 
-/// The pieces of I(r) other than r itself that lie inside \p domain.
-/// Appends the same-size neighbor octants of r to \p out.
+/// The number of r-sized octants of I(r), r included, that lie inside the
+/// root.  The layer is the product of D per-axis ranges {-1, 0, 1}, and
+/// the same-size neighbor at offset -1 (+1) fits iff x >= h (x + 2h <= R),
+/// so the count is the product over axes of 1 + (x >= h) + (x + 2h <= R).
 template <int D>
-void insulation_pieces(const Octant<D>& r, const Octant<D>& domain,
-                       std::vector<Octant<D>>& out);
+constexpr std::uint64_t insulation_size(const Octant<D>& r) {
+  const scoord_t h = side_len(r);
+  std::uint64_t n = 1;
+  for (int i = 0; i < D; ++i) {
+    const scoord_t x = static_cast<scoord_t>(r.x[i]);
+    n *= 1 + static_cast<std::uint64_t>(x >= h) +
+         static_cast<std::uint64_t>(x + 2 * h <= scoord_t{root_len<D>});
+  }
+  return n;
+}
 
 }  // namespace octbal

@@ -220,6 +220,9 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   // Validate the dirty log and cover the frontier.  The frontier outlives
   // this block; everything else in it is scratch.
   std::vector<std::vector<TreeOct<D>>> frontier(P);
+  // The validation buckets and the cover are delta scratch: charge them to
+  // the pass's first phase, not to whatever phase the caller left open.
+  obs::mem_set_phase("churn/local");
   {
     OBS_SPAN("delta_cover");
     // Validate the dirty log against the current leaves, per rank: bucket
@@ -324,7 +327,6 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   // balance and are skipped.  Created leaves join the frontier.
   {
     OBS_SPAN("delta_local");
-    obs::mem_set_phase("churn/local");
     par::parallel_for_ranks(P, [&](int r) {
       OBS_SPAN_RANK("delta_local", r);
       const obs::MemRank mem_rank(r);

@@ -43,12 +43,7 @@ Forest<D>::Forest(Connectivity<D> conn, int nranks, int level)
     for (const auto& o : per_tree)
       all.push_back(TreeOct<D>{static_cast<std::int32_t>(t), o});
   }
-  const std::size_t n = all.size();
-  std::vector<std::size_t> counts(nranks);
-  for (int r = 0; r < nranks; ++r) {
-    counts[r] = n / nranks + (static_cast<std::size_t>(r) < n % nranks ? 1 : 0);
-  }
-  set_all(std::move(all), std::move(counts), nullptr);
+  split_evenly(std::move(all));
 }
 
 template <int D>
@@ -57,55 +52,19 @@ Forest<D>::Forest(Connectivity<D> conn, int nranks,
     : conn_(std::move(conn)), local_(nranks) {
   assert(nranks >= 1);
   std::sort(leaves.begin(), leaves.end());
-  const std::size_t n = leaves.size();
-  std::vector<std::size_t> counts(nranks);
-  for (int r = 0; r < nranks; ++r) {
-    counts[r] = n / nranks + (static_cast<std::size_t>(r) < n % nranks ? 1 : 0);
-  }
-  set_all(std::move(leaves), std::move(counts), nullptr);
+  split_evenly(std::move(leaves));
 }
 
 template <int D>
-void Forest<D>::set_all(std::vector<TreeOct<D>> all,
-                        std::vector<std::size_t> counts, SimComm* comm) {
-  const int p = num_ranks();
-  assert(static_cast<int>(counts.size()) == p);
-  // Charge items that change owners to the communicator, if requested.
-  if (comm != nullptr) {
-    const std::string phase0 = comm->phase();
-    comm->set_phase("partition");
-    std::vector<int> old_owner(all.size());
-    std::size_t idx = 0;
-    for (int r = 0; r < p; ++r) {
-      for (std::size_t i = 0; i < local_[r].size(); ++i) old_owner[idx++] = r;
-    }
-    assert(idx == all.size());
-    idx = 0;
-    std::vector<std::vector<std::uint64_t>> moved(p,
-                                                  std::vector<std::uint64_t>(p));
-    for (int r = 0; r < p; ++r) {
-      for (std::size_t i = 0; i < counts[r]; ++i, ++idx) {
-        if (old_owner[idx] != r) moved[old_owner[idx]][r] += sizeof(TreeOct<D>);
-      }
-    }
-    for (int s = 0; s < p; ++s) {
-      for (int t = 0; t < p; ++t) {
-        if (moved[s][t]) {
-          comm->send(s, t, std::vector<std::uint8_t>(moved[s][t]));
-        }
-      }
-    }
-    comm->deliver();
-    for (int r = 0; r < p; ++r) comm->recv_all(r);
-    comm->set_phase(phase0);
+void Forest<D>::split_evenly(std::vector<TreeOct<D>> all) {
+  const std::size_t p = local_.size(), n = all.size();
+  auto it = all.begin();
+  for (std::size_t r = 0; r < p; ++r) {
+    const auto count =
+        static_cast<std::ptrdiff_t>(n / p + (r < n % p ? 1 : 0));
+    local_[r].assign(it, it + count);
+    it += count;
   }
-
-  std::size_t idx = 0;
-  for (int r = 0; r < p; ++r) {
-    local_[r].assign(all.begin() + idx, all.begin() + idx + counts[r]);
-    idx += counts[r];
-  }
-  assert(idx == all.size());
   refresh_markers();
 }
 
@@ -254,33 +213,6 @@ void Forest<D>::coarsen(const RefinePred& pred, int balance_k) {
 template <int D>
 void Forest<D>::partition_uniform(SimComm* comm) {
   partition_weighted([](const TreeOct<D>&) { return 1; }, comm);
-}
-
-template <int D>
-void Forest<D>::partition_weighted(
-    const std::function<int(const TreeOct<D>&)>& weight, SimComm* comm) {
-  std::vector<TreeOct<D>> all = gather();
-  const int p = num_ranks();
-  std::vector<std::uint64_t> w(all.size());
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const int wi = weight(all[i]);
-    assert(wi >= 0);
-    total += static_cast<std::uint64_t>(wi);
-    w[i] = total;  // inclusive prefix sum
-  }
-  std::vector<std::size_t> counts(p, 0);
-  std::size_t begin = 0;
-  for (int r = 0; r < p; ++r) {
-    // First index whose prefix weight exceeds the cut for rank r.
-    const std::uint64_t cut = total * static_cast<std::uint64_t>(r + 1) / p;
-    std::size_t end =
-        std::upper_bound(w.begin() + begin, w.end(), cut) - w.begin();
-    if (r == p - 1) end = all.size();
-    counts[r] = end - begin;
-    begin = end;
-  }
-  set_all(std::move(all), std::move(counts), comm);
 }
 
 template <int D>

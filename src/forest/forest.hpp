@@ -112,7 +112,11 @@ class Forest {
   /// \p comm when given.
   void partition_uniform(SimComm* comm = nullptr);
 
-  /// Weighted variant: rank boundaries equalize the sum of \p weight.
+  /// Weighted variant: rank boundaries equalize the sum of \p weight, by
+  /// repartition()'s split (defined in forest/repartition.cpp).  \p weight
+  /// is called concurrently from the rank workers, and twice for some
+  /// octants, so it must be pure; a negative weight throws
+  /// std::invalid_argument with the forest untouched.
   void partition_weighted(const std::function<int(const TreeOct<D>&)>& weight,
                           SimComm* comm = nullptr);
 
@@ -137,8 +141,8 @@ class Forest {
   void account_memory();
 
  private:
-  void set_all(std::vector<TreeOct<D>> all, std::vector<std::size_t> counts,
-               SimComm* comm);
+  /// Install sorted \p all with every rank owning an equal share (±1).
+  void split_evenly(std::vector<TreeOct<D>> all);
 
   Connectivity<D> conn_;
   std::vector<std::vector<TreeOct<D>>> local_;

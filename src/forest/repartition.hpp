@@ -4,22 +4,25 @@
 /// partition markers along the space-filling curve.
 ///
 /// Per-octant weights are derived from a cost proxy (octant count,
-/// insulation-envelope size, or a caller-supplied functor, e.g. measured
+/// insulation-layer size, or a caller-supplied functor, e.g. measured
 /// per-rank seconds divided down to octants) and the markers are rebuilt
-/// by the same prefix-sum cut rule as Forest::partition_weighted, so each
-/// rank's weight is equalized to within one maximum-weight octant (the
-/// p4est weighted partition).
+/// by the prefix-sum cut rule, which equalizes each rank's weight to
+/// within one maximum-weight octant (the p4est weighted partition).
+/// Nothing is gathered: each rank weighs its own leaves, a scan over the P
+/// sums names the rank holding each cut, and only the octants that change
+/// owner move (DESIGN.md §2.13).  Forest::partition_weighted runs the same
+/// split.
 ///
 /// The pass only moves ownership along the curve: the leaf set, the
 /// partition-independent checksum and the 2:1 verdict are unchanged (the
 /// audit battery's "repartition/preserves_content" invariant enforces
-/// exactly this).  Migrated octants are charged to the α–β model under the
-/// communicator's "partition" phase bracket, so the migration cost is
-/// visible in `octbal_inspect critpath` next to the balance phases.
+/// exactly this).  Migrated octants are charged to the α–β model, and the
+/// slices each rank sends to the memory accountant (kRepartition), under a
+/// "partition" phase, so the migration cost is visible in
+/// `octbal_inspect critpath` next to the balance phases.
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "forest/balance.hpp"
@@ -36,7 +39,7 @@ enum class RepartitionMode : std::uint8_t {
 /// Weight derivation for the weighted re-split.
 enum class RepartitionWeight : std::uint8_t {
   kOctants = 0,     ///< unit weight: equalize octant counts
-  kInsulation = 1,  ///< 1 + in-domain insulation-envelope size (comm proxy)
+  kInsulation = 1,  ///< in-root size of I(r), r included (comm proxy)
   kCustom = 2,      ///< caller-supplied functor (measured cost, etc.)
 };
 
@@ -58,12 +61,16 @@ struct RepartitionReport {
   bool changed() const { return octants_moved > 0; }
 };
 
+/// A caller-supplied octant weight.  It is called concurrently from the
+/// rank workers, and twice for some octants, so it must be pure.
 template <int D>
 using RepartitionWeightFn = std::function<std::uint64_t(const TreeOct<D>&)>;
 
 /// Repartition \p f in place.  \p comm is charged the migration traffic
 /// under a "partition" phase bracket; nullptr runs uncharged.  \p custom
-/// is consulted only for RepartitionWeight::kCustom.
+/// is consulted only for RepartitionWeight::kCustom, and must then be
+/// non-empty: an empty one throws std::invalid_argument before the forest
+/// is touched.
 template <int D>
 RepartitionReport repartition(Forest<D>& f, const RepartitionOptions& opt,
                               SimComm* comm,
@@ -80,12 +87,5 @@ template <int D>
 RepartitionReport apply_cuts(Forest<D>& f,
                              const std::vector<std::size_t>& cuts,
                              SimComm* comm);
-
-/// Σ slack over the phases whose label starts with \p prefix — the
-/// scalar objective the repartition loop drives down ("balance/" sums the
-/// notify/query/response brackets and excludes the "partition" phase, so
-/// migration cost never hides inside the convergence metric).
-double slack_total(const std::vector<SimComm::PhaseCost>& phases,
-                   std::string_view prefix = "balance/");
 
 }  // namespace octbal

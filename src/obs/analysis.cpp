@@ -816,6 +816,41 @@ std::string edge_desc(const SimComm::FlightEdge& e) {
              hex64(e.digest).c_str());
 }
 
+/// Merge two (from, to)-sorted edge lists of one round into \p d's
+/// offending edges: an edge on one side only reads "absent" on the other.
+void diff_edges(const std::vector<SimComm::FlightEdge>& a,
+                const std::vector<SimComm::FlightEdge>& b,
+                FlightDivergence& d) {
+  constexpr std::size_t kMaxEdgeDiffs = 8;
+  const auto add = [&](const SimComm::FlightEdge& e, std::string on_a,
+                       std::string on_b) {
+    d.edges_differing += 1;
+    if (d.edges.size() < kMaxEdgeDiffs) {
+      d.edges.push_back({e.from, e.to, std::move(on_a), std::move(on_b)});
+    }
+  };
+  std::size_t ia = 0, ib = 0;
+  while (ia < a.size() || ib < b.size()) {
+    const SimComm::FlightEdge* ea = ia < a.size() ? &a[ia] : nullptr;
+    const SimComm::FlightEdge* eb = ib < b.size() ? &b[ib] : nullptr;
+    if (ea &&
+        (!eb || std::tie(ea->from, ea->to) < std::tie(eb->from, eb->to))) {
+      add(*ea, edge_desc(*ea), "absent");
+      ++ia;
+    } else if (!ea || std::tie(eb->from, eb->to) < std::tie(ea->from, ea->to)) {
+      add(*eb, "absent", edge_desc(*eb));
+      ++ib;
+    } else {
+      if (ea->messages != eb->messages || ea->bytes != eb->bytes ||
+          ea->digest != eb->digest) {
+        add(*ea, edge_desc(*ea), edge_desc(*eb));
+      }
+      ++ia;
+      ++ib;
+    }
+  }
+}
+
 }  // namespace
 
 bool parse_flight(const JsonValue& doc, std::vector<FlightLog>* out,
@@ -878,7 +913,6 @@ FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b) {
     d.what = fmt("rank count differs (%d vs %d)", a.ranks, b.ranks);
     return d;
   }
-  constexpr std::size_t kMaxEdgeDiffs = 8;
   const std::size_t n = std::min(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < n; ++i) {
     const SimComm::FlightRound& ra = a.rounds[i];
@@ -894,46 +928,7 @@ FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b) {
     d.rounds_compared = i;
     d.phase_a = ra.phase;
     d.phase_b = rb.phase;
-    // Merge the two sorted (from, to) edge lists to name the offenders.
-    std::size_t ia = 0, ib = 0;
-    while (ia < ra.edges.size() || ib < rb.edges.size()) {
-      const SimComm::FlightEdge* ea =
-          ia < ra.edges.size() ? &ra.edges[ia] : nullptr;
-      const SimComm::FlightEdge* eb =
-          ib < rb.edges.size() ? &rb.edges[ib] : nullptr;
-      int cmp = 0;
-      if (ea && eb) {
-        cmp = std::tie(ea->from, ea->to) < std::tie(eb->from, eb->to)   ? -1
-              : std::tie(eb->from, eb->to) < std::tie(ea->from, ea->to) ? 1
-                                                                        : 0;
-      } else {
-        cmp = ea ? -1 : 1;
-      }
-      if (cmp < 0) {
-        d.edges_differing += 1;
-        if (d.edges.size() < kMaxEdgeDiffs) {
-          d.edges.push_back({ea->from, ea->to, edge_desc(*ea), "absent"});
-        }
-        ++ia;
-      } else if (cmp > 0) {
-        d.edges_differing += 1;
-        if (d.edges.size() < kMaxEdgeDiffs) {
-          d.edges.push_back({eb->from, eb->to, "absent", edge_desc(*eb)});
-        }
-        ++ib;
-      } else {
-        if (ea->messages != eb->messages || ea->bytes != eb->bytes ||
-            ea->digest != eb->digest) {
-          d.edges_differing += 1;
-          if (d.edges.size() < kMaxEdgeDiffs) {
-            d.edges.push_back(
-                {ea->from, ea->to, edge_desc(*ea), edge_desc(*eb)});
-          }
-        }
-        ++ia;
-        ++ib;
-      }
-    }
+    diff_edges(ra.edges, rb.edges, d);
     if (!same_phase) {
       d.what = fmt("phase label differs (\"%s\" vs \"%s\")",
                    ra.phase.c_str(), rb.phase.c_str());
@@ -962,9 +957,14 @@ FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b) {
     d.round = static_cast<std::int64_t>(n);
     d.what = fmt("round count differs (%zu vs %zu)", a.rounds.size(),
                  b.rounds.size());
-    const FlightLog& longer = a.rounds.size() > b.rounds.size() ? a : b;
-    (a.rounds.size() > b.rounds.size() ? d.phase_a : d.phase_b) =
-        longer.rounds[n].phase;
+    // The first extra round exists on one side only: every edge it carries
+    // is an offender, absent on the other side.
+    const bool a_longer = a.rounds.size() > b.rounds.size();
+    const SimComm::FlightRound& extra = (a_longer ? a : b).rounds[n];
+    (a_longer ? d.phase_a : d.phase_b) = extra.phase;
+    const SimComm::FlightRound none;
+    diff_edges((a_longer ? extra : none).edges, (a_longer ? none : extra).edges,
+               d);
   }
   return d;
 }

@@ -229,6 +229,11 @@ void mem_set_phase(const std::string& name) {
   }
 }
 
+std::string mem_phase() {
+  const MemAccountant* a = detail::g_mem_acct.load(std::memory_order_acquire);
+  return a != nullptr ? a->phase() : std::string();
+}
+
 void MemScope::acquire(int want_slot, MemTag tag, std::uint64_t bytes) {
   acct_ = nullptr;
   want_slot_ = want_slot;

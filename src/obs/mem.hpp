@@ -65,7 +65,7 @@ enum class MemTag : int {
   kDirtyLog,         ///< Forest dirty-octant log
   kRegionCover,      ///< dirty_region_cover piece buffers
   kBalanceStaging,   ///< balance/delta query + response staging arrays
-  kRepartition,      ///< repartition gather copies + oracle arrays
+  kRepartition,      ///< repartition send staging (slices that move)
   kGhost,            ///< ghost-layer staging + per-rank ghost arrays
   kOther,
   kCount
@@ -139,6 +139,7 @@ class MemAccountant {
   /// open \p name.  Serial: call from the orchestrating thread only,
   /// between parallel regions (SimComm::set_phase forwards here).
   void set_phase(const std::string& name);
+  const std::string& phase() const { return cur_phase_; }
 
   /// Pure: folds the open phase into the returned copy without touching
   /// accountant state, so a session can be snapshotted mid-flight.
@@ -196,6 +197,8 @@ void mem_release(int slot, MemTag tag, std::uint64_t bytes);
 /// Forward a phase label to the installed accountant (serial contexts
 /// only); no-op when no session is installed.
 void mem_set_phase(const std::string& name);
+/// The installed accountant's open phase label ("" when none is installed).
+std::string mem_phase();
 
 /// RAII rank-slot binding.  Place at the top of a simulated-rank body so
 /// the kernels it calls attribute their scratch to that rank.  Restores
@@ -321,6 +324,7 @@ constexpr int kMemBoundSlot = -1;
 inline void mem_charge(int, MemTag, std::uint64_t) {}
 inline void mem_release(int, MemTag, std::uint64_t) {}
 inline void mem_set_phase(const std::string&) {}
+inline std::string mem_phase() { return {}; }
 
 class MemRank {
  public:

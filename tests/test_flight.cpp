@@ -442,16 +442,35 @@ TEST(FlightAttribution, StaleMarkerNudgePinsRoundAndEdge) {
   // second re-split finds its cuts in place and sends nothing, while the
   // injected run plans against the stale markers and ships a whole extra
   // partition round.  The divergence is therefore a round present on one
-  // side only — no clean phase, no single edge — which is exactly the
-  // "moved the data, forgot the index" postmortem the README walks
-  // through.
+  // side only — no clean phase — and its edges are the misrouted
+  // migration, absent from the clean log: the "moved the data, forgot the
+  // index" postmortem the README walks through.
   const audit::FuzzFailure f =
       pinned_failure(18, FaultInjection::kStaleMarkers);
   EXPECT_EQ(f.invariant, "repartition/preserves_content") << f.detail;
   EXPECT_EQ(f.divergent_round, 3) << f.detail;
   EXPECT_EQ(f.divergent_phase, "|partition");
-  EXPECT_EQ(f.divergent_edge, "");
+  EXPECT_EQ(f.divergent_edge, "0->1");
   expect_doc_bisects_to(f);
+
+  obs::JsonValue parsed;
+  std::string err;
+  ASSERT_TRUE(obs::json_parse(f.flight_doc, parsed, &err)) << err;
+  std::vector<obs::FlightLog> logs;
+  ASSERT_TRUE(obs::parse_flight(parsed, &logs, &err)) << err;
+  ASSERT_EQ(logs.size(), 2u);
+  const obs::FlightDivergence d = obs::flight_bisect(logs[0], logs[1]);
+  ASSERT_EQ(d.edges.size(), 2u);
+  EXPECT_EQ(d.edges_differing, 2u);
+  EXPECT_EQ(d.edges[0].from, 0);
+  EXPECT_EQ(d.edges[0].to, 1);
+  EXPECT_EQ(d.edges[1].from, 2);
+  EXPECT_EQ(d.edges[1].to, 1);
+  EXPECT_EQ(d.edges[0].a, "absent");
+  EXPECT_EQ(d.edges[1].a, "absent");
+  std::uint64_t bytes = 0;
+  for (const auto& e : logs[1].rounds[3].edges) bytes += e.bytes;
+  EXPECT_EQ(bytes, 160u);
 }
 
 TEST(FlightAttribution, DetailCarriesTheDivergenceSummary) {

@@ -4,8 +4,9 @@
 /// live bytes on the next phase's floor, sessions stack, stale releases
 /// are dropped, unmatched releases saturate instead of underflowing, the
 /// full pipeline's memory section is byte-identical across thread counts
-/// and delivery scrambles, each CoreLayout repeats deterministically, and
-/// the hooks cost (almost) nothing when no session is installed.
+/// and delivery scrambles, each CoreLayout repeats deterministically,
+/// delta_balance keeps its scratch out of the caller's phase, and the
+/// hooks cost (almost) nothing when no session is installed.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "core/key.hpp"
 #include "forest/balance.hpp"
+#include "forest/delta_balance.hpp"
 #include "forest/forest.hpp"
 #include "obs/mem.hpp"
 #include "util/parallel.hpp"
@@ -306,6 +308,54 @@ TEST(Mem, EachCoreLayoutRepeatsDeterministically) {
     EXPECT_EQ(accounted_run(4, false), ref)
         << "layout=" << static_cast<int>(layout);
   }
+}
+
+TEST(Mem, DeltaScratchStaysOutOfTheCallersPhase) {
+  // delta_balance opens its own phase before the dirty-log buckets and the
+  // per-rank region cover, so the phase the caller left open sees none of
+  // that scratch: per slot, its peak is what was live when the pass
+  // started or what is live when it returns.
+  ChurnFrontParams cp;
+  cp.drift = 0.03;
+  cp.wake = 0.06;
+  constexpr int kRanks = 8;
+  Forest<3> f(Connectivity<3>::brick({4, 4, 1}), kRanks, 1);
+  front_refine(f, 5, cp, 0);
+  f.partition_uniform();
+  {
+    SimComm warm(kRanks);
+    warm.set_record_rounds(false);
+    balance(f, BalanceOptions::new_config(), warm);
+  }
+  f.clear_dirty();
+  front_refine(f, 5, cp, 1);
+  MemSession mem(kRanks);
+  f.account_memory();
+  SimComm comm(kRanks);
+  comm.set_record_rounds(false);
+  comm.set_phase("caller");
+  const MemSnapshot entry = mem.snapshot();
+  const DeltaBalanceReport rep =
+      delta_balance(f, BalanceOptions::new_config(), comm);
+  ASSERT_GT(rep.region_octants, 0u);
+  ASSERT_EQ(comm.phase(), "caller");
+  mem.set_phase("after");  // folds the caller's phase, opens on what is live
+  const MemSnapshot exit = mem.snapshot();
+  const auto* at_entry = find_phase(entry, "caller");
+  const auto* caller = find_phase(exit, "caller");
+  const auto* after = find_phase(exit, "after");
+  ASSERT_NE(at_entry, nullptr);
+  ASSERT_NE(caller, nullptr);
+  ASSERT_NE(after, nullptr);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(caller->per_rank[r],
+              std::max(at_entry->per_rank[r], after->per_rank[r]))
+        << "rank " << r;
+  }
+  EXPECT_EQ(caller->engine, std::max(at_entry->engine, after->engine));
+  // The scratch was charged, to the pass's own phase.
+  ASSERT_NE(find_tag(exit, MemTag::kRegionCover), nullptr);
+  ASSERT_NE(find_phase(exit, "churn/local"), nullptr);
 }
 
 // ------------------------------------------------------------- overhead --

@@ -129,8 +129,11 @@ TYPED_TEST(NbhdTest, InsulationContainsAllSameSizeNeighbors) {
   for (int iter = 0; iter < 100; ++iter) {
     const auto r = random_octant(rng, root, 8);
     std::vector<Octant<D>> pieces;
-    insulation_pieces(r, root, pieces);
-    EXPECT_LE(pieces.size(), full_offsets<D>().size());
+    Octant<D> n;
+    for (const auto& off : full_offsets<D>()) {
+      if (neighbor_in<D>(r, off, root, &n)) pieces.push_back(n);
+    }
+    EXPECT_EQ(pieces.size() + 1, insulation_size(r));
     for (const auto& p : pieces) {
       EXPECT_TRUE(in_insulation(p, r));
       EXPECT_EQ(p.level, r.level);
@@ -141,6 +144,39 @@ TYPED_TEST(NbhdTest, InsulationContainsAllSameSizeNeighbors) {
       EXPECT_TRUE(in_insulation(child(r, 0), r));
     }
   }
+}
+
+/// Every octant down to \p depth, in Morton order per level.
+template <int D>
+std::vector<Octant<D>> all_octants_to(int depth) {
+  std::vector<Octant<D>> out{root_octant<D>()};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (out[i].level == depth) continue;
+    for (int c = 0; c < num_children<D>; ++c) out.push_back(child(out[i], c));
+  }
+  return out;
+}
+
+TYPED_TEST(NbhdTest, InsulationSizeMatchesNeighborCountExhaustively) {
+  // The closed form the repartitioner weighs octants by, against a
+  // neighbor_in count over the 3^D - 1 offsets, for every octant down to
+  // level 10 (1D), 6 (2D) and 4 (3D).
+  constexpr int D = TypeParam::d;
+  constexpr int depth = D == 1 ? 10 : D == 2 ? 6 : 4;
+  const auto root = root_octant<D>();
+  static_assert(insulation_size(root_octant<D>()) == 1);
+  std::size_t checked = 0;
+  for (const auto& r : all_octants_to<D>(depth)) {
+    std::uint64_t count = 1;
+    Octant<D> n;
+    for (const auto& off : full_offsets<D>()) {
+      count += neighbor_in<D>(r, off, root, &n) ? 1 : 0;
+    }
+    ASSERT_EQ(insulation_size(r), count) << to_string(r);
+    ++checked;
+  }
+  EXPECT_EQ(checked, ((std::size_t{1} << (D * (depth + 1))) - 1) /
+                         ((std::size_t{1} << D) - 1));
 }
 
 TYPED_TEST(NbhdTest, InsulationExcludesFarOctants) {

@@ -4,7 +4,8 @@
 /// idempotence, no-op edge cases, exact migration accounting, apply_cuts
 /// input checks, the stale-marker fault channel, and byte-identical
 /// results across thread counts (the tsan label runs this file under the
-/// threaded rank engine).
+/// threaded rank engine), and the differential battery against the
+/// gather-based reference in repartition_reference.hpp.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "forest/repartition.hpp"
+#include "repartition_reference.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "workload/workloads.hpp"
 
 namespace octbal {
@@ -356,6 +359,261 @@ TEST(Repartition, ResultIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(o.bytes, base.bytes) << threads << " threads";
     EXPECT_EQ(o.shift, base.shift) << threads << " threads";
   }
+}
+
+// ------------------------------------------- differential vs. reference --
+// The per-rank kernel against the gather-based reference: random bricks in
+// 1D/2D/3D, skewed partitions with empty ranks, more ranks than leaves,
+// every weight kind, the stale-marker fault, and 1/4/8 threads.  Leaves,
+// markers, reports, traffic, modeled time and flight digests must all be
+// identical.
+
+std::uint64_t mix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+template <int D>
+std::uint64_t octant_hash(std::uint64_t seed, const TreeOct<D>& to) {
+  std::uint64_t h = mix64(seed ^ static_cast<std::uint64_t>(to.tree));
+  for (int i = 0; i < D; ++i) {
+    h = mix64(h ^ static_cast<std::uint64_t>(to.oct.x[i]));
+  }
+  return mix64(h ^ static_cast<std::uint64_t>(to.oct.level));
+}
+
+/// A random brick, refined by a seeded hash to a random depth (0 keeps one
+/// leaf per tree, so some draws have more ranks than leaves), then split
+/// at random monotone cuts: repeated cuts leave ranks empty.
+template <int D>
+Forest<D> random_forest(std::uint64_t seed, int ranks) {
+  Rng rng(seed);
+  std::array<int, D> dims{};
+  for (auto& d : dims) d = 1 + static_cast<int>(rng.below(3));
+  Forest<D> f(Connectivity<D>::brick(dims), ranks, 0);
+  const int depth = static_cast<int>(rng.below(D == 3 ? 4 : D == 2 ? 6 : 9));
+  f.refine(
+      [&](const TreeOct<D>& to) {
+        return to.oct.level < depth && octant_hash(seed, to) % 8 < 3;
+      },
+      true);
+  const std::size_t n = f.global_num_octants();
+  std::vector<std::size_t> cuts{0};
+  for (int r = 1; r < ranks; ++r) cuts.push_back(rng.below(n + 1));
+  cuts.push_back(n);
+  std::sort(cuts.begin(), cuts.end());
+  apply_cuts(f, cuts, nullptr);
+  return f;
+}
+
+template <int D>
+void expect_same_forest(const Forest<D>& got, const Forest<D>& want,
+                        const std::string& ctx) {
+  ASSERT_EQ(got.num_ranks(), want.num_ranks()) << ctx;
+  for (int r = 0; r < got.num_ranks(); ++r) {
+    EXPECT_EQ(got.local(r), want.local(r)) << ctx << ", rank " << r;
+  }
+  EXPECT_EQ(got.markers(), want.markers()) << ctx;
+}
+
+void expect_same_report(const RepartitionReport& got,
+                        const RepartitionReport& want,
+                        const std::string& ctx) {
+  EXPECT_EQ(got.octants_moved, want.octants_moved) << ctx;
+  EXPECT_EQ(got.migration.messages, want.migration.messages) << ctx;
+  EXPECT_EQ(got.migration.bytes, want.migration.bytes) << ctx;
+  EXPECT_EQ(got.max_marker_shift, want.max_marker_shift) << ctx;
+  EXPECT_EQ(got.total_weight, want.total_weight) << ctx;
+  EXPECT_EQ(got.max_octant_weight, want.max_octant_weight) << ctx;
+  EXPECT_EQ(got.weight_per_rank, want.weight_per_rank) << ctx;
+}
+
+void expect_same_traffic(const SimComm& got, const SimComm& want,
+                         const std::string& ctx) {
+  EXPECT_EQ(got.stats().messages, want.stats().messages) << ctx;
+  EXPECT_EQ(got.stats().bytes, want.stats().bytes) << ctx;
+  EXPECT_EQ(got.modeled_time(), want.modeled_time()) << ctx;
+  const auto& a = got.flight();
+  const auto& b = want.flight();
+  ASSERT_EQ(a.size(), b.size()) << ctx;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].phase, b[i].phase) << ctx << ", round " << i;
+    EXPECT_EQ(a[i].messages, b[i].messages) << ctx << ", round " << i;
+    EXPECT_EQ(a[i].bytes, b[i].bytes) << ctx << ", round " << i;
+    EXPECT_EQ(a[i].digest, b[i].digest) << ctx << ", round " << i;
+    EXPECT_EQ(a[i].edges.size(), b[i].edges.size()) << ctx << ", round " << i;
+  }
+  const auto pa = got.critical_path();
+  const auto pb = want.critical_path();
+  ASSERT_EQ(pa.size(), pb.size()) << ctx;
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(pa[i].name, pb[i].name) << ctx;
+    EXPECT_EQ(pa[i].rounds, pb[i].rounds) << ctx;
+    EXPECT_EQ(pa[i].time, pb[i].time) << ctx;
+  }
+}
+
+/// Rank counts per case: small, more than the usual leaf count of a
+/// shallow draw, and one.
+constexpr int kDiffRanks[] = {1, 3, 8, 40};
+constexpr std::uint64_t kDiffSeeds = 5;
+
+template <int D>
+void repartition_differential() {
+  ThreadGuard guard;
+  const RepartitionWeightFn<D> custom = [](const TreeOct<D>& to) {
+    return octant_hash(7, to) % 4;  // zero weights included
+  };
+  // The draws must actually reach the cases the battery names.
+  int moved = 0, empty_ranks = 0, ranks_over_leaves = 0, stale_moves = 0;
+  for (const int threads : {1, 4, 8}) {
+    par::set_num_threads(threads);
+    for (std::uint64_t seed = 1; seed <= kDiffSeeds; ++seed) {
+      for (const int ranks : kDiffRanks) {
+        for (const RepartitionWeight w :
+             {RepartitionWeight::kOctants, RepartitionWeight::kInsulation,
+              RepartitionWeight::kCustom}) {
+          for (const FaultInjection inject :
+               {FaultInjection::kNone, FaultInjection::kStaleMarkers}) {
+            const std::string ctx =
+                "D=" + std::to_string(D) + " threads=" +
+                std::to_string(threads) + " seed=" + std::to_string(seed) +
+                " P=" + std::to_string(ranks) +
+                " weight=" + std::to_string(static_cast<int>(w)) +
+                (inject == FaultInjection::kNone ? "" : " stale");
+            const Forest<D> base = random_forest<D>(seed * 131 + D, ranks);
+            for (int r = 0; r < ranks; ++r) {
+              if (base.local(r).empty()) {
+                ++empty_ranks;
+                break;
+              }
+            }
+            if (base.global_num_octants() < static_cast<std::uint64_t>(ranks)) {
+              ++ranks_over_leaves;
+            }
+            Forest<D> got = base, want = base;
+            SimComm cg(ranks), cw(ranks);
+            cg.set_flight_recording(true);
+            cw.set_flight_recording(true);
+            RepartitionOptions opt;
+            opt.weight = w;
+            opt.inject = inject;
+            // Two rounds: the second plans against the first's markers,
+            // which the stale-marker fault leaves behind.
+            for (int round = 0; round < 2; ++round) {
+              const RepartitionReport rep = repartition(got, opt, &cg, custom);
+              expect_same_report(rep,
+                                 reference::repartition(want, opt, &cw, custom),
+                                 ctx + " round " + std::to_string(round));
+              if (rep.changed()) {
+                ++(round == 1 && inject != FaultInjection::kNone ? stale_moves
+                                                                  : moved);
+              }
+            }
+            expect_same_forest(got, want, ctx);
+            expect_same_traffic(cg, cw, ctx);
+            // Uncharged: same result, no communicator.
+            Forest<D> quiet = base, quiet_ref = base;
+            expect_same_report(repartition(quiet, opt, nullptr, custom),
+                               reference::repartition(quiet_ref, opt, nullptr,
+                                                      custom),
+                               ctx + " uncharged");
+            expect_same_forest(quiet, quiet_ref, ctx + " uncharged");
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(moved, 0);
+  EXPECT_GT(empty_ranks, 0);
+  EXPECT_GT(ranks_over_leaves, 0);
+  EXPECT_GT(stale_moves, 0);
+}
+
+TEST(RepartitionDifferential, MatchesReference1D) {
+  repartition_differential<1>();
+}
+TEST(RepartitionDifferential, MatchesReference2D) {
+  repartition_differential<2>();
+}
+TEST(RepartitionDifferential, MatchesReference3D) {
+  repartition_differential<3>();
+}
+
+template <int D>
+void partition_weighted_differential() {
+  ThreadGuard guard;
+  const auto weight = [](const TreeOct<D>& to) {
+    return static_cast<int>(octant_hash(11, to) % 3);  // zero weights included
+  };
+  for (const int threads : {1, 4, 8}) {
+    par::set_num_threads(threads);
+    for (std::uint64_t seed = 1; seed <= kDiffSeeds; ++seed) {
+      for (const int ranks : kDiffRanks) {
+        const std::string ctx = "D=" + std::to_string(D) + " threads=" +
+                                std::to_string(threads) +
+                                " seed=" + std::to_string(seed) +
+                                " P=" + std::to_string(ranks);
+        const Forest<D> base = random_forest<D>(seed * 131 + D, ranks);
+        Forest<D> got = base, want = base;
+        SimComm cg(ranks), cw(ranks);
+        cg.set_flight_recording(true);
+        cw.set_flight_recording(true);
+        got.partition_weighted(weight, &cg);
+        reference::partition_weighted<D>(want, weight, &cw);
+        expect_same_forest(got, want, ctx);
+        expect_same_traffic(cg, cw, ctx);
+        got.partition_uniform();
+        reference::partition_weighted<D>(
+            want, [](const TreeOct<D>&) { return 1; }, nullptr);
+        expect_same_forest(got, want, ctx + " uniform");
+      }
+    }
+  }
+}
+
+TEST(PartitionWeightedDifferential, MatchesReference1D) {
+  partition_weighted_differential<1>();
+}
+TEST(PartitionWeightedDifferential, MatchesReference2D) {
+  partition_weighted_differential<2>();
+}
+TEST(PartitionWeightedDifferential, MatchesReference3D) {
+  partition_weighted_differential<3>();
+}
+
+TEST(Repartition, EmptyCustomWeightThrowsBeforeTouchingTheForest) {
+  Forest<3> f = small_fractal(8);
+  prebalance(f);
+  skew(f);
+  const std::vector<TreeOct<3>> before = f.gather();
+  const std::vector<std::size_t> home = cuts_of(f);
+  SimComm comm(8);
+  RepartitionOptions opt;
+  opt.weight = RepartitionWeight::kCustom;
+  EXPECT_THROW(repartition(f, opt, &comm), std::invalid_argument);
+  EXPECT_EQ(f.gather(), before);
+  EXPECT_EQ(cuts_of(f), home);
+  EXPECT_EQ(comm.stats().messages, 0u);
+  EXPECT_EQ(comm.phase(), "run");
+  EXPECT_TRUE(f.is_valid());
+}
+
+TEST(Repartition, NegativePartitionWeightThrowsBeforeTouchingTheForest) {
+  Forest<3> f = small_fractal(8);
+  const std::vector<TreeOct<3>> before = f.gather();
+  const std::vector<std::size_t> home = cuts_of(f);
+  SimComm comm(8);
+  EXPECT_THROW(f.partition_weighted(
+                   [](const TreeOct<3>& to) { return to.tree == 1 ? -1 : 1; },
+                   &comm),
+               std::invalid_argument);
+  EXPECT_EQ(f.gather(), before);
+  EXPECT_EQ(cuts_of(f), home);
+  EXPECT_EQ(comm.stats().messages, 0u);
+  EXPECT_TRUE(f.is_valid());
 }
 
 }  // namespace
