@@ -42,6 +42,8 @@ void BM_MortonCompare(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+/// Same-run reference for the radix sorts: their headline claim is the
+/// BM_StdSort / BM_RadixSort ratio, measured on one machine in one run.
 template <int D>
 void BM_StdSort(benchmark::State& state) {
   const auto base = random_octants<D>(static_cast<std::size_t>(state.range(0)), 2);
@@ -55,20 +57,6 @@ void BM_StdSort(benchmark::State& state) {
 
 template <int D>
 void BM_RadixSort(benchmark::State& state) {
-  const auto base = random_octants<D>(static_cast<std::size_t>(state.range(0)), 2);
-  for (auto _ : state) {
-    auto a = base;
-    sort_octants(a);
-    benchmark::DoNotOptimize(a.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-/// The reference AoS radix path, pinned explicitly — the headline claim of
-/// the key-SoA port is the BM_RadixSort / BM_RadixSortAoS ratio.
-template <int D>
-void BM_RadixSortAoS(benchmark::State& state) {
-  ScopedCoreLayout layout(CoreLayout::kAoS);
   const auto base = random_octants<D>(static_cast<std::size_t>(state.range(0)), 2);
   for (auto _ : state) {
     auto a = base;
@@ -94,18 +82,6 @@ void BM_SortKeys(benchmark::State& state) {
 
 template <int D>
 void BM_Linearize(benchmark::State& state) {
-  const auto base = random_octants<D>(static_cast<std::size_t>(state.range(0)), 3);
-  for (auto _ : state) {
-    auto a = base;
-    linearize(a);
-    benchmark::DoNotOptimize(a.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-template <int D>
-void BM_LinearizeAoS(benchmark::State& state) {
-  ScopedCoreLayout layout(CoreLayout::kAoS);
   const auto base = random_octants<D>(static_cast<std::size_t>(state.range(0)), 3);
   for (auto _ : state) {
     auto a = base;
@@ -155,16 +131,12 @@ BENCHMARK_TEMPLATE(BM_MortonCompare, 2);
 BENCHMARK_TEMPLATE(BM_MortonCompare, 3);
 BENCHMARK_TEMPLATE(BM_StdSort, 2)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_RadixSort, 2)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_RadixSortAoS, 2)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SortKeys, 2)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_StdSort, 3)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_RadixSort, 3)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_RadixSortAoS, 3)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SortKeys, 3)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_Linearize, 2)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_LinearizeAoS, 2)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_Linearize, 3)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_LinearizeAoS, 3)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_Complete, 2)->Arg(10000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_Complete, 3)->Arg(10000)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_ReduceRoundTrip, 2)->Arg(50000)->Unit(benchmark::kMillisecond);

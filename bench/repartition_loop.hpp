@@ -7,11 +7,13 @@
 /// every round re-balances the (fixed, pre-balanced) mesh to measure the
 /// partition's balance-phase slack, then either *accepts* the state (slack
 /// did not increase over the best seen) or *reverts* to the best accepted
-/// cuts before repartitioning again.  A revert is a real migration —
-/// apply_cuts() charges it to the α–β model like any other move — so the
-/// migration totals honestly include the cost of rejected experiments.
-/// The recorded trajectory is the slack of the partition the driver
-/// actually carries forward, which makes it monotonically non-increasing
+/// cuts and stops: the weighted split is deterministic, so the next
+/// repartition from those cuts would reproduce the rejected split.  A
+/// revert is a real migration — apply_cuts() charges it to the α–β model
+/// like any other move — so the migration totals honestly include the
+/// cost of the rejected experiment.  The recorded trajectory is the slack
+/// of the partition the driver actually carries forward (padded with its
+/// last value after a stop), which makes it monotonically non-increasing
 /// by construction; with a deterministic cost model the whole loop is a
 /// pure function of the mesh, so the trajectory can be pinned as a
 /// machine-independent golden.
@@ -49,7 +51,7 @@ struct RepartitionLoopResult {
   std::uint64_t migration_messages = 0;
   std::uint64_t migration_bytes = 0;
   std::uint64_t max_marker_shift = 0;
-  int reverted_rounds = 0;      ///< rounds whose re-split was backtracked
+  int reverted_rounds = 0;      ///< backtracked re-splits (stops at the first)
   int rounds_to_converge = -1;  ///< first round at <= 75% of round-0 slack
 };
 
@@ -112,6 +114,9 @@ RepartitionLoopResult repartition_loop(Forest<D> f, const BalanceOptions& bopt,
       ++lr.reverted_rounds;
     }
     lr.slack.push_back(best_slack);
+    // The split is a pure function of the forest: repartitioning again
+    // from the restored cuts would only repeat the rejected split.
+    if (!accepted) break;
     if (dynamic && round + 1 < measured) {
       const RepartitionReport rr = repartition(f, ropt, &comm);
       charge(rr, lr);
@@ -126,7 +131,7 @@ RepartitionLoopResult repartition_loop(Forest<D> f, const BalanceOptions& bopt,
     }
   }
   while (static_cast<int>(lr.slack.size()) < rounds) {
-    lr.slack.push_back(lr.slack.front());
+    lr.slack.push_back(lr.slack.back());
   }
   for (int i = 0; i < static_cast<int>(lr.slack.size()); ++i) {
     if (lr.slack[i] <= 0.75 * lr.slack.front()) {

@@ -86,9 +86,8 @@ CaseConfig random_case_config(std::uint64_t seed, Tier tier) {
                              : RepartitionKind::kWeightedInsulation;
   c.repartition_rounds = 1 + static_cast<int>(rng2.below(2));
   // Two retired dimensions (a per-cut shift cap and a search budget) drew
-  // here.  Their draws stay, values discarded, so the churn and layout
-  // draws below (and every seed-pinned case that depends on them) keep
-  // their values.
+  // here.  Their draws stay, values discarded, so the churn draws below
+  // (and every seed-pinned case that depends on them) keep their values.
   (void)rng2.chance(0.5);
   if (!rng2.chance(0.25)) (void)rng2.below(4);
   // Churn lifecycle dimensions: random refine/coarsen batches after the
@@ -96,9 +95,6 @@ CaseConfig random_case_config(std::uint64_t seed, Tier tier) {
   c.churn_steps =
       rng2.chance(0.35) ? 1 + static_cast<int>(rng2.below(3)) : 0;
   c.churn_coarsen = rng2.chance(0.7);
-  // Core layout dimension: an even split keeps both the packed-key SoA
-  // kernels and the AoS reference under continuous differential fire.
-  c.layout = rng2.chance(0.5) ? CoreLayout::kKeySoA : CoreLayout::kAoS;
   return c;
 }
 
@@ -154,7 +150,6 @@ std::string describe(const CaseConfig& c) {
          : c.opt.notify_algo == NotifyAlgo::kRanges ? "ranges"
                                                     : "naive")
      << " carries=" << (c.opt.notify_carries_queries ? 1 : 0);
-  os << " layout=" << (c.layout == CoreLayout::kKeySoA ? "keysoa" : "aos");
   if (c.opt.inject != FaultInjection::kNone) {
     os << " inject=" << static_cast<int>(c.opt.inject);
   }

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/key.hpp"
 #include "forest/balance.hpp"
 #include "forest/forest.hpp"
 #include "forest/repartition.hpp"
@@ -89,12 +88,6 @@ struct CaseConfig {
   /// (the "churn/delta_equiv" invariant).  0 disables the block.
   int churn_steps = 0;
   bool churn_coarsen = true;  ///< include a 2:1-veto'd coarsen per batch
-
-  /// Which core-kernel implementation the whole pipeline runs on (see
-  /// core/key.hpp): half the cases pit the packed-key SoA kernels against
-  /// the AoS reference, so any behavioural gap between the two layouts
-  /// surfaces as an ordinary fuzz failure with a replayable seed.
-  CoreLayout layout = CoreLayout::kKeySoA;
 
   /// Pipeline switches for the main run (opt.k is kept equal to k above;
   /// opt.inject is the fault-injection channel for self-tests).

@@ -60,10 +60,6 @@ template <int D>
 PipelineRun<D> run_pipeline(const CaseConfig& cfg, const CaseData<D>& data,
                             const BalanceOptions& opt, int ranks,
                             RunFlags flags = {}) {
-  // Every pipeline run (main, A/B re-runs, attribution) executes on the
-  // case's core layout, so a key-SoA divergence reproduces wherever the
-  // case does.
-  ScopedCoreLayout layout(cfg.layout);
   // The session (when requested) must be live before the forest exists so
   // construction-time charges land in it.
   std::optional<obs::MemSession> mem;
@@ -236,10 +232,6 @@ bool seed_pair_ok(const Octant<D>& o, const Octant<D>& r, int k,
 template <int D>
 InvariantReport Invariants::check(const CaseConfig& cfg,
                                   const CaseData<D>& data) {
-  // The oracle blocks below call balance/repartition outside run_pipeline
-  // too; pin the case's core layout for the whole battery so every
-  // re-execution compares like with like.
-  ScopedCoreLayout layout(cfg.layout);
   // A failure of a content invariant under fault injection has a natural
   // clean-vs-injected flight pair; attach the first-divergent comm round
   // to the report (no-op for genuinely clean configurations).

@@ -235,8 +235,6 @@ std::string Shrinker::regression_source(const CaseConfig& cfg,
      << "// Failing invariant: " << report.invariant << " -- "
      << report.detail << "\n";
   os << "TEST(FuzzRegression, Seed" << cfg.seed << ") {\n";
-  os << "  ScopedCoreLayout layout(CoreLayout::"
-     << (cfg.layout == CoreLayout::kKeySoA ? "kKeySoA" : "kAoS") << ");\n";
   if (cfg.conn == ConnKind::kBrick) {
     os << "  const auto conn = Connectivity<" << D << ">::brick({";
     for (int i = 0; i < D; ++i) os << (i ? ", " : "") << cfg.dims[i];

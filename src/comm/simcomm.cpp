@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -12,6 +14,15 @@ namespace octbal {
 namespace {
 
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+/// \p nranks, checked before it sizes the mailboxes.
+int checked_ranks(int nranks) {
+  if (nranks < 1) {
+    throw std::invalid_argument("SimComm: nranks = " +
+                                std::to_string(nranks) + " must be >= 1");
+  }
+  return nranks;
+}
 
 /// Chain \p n bytes into an FNV-1a 64-bit digest.
 std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* p, std::size_t n) {
@@ -41,11 +52,10 @@ void SimComm::set_flight_default(bool on) { g_flight_default = on; }
 bool SimComm::flight_default() { return g_flight_default; }
 
 SimComm::SimComm(int nranks)
-    : outbox_(nranks),
+    : outbox_(checked_ranks(nranks)),
       inbox_(nranks),
       send_mu_(std::make_unique<std::mutex[]>(nranks)),
       metrics_(std::make_unique<obs::Metrics>(nranks)) {
-  assert(nranks >= 1);
   flight_record_ = g_flight_default;
   c_msgs_sent_ = &metrics_->counter("comm/msgs_sent");
   c_bytes_sent_ = &metrics_->counter("comm/bytes_sent");

@@ -36,6 +36,7 @@ struct SimMessage {
 
 class SimComm {
  public:
+  /// Throws std::invalid_argument when \p nranks < 1.
   explicit SimComm(int nranks);
 
   int size() const { return static_cast<int>(outbox_.size()); }

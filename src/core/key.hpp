@@ -24,14 +24,12 @@
 ///   - the radix sort moves 8-byte keys instead of 24-byte records.
 ///
 /// The key functions are *exact* drop-in equivalents of the Octant<D>
-/// operations (tests/test_key.cpp pins the differential); the key-native
-/// kernels in sort/linear/reduce/search are byte-identical to the AoS
-/// reference paths (tests/test_core_differential.cpp).  Which implementation
-/// the AoS entry points dispatch to is a process-wide CoreLayout switch so
-/// the audit battery can exercise both for free.
+/// operations (tests/test_key.cpp pins the differential); the core kernels
+/// in sort/linear/reduce/search run on keys alone, and their Octant<D>
+/// entry points are thin pack/unpack adapters, checked against the plain
+/// test-only reference in tests/core_reference.hpp.
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -306,41 +304,5 @@ inline std::vector<Octant<D>> keys_to_octants(KeySpan k) {
   keys_to_octants<D>(k, out);
   return out;
 }
-
-/// Which implementation the AoS core entry points (sort_octants, linearize,
-/// complete, reduce, locate_points, OctantHashSet, ...) dispatch to.  Both
-/// produce byte-identical results — the switch exists so the differential
-/// battery and the audit fuzzer can pit them against each other; production
-/// runs stay on the key-SoA default.
-enum class CoreLayout : std::uint8_t {
-  kAoS = 0,     ///< reference array-of-Octant loops
-  kKeySoA = 1,  ///< packed-key structure-of-arrays kernels (default)
-};
-
-namespace detail {
-/// Relaxed atomic: concurrent audit jobs may flip the layout mid-case, which
-/// is benign by the byte-identity contract but must stay a data-race-free
-/// read on the balance pool threads.
-inline std::atomic<CoreLayout> g_core_layout{CoreLayout::kKeySoA};
-}  // namespace detail
-
-inline CoreLayout core_layout() {
-  return detail::g_core_layout.load(std::memory_order_relaxed);
-}
-
-inline void set_core_layout(CoreLayout l) {
-  detail::g_core_layout.store(l, std::memory_order_relaxed);
-}
-
-/// RAII layout pin for tests and benchmarks.
-struct ScopedCoreLayout {
-  explicit ScopedCoreLayout(CoreLayout l) : saved(core_layout()) {
-    set_core_layout(l);
-  }
-  ~ScopedCoreLayout() { set_core_layout(saved); }
-  ScopedCoreLayout(const ScopedCoreLayout&) = delete;
-  ScopedCoreLayout& operator=(const ScopedCoreLayout&) = delete;
-  CoreLayout saved;
-};
 
 }  // namespace octbal

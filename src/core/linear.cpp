@@ -22,22 +22,8 @@ morton_t interval_end(const Octant<D>& o) {
   return morton_key(o) + (morton_t{1} << (D * size_exp(o)));
 }
 
-/// Emit the coarsest dyadic tiling of ival(cur) ∩ [lo, hi).
-template <int D>
-void fill_rec(const Octant<D>& cur, morton_t lo, morton_t hi,
-              std::vector<Octant<D>>& out) {
-  const morton_t b = interval_begin(cur), e = interval_end(cur);
-  if (e <= lo || b >= hi) return;  // disjoint
-  if (lo <= b && e <= hi) {        // fully inside: cur is a maximal tile
-    out.push_back(cur);
-    return;
-  }
-  assert(cur.level < max_level<D>);
-  for (int i = 0; i < num_children<D>; ++i) fill_rec(child(cur, i), lo, hi, out);
-}
-
-/// Key-native fill_rec: identical recursion, the interval bounds and the
-/// child descent derived from the packed key by shifts.
+/// Emit the coarsest dyadic tiling of ival(cur) ∩ [lo, hi), the interval
+/// bounds and the child descent derived from the packed key by shifts.
 template <int D>
 void fill_rec_keys(okey_t cur, morton_t lo, morton_t hi,
                    std::vector<okey_t>& out) {
@@ -53,8 +39,10 @@ void fill_rec_keys(okey_t cur, morton_t lo, morton_t hi,
   }
 }
 
+/// Small-n linearize: sort_octants picks insertion sort or std::sort here,
+/// and packing into key records would be pure overhead.
 template <int D>
-void linearize_aos(std::vector<Octant<D>>& a) {
+void linearize_small(std::vector<Octant<D>>& a) {
   sort_octants(a);
   std::size_t w = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -67,9 +55,8 @@ void linearize_aos(std::vector<Octant<D>>& a) {
 }
 
 /// Fused keyed linearize: pack into pass records once, sort, and run the
-/// ancestor-drop on the raw keys, unpacking only the survivors — the
-/// record round trip replaces both the AoS record pass and the separate
-/// key-vector conversions.
+/// ancestor-drop on the raw keys, unpacking only the survivors — no
+/// separate key-vector conversions.
 template <int D>
 void linearize_keyed(std::vector<Octant<D>>& a) {
   const std::size_t n = a.size();
@@ -112,15 +99,13 @@ void linearize_keys(std::vector<okey_t>& a) {
 
 template <int D>
 void linearize(std::vector<Octant<D>>& a) {
-  // Same crossover as sort_octants: below the radix regime the AoS loop
-  // (whose sort_octants call makes the same small-n choice) is optimal and
-  // produces the identical array.
-  if (core_layout() == CoreLayout::kKeySoA &&
-      a.size() >= detail::kRadixThreshold) {
+  // Same crossover as sort_octants: below the radix regime the plain loop
+  // is optimal and produces the identical array.
+  if (a.size() < detail::kRadixThreshold) {
+    linearize_small(a);
+  } else {
     linearize_keyed(a);
-    return;
   }
-  linearize_aos(a);
 }
 
 template <int D>
@@ -169,10 +154,10 @@ bool is_complete_keys(KeySpan a, okey_t root) {
 template <int D>
 void fill_gap(const Octant<D>& root, std::optional<Octant<D>> after,
               std::optional<Octant<D>> before, std::vector<Octant<D>>& out) {
-  const morton_t lo = after ? interval_end(*after) : interval_begin(root);
-  const morton_t hi = before ? interval_begin(*before) : interval_end(root);
-  if (lo >= hi) return;
-  fill_rec(root, lo, hi, out);
+  std::vector<okey_t> tiles;
+  fill_gap_keys<D>(key_of(root), after ? key_of(*after) : okey_t{0},
+                   before ? key_of(*before) : okey_t{0}, tiles);
+  for (const okey_t k : tiles) out.push_back(key_oct<D>(k));
 }
 
 template <int D>
@@ -197,23 +182,7 @@ template <int D>
 std::vector<Octant<D>> complete(const std::vector<Octant<D>>& a,
                                 const Octant<D>& root) {
   assert(is_linear(a));
-  if (core_layout() == CoreLayout::kKeySoA) {
-    const std::vector<okey_t> keys = octants_to_keys(a);
-    return keys_to_octants<D>(complete_keys<D>(keys, key_of(root)));
-  }
-  const obs::MemScope fill(obs::MemTag::kLinearize,
-                           (a.size() * 2 + 8) * sizeof(Octant<D>));
-  std::vector<Octant<D>> out;
-  out.reserve(a.size() * 2 + 8);
-  std::optional<Octant<D>> prev;
-  for (const Octant<D>& o : a) {
-    assert(contains(root, o));
-    fill_gap(root, prev, std::optional<Octant<D>>{o}, out);
-    out.push_back(o);
-    prev = o;
-  }
-  fill_gap(root, prev, std::optional<Octant<D>>{}, out);
-  return out;
+  return keys_to_octants<D>(complete_keys<D>(octants_to_keys(a), key_of(root)));
 }
 
 template <int D>

@@ -6,11 +6,10 @@
 /// (no overlaps) and *complete* if consecutive leaves leave no gaps, i.e. the
 /// array tiles its root exactly (Section III of the paper).
 ///
-/// Each algorithm exists twice: the AoS reference over Octant<D> arrays and
-/// a key-native version over packed-key arrays (core/key.hpp) whose inner
-/// loops are prefix tests and shifts.  The AoS entry points dispatch on
-/// core_layout(); results are byte-identical either way
-/// (tests/test_core_differential.cpp).
+/// The kernels run over packed-key arrays (core/key.hpp), whose inner loops
+/// are prefix tests and shifts; the Octant<D> entry points pack, call the
+/// key kernel and unpack (linearize below the radix crossover excepted,
+/// where packing costs more than it saves).
 
 #include <optional>
 #include <vector>

@@ -7,13 +7,12 @@
 /// queries than the old one.  The set therefore counts queries so the claim
 /// can be measured (bench/bench_subtree).
 ///
-/// The set stores either array-of-Octant slots or packed-key SoA slots
-/// (8-byte keys, key 0 as the empty sentinel, tag bits in a parallel byte
-/// array), chosen at construction from core_layout().  Both layouts hash to
-/// the *same value* — key_hash unpacks to the (morton, level) pair that
-/// octant_hash mixes — so probe sequences, slot positions, grow schedule,
-/// collect order, and every HashStats counter are bit-identical across
-/// layouts (pinned by the perf guards and the differential battery).
+/// The set stores packed keys (8-byte keys, key 0 as the empty sentinel,
+/// tag bits in a parallel byte array); the Octant<D> entry points pack
+/// with key_of and forward.  key_hash unpacks to the (morton, level) pair
+/// that octant_hash mixes, so probe sequences, slot positions, grow
+/// schedule, collect order and every HashStats counter are those of an
+/// octant-valued table with the same hash (pinned by the perf guards).
 
 #include <cstdint>
 #include <vector>
@@ -32,7 +31,7 @@ struct HashStats {
   /// element; those probes say nothing about query-time collision behavior
   /// and are counted separately below.
   std::uint64_t probes = 0;
-  std::uint64_t rehash_probes = 0;  ///< slot inspections during grow()
+  std::uint64_t rehash_probes = 0;  ///< slot inspections during grow_keys()
 };
 
 namespace detail {
@@ -56,40 +55,32 @@ inline std::uint64_t octant_hash(const Octant<D>& o) {
 
 /// Hash a packed key to the SAME value as octant_hash of the octant it
 /// encodes: the (morton, level) pair is recovered by shifts, so the mix
-/// input is bit-identical.  This identity is what keeps the pinned probe
-/// goldens layout-independent.
+/// input is bit-identical.
 template <int D>
 inline std::uint64_t key_hash(okey_t k) {
   return detail::hash_mix(key_morton<D>(k) ^
                           (static_cast<std::uint64_t>(key_level<D>(k)) << 58));
 }
 
-/// Open-addressing (linear probing) hash set storing octants by value, plus
+/// Open-addressing (linear probing) hash set of packed octant keys, plus
 /// an optional per-entry tag bit (used to mark preclusion in Figure 7).
 template <int D>
 class OctantHashSet {
  public:
   explicit OctantHashSet(std::size_t expected = 16, HashStats* stats = nullptr)
-      : stats_(stats), use_keys_(core_layout() == CoreLayout::kKeySoA) {
+      : stats_(stats) {
     std::size_t cap = 16;
     while (cap < expected * 2) cap <<= 1;
-    if (use_keys_) {
-      keys_.resize(cap, okey_t{0});
-      key_tags_.resize(cap, 0);
-    } else {
-      slots_.resize(cap);
-    }
+    keys_.resize(cap, okey_t{0});
+    key_tags_.resize(cap, 0);
     account(0);
   }
 
   /// Insert \p o; returns true if newly inserted.  Counts one query.
-  bool insert(const Octant<D>& o) {
-    return use_keys_ ? insert_key(key_of(o)) : insert_aos(o);
-  }
+  bool insert(const Octant<D>& o) { return insert_key(key_of(o)); }
 
   /// Key-native insert.  Counts one query.
   bool insert_key(okey_t k) {
-    assert(use_keys_);
     count_query();
     std::size_t i = find_key_slot(k);
     if (keys_[i] != 0) return false;
@@ -100,40 +91,24 @@ class OctantHashSet {
   }
 
   /// Membership test.  Counts one query.
-  bool contains(const Octant<D>& o) const {
-    return use_keys_ ? contains_key(key_of(o)) : contains_aos(o);
-  }
+  bool contains(const Octant<D>& o) const { return contains_key(key_of(o)); }
 
   bool contains_key(okey_t k) const {
-    assert(use_keys_);
     count_query();
     return keys_[find_key_slot(k)] != 0;
   }
 
   /// Set the tag bit on an element already in the set (no-op if absent).
-  void tag(const Octant<D>& o) {
-    if (use_keys_) {
-      tag_key(key_of(o));
-      return;
-    }
-    const std::size_t i = find_slot(o);
-    if (slots_[i].used) slots_[i].tagged = true;
-  }
+  void tag(const Octant<D>& o) { tag_key(key_of(o)); }
 
   void tag_key(okey_t k) {
-    assert(use_keys_);
     const std::size_t i = find_key_slot(k);
     if (keys_[i] != 0) key_tags_[i] = 1;
   }
 
-  bool is_tagged(const Octant<D>& o) const {
-    if (use_keys_) return is_tagged_key(key_of(o));
-    const std::size_t i = find_slot(o);
-    return slots_[i].used && slots_[i].tagged;
-  }
+  bool is_tagged(const Octant<D>& o) const { return is_tagged_key(key_of(o)); }
 
   bool is_tagged_key(okey_t k) const {
-    assert(use_keys_);
     const std::size_t i = find_key_slot(k);
     return keys_[i] != 0 && key_tags_[i] != 0;
   }
@@ -141,24 +116,17 @@ class OctantHashSet {
   std::size_t size() const { return size_; }
 
   /// Append all (optionally only untagged) elements to \p out, in slot
-  /// order — identical across layouts because the slot layout is.
+  /// order.
   void collect(std::vector<Octant<D>>& out, bool skip_tagged = false) const {
-    if (use_keys_) {
-      for (std::size_t i = 0; i < keys_.size(); ++i) {
-        if (keys_[i] != 0 && !(skip_tagged && key_tags_[i] != 0)) {
-          out.push_back(key_oct<D>(keys_[i]));
-        }
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i] != 0 && !(skip_tagged && key_tags_[i] != 0)) {
+        out.push_back(key_oct<D>(keys_[i]));
       }
-      return;
-    }
-    for (const Slot& s : slots_) {
-      if (s.used && !(skip_tagged && s.tagged)) out.push_back(s.oct);
     }
   }
 
   /// Key-native collect.
   void collect_keys(std::vector<okey_t>& out, bool skip_tagged = false) const {
-    assert(use_keys_);
     for (std::size_t i = 0; i < keys_.size(); ++i) {
       if (keys_[i] != 0 && !(skip_tagged && key_tags_[i] != 0)) {
         out.push_back(keys_[i]);
@@ -167,41 +135,6 @@ class OctantHashSet {
   }
 
  private:
-  struct Slot {
-    Octant<D> oct{};
-    bool used = false;
-    bool tagged = false;
-  };
-
-  bool insert_aos(const Octant<D>& o) {
-    count_query();
-    std::size_t i = find_slot(o);
-    if (slots_[i].used) return false;
-    slots_[i] = Slot{o, true, false};
-    ++size_;
-    if (size_ * 2 > slots_.size()) grow();
-    return true;
-  }
-
-  bool contains_aos(const Octant<D>& o) const {
-    count_query();
-    return slots_[find_slot(o)].used;
-  }
-
-  std::size_t find_slot(const Octant<D>& o) const {
-    return find_slot(o, stats_ ? &stats_->probes : nullptr);
-  }
-
-  std::size_t find_slot(const Octant<D>& o, std::uint64_t* probes) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = octant_hash(o) & mask;
-    while (slots_[i].used && !(slots_[i].oct == o)) {
-      if (probes) ++*probes;
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-
   std::size_t find_key_slot(okey_t k) const {
     return find_key_slot(k, stats_ ? &stats_->probes : nullptr);
   }
@@ -214,20 +147,6 @@ class OctantHashSet {
       i = (i + 1) & mask;
     }
     return i;
-  }
-
-  void grow() {
-    std::vector<Slot> old;
-    old.swap(slots_);
-    slots_.resize(old.size() * 2);
-    account(old.size() * sizeof(Slot));
-    std::uint64_t* rehash = stats_ ? &stats_->rehash_probes : nullptr;
-    for (const Slot& s : old) {
-      if (!s.used) continue;
-      std::size_t i = find_slot(s.oct, rehash);
-      slots_[i] = s;
-    }
-    account(0);
   }
 
   void grow_keys() {
@@ -256,22 +175,17 @@ class OctantHashSet {
   /// and every grow).  \p transient_extra adds the old array that is
   /// still live during a grow's rehash, so the rehash high-water is
   /// captured; the follow-up account(0) settles back to steady state.
-  /// Capacity depends on the slot record size, so the accounted bytes are
-  /// layout-dependent (pinned per CoreLayout, unlike the probe counters).
   void account(std::size_t transient_extra) {
     const std::size_t bytes =
-        use_keys_ ? keys_.size() * (sizeof(okey_t) + sizeof(std::uint8_t))
-                  : slots_.size() * sizeof(Slot);
+        keys_.size() * (sizeof(okey_t) + sizeof(std::uint8_t));
     mem_.set(obs::MemTag::kHashSlots, bytes + transient_extra);
   }
 
-  std::vector<Slot> slots_;            // AoS layout
-  std::vector<okey_t> keys_;           // key-SoA layout: 0 = empty
-  std::vector<std::uint8_t> key_tags_; // parallel tag bits
+  std::vector<okey_t> keys_;            // 0 = empty
+  std::vector<std::uint8_t> key_tags_;  // parallel tag bits
   std::size_t size_ = 0;
   HashStats* stats_ = nullptr;
-  bool use_keys_ = false;
-  obs::MemScope mem_;                  // live slot-array bytes (kHashSlots)
+  obs::MemScope mem_;                   // live slot-array bytes (kHashSlots)
 };
 
 }  // namespace octbal

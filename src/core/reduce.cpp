@@ -6,36 +6,12 @@ namespace octbal {
 
 namespace {
 
-/// Preclusion predicates with the root handled explicitly: the root has no
-/// parent, so it neither precludes nor is precluded.
-template <int D>
-bool lt(const Octant<D>& r, const Octant<D>& o) {
-  if (r.level == 0 || o.level == 0) return false;
-  return precludes_lt(r, o);
-}
-
+/// Preclusion with the root handled explicitly: the root has no parent, so
+/// it neither precludes nor is precluded.
 template <int D>
 bool le(const Octant<D>& r, const Octant<D>& o) {
   if (r.level == 0 || o.level == 0) return r == o;
   return precludes_le(r, o);
-}
-
-template <int D>
-std::vector<Octant<D>> reduce_aos(const std::vector<Octant<D>>& s) {
-  std::vector<Octant<D>> r;
-  if (s.empty()) return r;
-  r.reserve(s.size() / num_children<D> + 1);
-  r.push_back(zero_sibling(s[0]));
-  for (std::size_t j = 1; j < s.size(); ++j) {
-    const Octant<D> c = zero_sibling(s[j]);
-    Octant<D>& last = r.back();
-    if (lt(last, c)) {
-      last = c;  // the finer family supersedes the coarser one
-    } else if (!le(c, last)) {
-      r.push_back(c);
-    }
-  }
-  return r;
 }
 
 }  // namespace
@@ -60,10 +36,7 @@ std::vector<okey_t> reduce_keys(KeySpan s) {
 
 template <int D>
 std::vector<Octant<D>> reduce(const std::vector<Octant<D>>& s) {
-  if (core_layout() == CoreLayout::kKeySoA) {
-    return keys_to_octants<D>(reduce_keys<D>(octants_to_keys(s)));
-  }
-  return reduce_aos(s);
+  return keys_to_octants<D>(reduce_keys<D>(octants_to_keys(s)));
 }
 
 template <int D>

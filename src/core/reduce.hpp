@@ -9,9 +9,9 @@
 /// satisfies |R| <= |S| / 2^D, and complete(R) == S: Reduce is a lossless
 /// compression of complete linear octrees.
 ///
-/// The key-native path runs the same single-pass loop over packed keys with
-/// preclusion as shift-prefix tests; reduce() dispatches on core_layout().
-/// The per-query find_precluding_le keeps its AoS binary search (converting
+/// The single-pass loop runs over packed keys with preclusion as
+/// shift-prefix tests; reduce() packs, reduces and unpacks.  The per-query
+/// find_precluding_le keeps its Octant<D> binary search (converting
 /// the array per query would defeat it); find_precluding_le_keys is the
 /// key-native entry for key-resident callers.
 

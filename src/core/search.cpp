@@ -7,34 +7,6 @@ namespace octbal {
 namespace {
 
 template <int D>
-void search_rec(
-    const std::vector<Octant<D>>& leaves, const Octant<D>& node,
-    std::size_t lo, std::size_t hi,
-    const std::function<bool(const Octant<D>&, std::size_t, std::size_t)>& pre,
-    const std::function<void(const Octant<D>&, std::size_t)>& leaf) {
-  if (lo >= hi) return;
-  if (!pre(node, lo, hi)) return;
-  if (hi - lo == 1 && leaves[lo] == node) {
-    leaf(node, lo);
-    return;
-  }
-  // Split the range among the children by Morton key intervals.
-  assert(node.level < max_level<D>);
-  std::size_t begin = lo;
-  for (int c = 0; c < num_children<D>; ++c) {
-    const Octant<D> ch = child(node, c);
-    const morton_t end_key =
-        morton_key(ch) + (morton_t{1} << (D * size_exp(ch)));
-    const auto it = std::partition_point(
-        leaves.begin() + begin, leaves.begin() + hi,
-        [&](const Octant<D>& o) { return morton_key(o) < end_key; });
-    const auto next = static_cast<std::size_t>(it - leaves.begin());
-    search_rec(leaves, ch, begin, next, pre, leaf);
-    begin = next;
-  }
-}
-
-template <int D>
 void search_rec_keys(
     KeySpan leaves, okey_t node, std::size_t lo, std::size_t hi,
     const std::function<bool(okey_t, std::size_t, std::size_t)>& pre,
@@ -59,48 +31,6 @@ void search_rec_keys(
   }
 }
 
-template <int D>
-std::vector<std::size_t> locate_points_aos(
-    const std::vector<Octant<D>>& leaves, const Octant<D>& root,
-    const std::vector<std::array<coord_t, D>>& points) {
-  std::vector<std::size_t> result(points.size(), npos);
-  std::vector<std::size_t> all(points.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-
-  const std::function<void(const Octant<D>&, std::size_t, std::size_t,
-                           std::vector<std::size_t>&)>
-      rec = [&](const Octant<D>& node, std::size_t lo, std::size_t hi,
-                std::vector<std::size_t>& pts) {
-        if (lo >= hi || pts.empty()) return;
-        if (hi - lo == 1 && leaves[lo] == node) {
-          for (const std::size_t p : pts) result[p] = lo;
-          return;
-        }
-        assert(node.level < max_level<D>);
-        std::size_t begin = lo;
-        for (int c = 0; c < num_children<D>; ++c) {
-          const Octant<D> ch = child(node, c);
-          const morton_t end_key =
-              morton_key(ch) + (morton_t{1} << (D * size_exp(ch)));
-          const auto it = std::partition_point(
-              leaves.begin() + begin, leaves.begin() + hi,
-              [&](const Octant<D>& o) { return morton_key(o) < end_key; });
-          const auto next = static_cast<std::size_t>(it - leaves.begin());
-          std::vector<std::size_t> sub;
-          for (const std::size_t p : pts) {
-            Octant<D> cell;
-            cell.level = max_level<D>;
-            cell.x = points[p];
-            if (contains(ch, cell)) sub.push_back(p);
-          }
-          rec(ch, begin, next, sub);
-          begin = next;
-        }
-      };
-  rec(root, 0, leaves.size(), all);
-  return result;
-}
-
 /// Finest-level cell key at a point: what find_containing_leaf compares
 /// against, packed.
 template <int D>
@@ -119,19 +49,14 @@ void search_tree(
     const std::function<bool(const Octant<D>&, std::size_t, std::size_t)>& pre,
     const std::function<void(const Octant<D>&, std::size_t)>& leaf) {
   assert(is_linear(leaves));
-  if (core_layout() == CoreLayout::kKeySoA) {
-    // Convert the array once, traverse keys, and unpack per callback — the
-    // callbacks see the exact octants and ranges of the AoS traversal.
-    const std::vector<okey_t> keys = octants_to_keys(leaves);
-    search_tree_keys<D>(
-        keys, key_of(root),
-        [&](okey_t k, std::size_t lo, std::size_t hi) {
-          return pre(key_oct<D>(k), lo, hi);
-        },
-        [&](okey_t k, std::size_t i) { leaf(key_oct<D>(k), i); });
-    return;
-  }
-  search_rec(leaves, root, 0, leaves.size(), pre, leaf);
+  // Convert the array once, traverse keys, and unpack per callback.
+  const std::vector<okey_t> keys = octants_to_keys(leaves);
+  search_tree_keys<D>(
+      keys, key_of(root),
+      [&](okey_t k, std::size_t lo, std::size_t hi) {
+        return pre(key_oct<D>(k), lo, hi);
+      },
+      [&](okey_t k, std::size_t i) { leaf(key_oct<D>(k), i); });
 }
 
 template <int D>
@@ -173,10 +98,7 @@ template <int D>
 std::vector<std::size_t> locate_points(
     const std::vector<Octant<D>>& leaves, const Octant<D>& root,
     const std::vector<std::array<coord_t, D>>& points) {
-  if (core_layout() == CoreLayout::kKeySoA) {
-    return locate_points_keys<D>(octants_to_keys(leaves), key_of(root), points);
-  }
-  return locate_points_aos<D>(leaves, root, points);
+  return locate_points_keys<D>(octants_to_keys(leaves), key_of(root), points);
 }
 
 template <int D>

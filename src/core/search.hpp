@@ -10,11 +10,11 @@
 /// element at most once per matching query, so a batch of Q point queries
 /// costs O(Q log N) rather than O(Q N).
 ///
-/// The key-native variants run the identical recursion over packed keys
-/// (core/key.hpp): the child split is a shift-or, the range partition
-/// compares normalized keys, and point containment is a prefix test on the
-/// precomputed finest-cell key.  search_tree and locate_points dispatch on
-/// core_layout(); the per-query find_containing_leaf keeps its AoS binary
+/// The recursion runs over packed keys (core/key.hpp): the child split is
+/// a shift-or, the range partition compares normalized keys, and point
+/// containment is a prefix test on the precomputed finest-cell key.
+/// search_tree and locate_points pack the leaf array once and call the key
+/// kernels; the per-query find_containing_leaf keeps its Octant<D> binary
 /// search, with find_containing_leaf_keys as the key-resident entry.
 
 #include <functional>
@@ -64,7 +64,7 @@ std::vector<std::size_t> locate_points(
     const std::vector<Octant<D>>& leaves, const Octant<D>& root,
     const std::vector<std::array<coord_t, D>>& points);
 
-/// Key-native batch point location (the kKeySoA body of locate_points).
+/// Key-native batch point location (the body of locate_points).
 template <int D>
 std::vector<std::size_t> locate_points_keys(
     KeySpan leaves, okey_t root,

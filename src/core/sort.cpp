@@ -37,78 +37,9 @@ void insertion_sort_keys(std::vector<okey_t>& a) {
   }
 }
 
-template <int D>
-void sort_octants_aos(std::vector<Octant<D>>& a) {
-  const std::size_t n = a.size();
-  if (n < kInsertionThreshold) {
-    insertion_sort(a);
-    return;
-  }
-  if (n < kRadixThreshold) {
-    std::sort(a.begin(), a.end());
-    return;
-  }
-  // Keyed records: LSD radix over (level, key byte 0, ..., key byte 7).
-  // Stable byte passes from least to most significant sort by key with
-  // level as the tie-break — exactly Morton preorder.
-  struct Rec {
-    morton_t key;
-    Octant<D> oct;
-  };
-  const obs::MemScope scratch(obs::MemTag::kSortScratch,
-                              2 * n * sizeof(Rec));
-  std::vector<Rec> cur(n), tmp(n);
-  int key_bytes = (D * (max_level<D> + 2) + 7) / 8;
-  // Track which bytes actually vary: a byte where OR == AND is constant
-  // across the whole array, so its counting pass would be a stable
-  // identity permutation and can be skipped outright.  Shallow octant
-  // sets (the common case in subtree balance) only populate the low key
-  // bytes, which turns 9 passes into 2-4.
-  morton_t key_or = 0, key_and = ~morton_t{0};
-  std::uint8_t lvl_or = 0, lvl_and = 0xffu;
-  for (std::size_t i = 0; i < n; ++i) {
-    cur[i] = {morton_key(a[i]), a[i]};
-    key_or |= cur[i].key;
-    key_and &= cur[i].key;
-    lvl_or |= static_cast<std::uint8_t>(a[i].level);
-    lvl_and &= static_cast<std::uint8_t>(a[i].level);
-  }
-
-  std::size_t count[256];
-  const auto counting_pass = [&](auto&& digit) {
-    std::fill(std::begin(count), std::end(count), 0);
-    for (const Rec& r : cur) ++count[digit(r)];
-    std::size_t sum = 0;
-    for (std::size_t b = 0; b < 256; ++b) {
-      const std::size_t c = count[b];
-      count[b] = sum;
-      sum += c;
-    }
-    for (const Rec& r : cur) tmp[count[digit(r)]++] = r;
-    cur.swap(tmp);
-  };
-
-  // Pass 0: level (values fit one byte).
-  if (lvl_or != lvl_and) {
-    counting_pass([](const Rec& r) {
-      return static_cast<std::size_t>(static_cast<std::uint8_t>(r.oct.level));
-    });
-  }
-  for (int byte = 0; byte < key_bytes; ++byte) {
-    if (((key_or >> (8 * byte)) & 0xffu) == ((key_and >> (8 * byte)) & 0xffu)) {
-      continue;
-    }
-    counting_pass([byte](const Rec& r) {
-      return static_cast<std::size_t>((r.key >> (8 * byte)) & 0xffu);
-    });
-  }
-  for (std::size_t i = 0; i < n; ++i) a[i] = cur[i].oct;
-}
-
-/// Fused keyed sort: pack each octant into a pass record in place of the
-/// AoS path's record-building loop, run the scatter passes over 16-byte
-/// records, and unpack during the final writeback — no intermediate key
-/// vector, no separate conversion passes.
+/// Fused keyed sort: pack each octant into a pass record, run the scatter
+/// passes over 16-byte records, and unpack during the final writeback — no
+/// intermediate key vector, no separate conversion passes.
 template <int D>
 void sort_octants_keyed(std::vector<Octant<D>>& a) {
   const std::size_t n = a.size();
@@ -132,7 +63,7 @@ void radix_sort_recs(std::vector<KeyRec>& cur, std::vector<KeyRec>& tmp,
   // key_less order is (normalized key, width) lexicographic, and the width
   // = D*(level+2) fits one byte, so a stable width pass followed by
   // low-to-high passes over the normalized bytes reproduces Morton
-  // preorder exactly — the same pass structure as the AoS path.  One read
+  // preorder exactly.  One read
   // here builds every digit histogram (and the OR/AND degeneracy masks),
   // so each executed pass below touches the data exactly once, to scatter.
   std::size_t hist[9][256] = {};
@@ -204,14 +135,16 @@ void sort_keys(std::vector<okey_t>& a, RadixStats* stats) {
 
 template <int D>
 void sort_octants(std::vector<Octant<D>>& a) {
-  // Below the radix regime the AoS insertion/std::sort is already optimal
-  // and conversion would be pure overhead; the order is identical either
-  // way, so the keyed path only takes over where its passes win.
-  if (core_layout() == CoreLayout::kKeySoA && a.size() >= kRadixThreshold) {
+  // Below the radix regime insertion sort / std::sort is already optimal
+  // and packing would be pure overhead; the order is identical either way.
+  const std::size_t n = a.size();
+  if (n < kInsertionThreshold) {
+    insertion_sort(a);
+  } else if (n < kRadixThreshold) {
+    std::sort(a.begin(), a.end());
+  } else {
     sort_octants_keyed(a);
-    return;
   }
-  sort_octants_aos(a);
 }
 
 #define OCTBAL_INSTANTIATE(D) template void sort_octants<D>(std::vector<Octant<D>>&);

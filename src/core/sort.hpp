@@ -9,15 +9,12 @@
 /// typically 2-4x faster than std::sort for large arrays.  Falls back to
 /// std::sort below a small-size threshold.
 ///
-/// Two layouts share the pass structure (one level/width pass, then 8-bit
-/// digits over the Morton code, degenerate passes skipped): the AoS
-/// reference path moves (key, Octant) records, the key-SoA path moves
-/// 16-byte (normalized, packed) key records (core/key.hpp) — no
-/// per-element struct moves.  The key path additionally builds every
-/// digit histogram in a single read so executed passes are scatter-only,
-/// and the dispatched sort_octants packs/unpacks records in the same
-/// loops, with no intermediate key vector.  sort_octants dispatches on
-/// core_layout(); both orders are byte-identical.
+/// The passes move 16-byte (normalized, packed) key records (core/key.hpp)
+/// rather than octants: one level/width pass, then 8-bit digits over the
+/// normalized Morton key, degenerate passes skipped, and every digit
+/// histogram built in a single read so executed passes are scatter-only.
+/// sort_octants packs and unpacks records in the same loops, with no
+/// intermediate key vector.
 
 #include <vector>
 
@@ -62,7 +59,7 @@ inline constexpr std::size_t kRadixThreshold = 64;
 /// The record the key-SoA radix passes move: the normalized key carries
 /// the spatial digits, the raw packed key the width tie-break — together
 /// they are the key_less order, precomputed so the counting/scatter loops
-/// touch nothing but plain bytes.  Half the width of the AoS (key, Octant)
+/// touch nothing but plain bytes.  Half the width of a (Morton key, Octant)
 /// record, which is where the pass throughput comes from.
 struct KeyRec {
   okey_t norm;
@@ -77,8 +74,7 @@ void radix_sort_recs(std::vector<KeyRec>& cur, std::vector<KeyRec>& tmp,
                      RadixStats* stats);
 
 /// Pack an extended-valid octant straight into a pass record: one Morton
-/// interleave (the same work the AoS path spends building its record), the
-/// normalization folded in as constant shifts.
+/// interleave, the normalization folded in as constant shifts.
 template <int D>
 inline KeyRec key_rec_of(const Octant<D>& o) {
   const morton_t m = morton_key(o);

@@ -19,6 +19,8 @@
 
 #include <array>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -166,6 +168,7 @@ class Connectivity {
   static Connectivity unitcube() { return brick(filled(1), {}); }
 
   /// An axis-aligned lattice of dims[i] trees, periodic per axis on demand.
+  /// Throws std::invalid_argument when some dims[i] < 1.
   static Connectivity brick(const std::array<int, D>& dims,
                             const std::array<bool, D>& periodic = {}) {
     Connectivity c;
@@ -173,7 +176,11 @@ class Connectivity {
     c.periodic_ = periodic;
     c.ntrees_ = 1;
     for (int i = 0; i < D; ++i) {
-      assert(dims[i] >= 1);
+      if (dims[i] < 1) {
+        throw std::invalid_argument("Connectivity::brick: dims[" +
+                                    std::to_string(i) + "] = " +
+                                    std::to_string(dims[i]) + " must be >= 1");
+      }
       c.ntrees_ *= dims[i];
     }
     return c;
@@ -183,16 +190,21 @@ class Connectivity {
   /// faces[t][f] describes what lies across face f of tree t.  Gluings
   /// must be mutual with inverse orientations (validate() checks).
   /// Available for D == 2 and D == 3; the lattice embedding (tree_coords
-  /// etc.) does not apply.
+  /// etc.) does not apply.  Throws std::invalid_argument when the table
+  /// does not hold exactly \p ntrees rows.
   static Connectivity general(int ntrees,
                               std::vector<std::array<FaceGlue, 2 * D>> faces) {
     static_assert(D >= 2, "general connectivities are 2D/3D");
+    if (faces.size() != static_cast<std::size_t>(ntrees)) {
+      throw std::invalid_argument(
+          "Connectivity::general: " + std::to_string(faces.size()) +
+          " face rows for ntrees = " + std::to_string(ntrees));
+    }
     Connectivity c;
     c.ntrees_ = ntrees;
     c.dims_ = filled(0);
     c.general_ = true;
     c.glue_ = std::move(faces);
-    assert(static_cast<int>(c.glue_.size()) == ntrees);
     return c;
   }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "core/balance_check.hpp"
 #include "core/balance_subtree.hpp"
@@ -10,6 +12,15 @@
 
 namespace octbal {
 namespace {
+
+/// \p nranks, checked before it sizes the per-rank arrays.
+int checked_ranks(int nranks) {
+  if (nranks < 1) {
+    throw std::invalid_argument("Forest: nranks = " + std::to_string(nranks) +
+                                " must be >= 1");
+  }
+  return nranks;
+}
 
 /// Split a gathered forest into per-tree octant arrays.
 template <int D>
@@ -24,9 +35,12 @@ std::vector<std::vector<Octant<D>>> split_by_tree(
 
 template <int D>
 Forest<D>::Forest(Connectivity<D> conn, int nranks, int level)
-    : conn_(std::move(conn)), local_(nranks) {
-  assert(nranks >= 1);
-  assert(0 <= level && level <= max_level<D>);
+    : conn_(std::move(conn)), local_(checked_ranks(nranks)) {
+  if (level < 0 || level > max_level<D>) {
+    throw std::invalid_argument("Forest: level = " + std::to_string(level) +
+                                " outside [0, " +
+                                std::to_string(max_level<D>) + "]");
+  }
   std::vector<TreeOct<D>> all;
   const auto root = root_octant<D>();
   std::vector<Octant<D>> per_tree{root};
@@ -49,8 +63,7 @@ Forest<D>::Forest(Connectivity<D> conn, int nranks, int level)
 template <int D>
 Forest<D>::Forest(Connectivity<D> conn, int nranks,
                   std::vector<TreeOct<D>> leaves)
-    : conn_(std::move(conn)), local_(nranks) {
-  assert(nranks >= 1);
+    : conn_(std::move(conn)), local_(checked_ranks(nranks)) {
   std::sort(leaves.begin(), leaves.end());
   split_evenly(std::move(leaves));
 }

@@ -54,13 +54,15 @@ class Forest {
   using RefinePred = std::function<bool(const TreeOct<D>&)>;
 
   /// A uniformly refined forest at \p level, partitioned evenly over
-  /// \p nranks ranks.
+  /// \p nranks ranks.  Throws std::invalid_argument when nranks < 1 or
+  /// \p level lies outside [0, max_level<D>].
   Forest(Connectivity<D> conn, int nranks, int level);
 
   /// A forest with explicitly given leaves (sorted internally), partitioned
   /// evenly over \p nranks.  Every tree of the connectivity must be covered
   /// by a complete linear octree — the representation the audit subsystem's
   /// shrinker rebuilds forests from (is_valid() reports violations).
+  /// Throws std::invalid_argument when nranks < 1.
   Forest(Connectivity<D> conn, int nranks, std::vector<TreeOct<D>> leaves);
 
   const Connectivity<D>& connectivity() const { return conn_; }

@@ -9,9 +9,7 @@
 /// receiver at the (serial) deliver walk — never allocator behavior.  That
 /// makes every figure a pure function of the input and the configuration:
 /// byte-identical across thread counts and delivery scrambles (each rank's
-/// charges land in its own slot, in its own program order), and stable for
-/// a given CoreLayout (layouts size different record types, so their peaks
-/// are pinned separately, not expected to match).
+/// charges land in its own slot, in its own program order).
 ///
 /// Usage: install a MemSession around the region to measure; everything
 /// the instrumented code charges while the session is live lands in its

@@ -1,0 +1,87 @@
+#pragma once
+/// \file core_reference.hpp
+/// \brief Test-only reference for the core kernels: std::sort by
+/// Octant::operator< for sort_octants, sort-then-drop-ancestors for
+/// linearize, a per-point find_containing_leaf loop for locate_points, and
+/// a std::set membership model for OctantHashSet.
+///
+/// These are the plain definitions the packed-key kernels in core/ must
+/// reproduce byte for byte.  They are slow — comparison sorting of 24-byte
+/// records, one binary search per point, a node-based set — and exist only
+/// so the differential tests in test_core_differential.cpp have an oracle
+/// that shares no code with the kernels under test.
+
+#include <algorithm>
+#include <set>
+#include <vector>
+
+#include "core/search.hpp"
+
+namespace octbal::reference {
+
+/// Morton preorder by Octant::operator<.
+template <int D>
+void sort_octants(std::vector<Octant<D>>& a) {
+  std::sort(a.begin(), a.end());
+}
+
+/// Linearize: sort, then drop every element that contains its successor
+/// (in preorder an ancestor or duplicate immediately precedes what it
+/// covers), keeping the finest octants.
+template <int D>
+void linearize(std::vector<Octant<D>>& a) {
+  reference::sort_octants(a);
+  std::vector<Octant<D>> out;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (i + 1 < a.size() && contains(a[i], a[i + 1])) continue;
+    out.push_back(a[i]);
+  }
+  a = std::move(out);
+}
+
+/// Batch point location, one independent binary search per point.
+template <int D>
+std::vector<std::size_t> locate_points(
+    const std::vector<Octant<D>>& leaves,
+    const std::vector<std::array<coord_t, D>>& points) {
+  std::vector<std::size_t> out;
+  out.reserve(points.size());
+  for (const auto& p : points) out.push_back(find_containing_leaf<D>(leaves, p));
+  return out;
+}
+
+/// Membership model of OctantHashSet: the same insert/contains/tag
+/// answers and the same query count, with std::set holding the state.
+template <int D>
+class HashSetModel {
+ public:
+  bool insert(const Octant<D>& o) {
+    ++queries_;
+    return members_.insert(o).second;
+  }
+  bool contains(const Octant<D>& o) {
+    ++queries_;
+    return members_.count(o) != 0;
+  }
+  void tag(const Octant<D>& o) {
+    if (members_.count(o) != 0) tagged_.insert(o);
+  }
+  bool is_tagged(const Octant<D>& o) const { return tagged_.count(o) != 0; }
+  std::size_t size() const { return members_.size(); }
+  std::uint64_t queries() const { return queries_; }
+
+  /// Members (optionally only untagged ones) in Morton preorder.
+  std::vector<Octant<D>> sorted(bool skip_tagged) const {
+    std::vector<Octant<D>> out;
+    for (const auto& o : members_) {
+      if (!(skip_tagged && is_tagged(o))) out.push_back(o);
+    }
+    return out;
+  }
+
+ private:
+  std::set<Octant<D>> members_, tagged_;
+  std::uint64_t queries_ = 0;
+};
+
+}  // namespace octbal::reference

@@ -59,9 +59,6 @@ TEST(Audit, InjectedBalanceBugIsCaughtAndShrunk) {
         << f.invariant << ": " << f.detail;
     EXPECT_NE(f.repro.find("TEST(FuzzRegression, Seed"), std::string::npos);
     EXPECT_NE(f.repro.find("forest_balance_serial"), std::string::npos);
-    // The repro must pin the core layout the failure was found under.
-    EXPECT_NE(f.repro.find("ScopedCoreLayout layout(CoreLayout::"),
-              std::string::npos);
     EXPECT_FALSE(f.config.empty());
     EXPECT_GT(f.repro_octants, 0u);
     smallest = std::min(smallest, f.repro_octants);
@@ -310,19 +307,18 @@ TEST(Audit, CaseStreamPinned) {
             "lmax=4 density=0.224695 workload=random partition=weighted "
             "scramble=0 repart=insulation repart_rounds=1 churn=3 "
             "churn_coarsen=1 subtree=new seed_response=1 grouped=1 "
-            "notify=notify carries=0 layout=keysoa");
+            "notify=notify carries=0");
   EXPECT_EQ(describe(random_case_config(1691, Tier::kFull)),
             "seed=1691 dim=2 ring=3 orient=0 ranks=8 threads=2 k=1 lmax=5 "
             "density=0.371543 workload=random partition=uniform scramble=0 "
             "repart=octants repart_rounds=2 churn=2 churn_coarsen=1 "
-            "subtree=new seed_response=0 grouped=1 notify=notify carries=1 "
-            "layout=keysoa");
+            "subtree=new seed_response=0 grouped=1 notify=notify carries=1");
   EXPECT_EQ(describe(random_case_config(2, Tier::kLarge)),
             "seed=2 tier=large dim=2 brick=1x1 periodic=01 ranks=128 "
             "threads=2 k=1 lmax=10 density=0.694114 workload=random "
             "partition=even scramble=0 repart=octants repart_rounds=2 "
             "churn=2 churn_coarsen=1 subtree=old seed_response=1 grouped=1 "
-            "notify=notify carries=0 layout=keysoa");
+            "notify=notify carries=0");
 }
 
 TEST(Audit, CaseGenerationIsDeterministic) {
@@ -336,23 +332,6 @@ TEST(Audit, CaseGenerationIsDeterministic) {
       EXPECT_EQ(make_case<3>(a).leaves, make_case<3>(b).leaves);
     }
   }
-}
-
-TEST(Audit, CoreLayoutDimensionCoversBothKernels) {
-  // The layout dimension must actually split the seed space: both the
-  // packed-key SoA kernels and the AoS reference have to keep appearing
-  // under fuzz fire, and describe() must carry the flag into reports.
-  int keysoa = 0, aos = 0;
-  for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    const CaseConfig c = random_case_config(seed);
-    (c.layout == CoreLayout::kKeySoA ? keysoa : aos)++;
-    EXPECT_NE(describe(c).find(c.layout == CoreLayout::kKeySoA
-                                   ? "layout=keysoa"
-                                   : "layout=aos"),
-              std::string::npos);
-  }
-  EXPECT_GT(keysoa, 8);
-  EXPECT_GT(aos, 8);
 }
 
 }  // namespace

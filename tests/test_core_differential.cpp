@@ -1,12 +1,15 @@
 /// \file test_core_differential.cpp
-/// \brief The core-layout differential battery: every ported kernel is fed
-/// identical inputs under CoreLayout::kAoS and CoreLayout::kKeySoA and must
-/// produce byte-identical outputs — including every instrumentation counter
-/// (HashStats, SubtreeBalanceStats, OwnerScanStats), since probe sequences
-/// and pass schedules are part of the byte-identity contract the perf
-/// guards pin.  Inputs cover random linear sets, random complete trees, and
+/// \brief The core differential battery: every packed-key kernel is fed the
+/// same inputs as the plain test-only reference in core_reference.hpp
+/// (std::sort, sort-then-drop-ancestors, per-point binary search, a
+/// std::set membership model) and must produce byte-identical outputs.
+/// Where no reference exists the kernels are checked by their defining
+/// property (complete/reduce round trip, coarsest gap fill, search ranges)
+/// and the Octant<D> adapters against the key entry points, counters
+/// included.  Inputs cover random linear sets, random complete trees, and
 /// the two paper workloads (fractal, ice sheet); the forest-level pipeline
-/// runs at 1, 4 and 8 threads (ctest label: tsan).
+/// is checked against the serial oracle at 1, 4 and 8 threads (ctest
+/// label: tsan).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include <cstring>
 #include <tuple>
 
+#include "core/balance_check.hpp"
 #include "core/balance_subtree.hpp"
 #include "core/key.hpp"
 #include "core/linear.hpp"
@@ -25,6 +29,7 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/workloads.hpp"
+#include "core_reference.hpp"
 
 namespace octbal {
 namespace {
@@ -57,17 +62,6 @@ bool stats_equal(const HashStats& a, const HashStats& b) {
          a.rehash_probes == b.rehash_probes;
 }
 
-/// Run \p fn once per layout and require identical results.
-template <typename Fn>
-auto both_layouts_agree(Fn&& fn) {
-  ScopedCoreLayout aos(CoreLayout::kAoS);
-  const auto ref = fn();
-  set_core_layout(CoreLayout::kKeySoA);
-  const auto got = fn();
-  EXPECT_EQ(got, ref);
-  return ref;
-}
-
 /// The input families of the battery: random scatter, random complete
 /// trees, and leaf arrays of the two paper workloads.
 template <int D>
@@ -76,6 +70,8 @@ std::vector<std::vector<Octant<D>>> battery_inputs(std::uint64_t seed) {
   const auto root = root_octant<D>();
   std::vector<std::vector<Octant<D>>> inputs;
   inputs.push_back({});  // empty edge case
+  // One input per sort regime: insertion sort, std::sort, radix.
+  inputs.push_back(random_linear_set(rng, root, max_level<D>, 10));
   inputs.push_back(random_linear_set(rng, root, max_level<D>, 30));
   inputs.push_back(random_linear_set(rng, root, 8, 400));
   inputs.push_back(random_complete_tree(rng, root, 7, 600));
@@ -131,26 +127,30 @@ TYPED_TEST_SUITE(CoreDifferentialTypedTest, Dims);
 
 TYPED_TEST(CoreDifferentialTypedTest, SortIsByteIdentical) {
   constexpr int D = TypeParam::d;
-  for (const auto& input : battery_inputs<D>(1001)) {
+  auto inputs = battery_inputs<D>(1001);
+  // Octants at every depth in the radix regime, so that every byte pass
+  // of the normalized key runs (the battery's deep inputs are all small).
+  Rng rng(1008);
+  inputs.emplace_back();
+  for (int i = 0; i < 2000; ++i) {
+    inputs.back().push_back(random_octant(rng, root_octant<D>(), max_level<D>));
+  }
+  for (const auto& input : inputs) {
     // Duplicates stress the stability argument: equal elements must land
-    // in identical slots either way.
+    // in identical slots.
     auto data = shuffled<D>(input, 5);
     data.insert(data.end(), input.begin(),
                 input.begin() + static_cast<std::ptrdiff_t>(input.size() / 3));
-    const auto sorted = both_layouts_agree([&] {
-      auto copy = data;
-      sort_octants(copy);
-      return copy;
-    });
-    ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end(),
-                               [](const Octant<D>& a, const Octant<D>& b) {
-                                 return a < b;
-                               }));
-    // The raw key array sorted by sort_keys matches the packed AoS result
+    auto sorted = data;
+    sort_octants(sorted);
+    auto ref = data;
+    reference::sort_octants(ref);
+    ASSERT_EQ(sorted, ref);
+    // The raw key array sorted by sort_keys matches the packed reference
     // bit for bit (memcmp, not just operator==).
     auto keys = octants_to_keys(data);
     sort_keys(keys);
-    const auto packed = octants_to_keys(sorted);
+    const auto packed = octants_to_keys(ref);
     ASSERT_EQ(keys.size(), packed.size());
     // memcmp needs non-null pointers even for zero bytes, and an empty
     // vector's data() may be null: equal sizes of zero are already equal.
@@ -165,22 +165,35 @@ TYPED_TEST(CoreDifferentialTypedTest, LinearizeCompleteReduceAgree) {
   constexpr int D = TypeParam::d;
   const auto root = root_octant<D>();
   for (const auto& input : battery_inputs<D>(1002)) {
-    const auto lin = both_layouts_agree([&] {
-      auto copy = shuffled<D>(input, 9);
-      linearize(copy);
-      return copy;
-    });
+    auto lin = shuffled<D>(input, 9);
+    linearize(lin);
+    auto ref = shuffled<D>(input, 9);
+    reference::linearize(ref);
+    ASSERT_EQ(lin, ref);
     ASSERT_TRUE(is_linear(lin));
     EXPECT_TRUE(is_linear_keys(octants_to_keys(lin)));
+    auto keys = octants_to_keys(shuffled<D>(input, 9));
+    linearize_keys(keys);
+    EXPECT_EQ(keys, octants_to_keys(ref));
 
-    const auto comp =
-        both_layouts_agree([&] { return complete(lin, root); });
+    // Complete keeps every input leaf and is the coarsest tiling: a gap
+    // tile's parent must reach an input leaf, or the parent would tile.
+    const auto comp = complete(lin, root);
     ASSERT_TRUE(is_complete(comp, root));
     EXPECT_TRUE(is_complete_keys<D>(octants_to_keys(comp), key_of(root)));
+    for (const auto& o : lin) EXPECT_NE(binary_find(comp, o), npos);
+    for (const auto& c : comp) {
+      if (c.level == 0 || binary_find(lin, c) != npos) continue;
+      const auto [lo, hi] = overlapping_range(lin, parent(c));
+      EXPECT_LT(lo, hi) << "gap tile is not maximal";
+    }
 
-    const auto red = both_layouts_agree([&] { return reduce(comp); });
-    // Key-native queries against the reduced array match the AoS binary
-    // search for both members and misses.
+    // Reduce is a lossless compression of complete linear octrees.
+    const auto red = reduce(comp);
+    EXPECT_LE(red.size(), comp.size() / num_children<D> + 1);
+    EXPECT_EQ(complete(red, root), comp);
+    // Key-native queries against the reduced array match the Octant<D>
+    // binary search for both members and misses.
     const auto red_keys = octants_to_keys(red);
     Rng rng(1003);
     for (int q = 0; q < 200 && !comp.empty(); ++q) {
@@ -201,37 +214,44 @@ TYPED_TEST(CoreDifferentialTypedTest, SearchAgrees) {
   Rng rng(1004);
   for (const auto& input : battery_inputs<D>(1005)) {
     auto leaves = input;
-    linearize(leaves);
+    reference::linearize(leaves);
 
-    // search_tree: record the full (octant, range) visit trace per layout.
-    using Visit = std::tuple<Octant<D>, std::size_t, std::size_t>;
-    const auto trace = both_layouts_agree([&] {
-      std::vector<Visit> pre_trace;
-      std::vector<std::pair<Octant<D>, std::size_t>> leaf_trace;
-      search_tree<D>(
-          leaves, root,
-          [&](const Octant<D>& o, std::size_t lo, std::size_t hi) {
-            pre_trace.emplace_back(o, lo, hi);
-            return true;
-          },
-          [&](const Octant<D>& o, std::size_t i) {
-            leaf_trace.emplace_back(o, i);
-          });
-      return std::make_pair(pre_trace, leaf_trace);
-    });
-    EXPECT_EQ(trace.second.size(), leaves.size());
+    // search_tree: every visited range holds exactly the leaves inside the
+    // visited octant, and every leaf is reported once, in order.
+    std::vector<std::pair<Octant<D>, std::size_t>> leaf_trace;
+    search_tree<D>(
+        leaves, root,
+        [&](const Octant<D>& o, std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            EXPECT_TRUE(contains(o, leaves[i]));
+          }
+          if (lo > 0) {
+            EXPECT_FALSE(contains(o, leaves[lo - 1]));
+          }
+          if (hi < leaves.size()) {
+            EXPECT_FALSE(contains(o, leaves[hi]));
+          }
+          return true;
+        },
+        [&](const Octant<D>& o, std::size_t i) {
+          leaf_trace.emplace_back(o, i);
+        });
+    ASSERT_EQ(leaf_trace.size(), leaves.size());
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      EXPECT_EQ(leaf_trace[i].first, leaves[i]);
+      EXPECT_EQ(leaf_trace[i].second, i);
+    }
 
     std::vector<std::array<coord_t, D>> points;
     for (int i = 0; i < 300; ++i) {
       points.push_back(random_octant(rng, root, max_level<D>).x);
     }
-    const auto located = both_layouts_agree(
-        [&] { return locate_points<D>(leaves, root, points); });
+    EXPECT_EQ(locate_points<D>(leaves, root, points),
+              reference::locate_points<D>(leaves, points));
     const auto leaf_keys = octants_to_keys(leaves);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(find_containing_leaf_keys<D>(leaf_keys, points[i]),
-                find_containing_leaf<D>(leaves, points[i]));
-      EXPECT_EQ(find_containing_leaf<D>(leaves, points[i]), located[i]);
+    for (const auto& p : points) {
+      EXPECT_EQ(find_containing_leaf_keys<D>(leaf_keys, p),
+                find_containing_leaf<D>(leaves, p));
     }
   }
 }
@@ -244,43 +264,44 @@ TYPED_TEST(CoreDifferentialTypedTest, HashSetProbesAndOrderAgree) {
   for (int i = 0; i < 3000; ++i) {
     ops.push_back(random_octant(rng, root, max_level<D>));
   }
-  HashStats ref_stats, key_stats;
-  std::vector<Octant<D>> ref_out, key_out;
-  {
-    ScopedCoreLayout aos(CoreLayout::kAoS);
-    OctantHashSet<D> set(16, &ref_stats);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      set.insert(ops[i]);
-      if (i % 3 == 0) set.contains(ops[ops.size() - 1 - i]);
-      if (i % 7 == 0) set.tag(ops[i / 2]);
+  // Answers, size, tags and query count follow the std::set model.
+  HashStats oct_stats, key_stats;
+  OctantHashSet<D> set(16, &oct_stats);
+  reference::HashSetModel<D> model;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(set.insert(ops[i]), model.insert(ops[i]));
+    if (i % 3 == 0) {
+      const auto& q = ops[ops.size() - 1 - i];
+      EXPECT_EQ(set.contains(q), model.contains(q));
     }
-    set.collect(ref_out, /*skip_tagged=*/true);
+    if (i % 7 == 0) {
+      set.tag(ops[i / 2]);
+      model.tag(ops[i / 2]);
+    }
   }
-  {
-    ScopedCoreLayout soa(CoreLayout::kKeySoA);
-    OctantHashSet<D> set(16, &key_stats);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      set.insert_key(key_of(ops[i]));
-      if (i % 3 == 0) set.contains_key(key_of(ops[ops.size() - 1 - i]));
-      if (i % 7 == 0) set.tag_key(key_of(ops[i / 2]));
-    }
-    std::vector<okey_t> keys;
-    set.collect_keys(keys, /*skip_tagged=*/true);
-    key_out = keys_to_octants<D>(keys);
-    // Counter comparison excludes the adapter checks below, which add
-    // queries of their own.
-    const HashStats at_parity = key_stats;
-    // The AoS adapter entry points must hit the same slots as the _key ones.
-    for (const auto& o : ops) {
-      EXPECT_TRUE(set.contains(o));
-      EXPECT_EQ(set.is_tagged(o), set.is_tagged_key(key_of(o)));
-    }
-    key_stats = at_parity;
+  // Counter parity below excludes the is_tagged checks, which probe too.
+  const HashStats at_parity = oct_stats;
+  EXPECT_EQ(set.size(), model.size());
+  EXPECT_EQ(oct_stats.queries, model.queries());
+  std::vector<Octant<D>> oct_out;
+  set.collect(oct_out, /*skip_tagged=*/true);
+  auto oct_sorted = oct_out;
+  std::sort(oct_sorted.begin(), oct_sorted.end());
+  EXPECT_EQ(oct_sorted, model.sorted(/*skip_tagged=*/true));
+  for (const auto& o : ops) EXPECT_EQ(set.is_tagged(o), model.is_tagged(o));
+
+  // The Octant<D> adapters hit the same slots as the _key entry points:
+  // identical probe counters and collect order.
+  OctantHashSet<D> keyed(16, &key_stats);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    keyed.insert_key(key_of(ops[i]));
+    if (i % 3 == 0) keyed.contains_key(key_of(ops[ops.size() - 1 - i]));
+    if (i % 7 == 0) keyed.tag_key(key_of(ops[i / 2]));
   }
-  EXPECT_EQ(key_out, ref_out);  // identical slot layout => identical order
-  EXPECT_EQ(ref_stats.queries, key_stats.queries);
-  EXPECT_EQ(ref_stats.probes, key_stats.probes);
-  EXPECT_EQ(ref_stats.rehash_probes, key_stats.rehash_probes);
+  std::vector<okey_t> key_out;
+  keyed.collect_keys(key_out, /*skip_tagged=*/true);
+  EXPECT_EQ(keys_to_octants<D>(key_out), oct_out);
+  EXPECT_TRUE(stats_equal(at_parity, key_stats));
 }
 
 TYPED_TEST(CoreDifferentialTypedTest, SubtreeBalanceStatsAgree) {
@@ -288,32 +309,36 @@ TYPED_TEST(CoreDifferentialTypedTest, SubtreeBalanceStatsAgree) {
   const auto root = root_octant<D>();
   for (const auto& input : battery_inputs<D>(1007)) {
     auto s = input;
-    linearize(s);
+    reference::linearize(s);
+    std::vector<Octant<D>> outputs[2];
+    int slot = 0;
     for (const auto algo : {SubtreeAlgo::kOld, SubtreeAlgo::kNew}) {
-      SubtreeBalanceStats ref_stats, key_stats;
-      std::vector<Octant<D>> ref, got;
-      {
-        ScopedCoreLayout aos(CoreLayout::kAoS);
-        ref = balance_subtree(algo, s, 1, root, &ref_stats);
-      }
-      {
-        ScopedCoreLayout soa(CoreLayout::kKeySoA);
-        got = balance_subtree(algo, s, 1, root, &key_stats);
-      }
-      EXPECT_EQ(got, ref);
-      EXPECT_TRUE(stats_equal(ref_stats, key_stats))
-          << "hash_queries " << ref_stats.hash_queries << " vs "
-          << key_stats.hash_queries << ", probes " << ref_stats.hash_probes
-          << " vs " << key_stats.hash_probes;
+      // The counters are part of the perf-guard contract: a rerun must
+      // reproduce them exactly, and output_octants must count the result.
+      SubtreeBalanceStats stats, again;
+      const auto out = balance_subtree(algo, s, 1, root, &stats);
+      EXPECT_EQ(balance_subtree(algo, s, 1, root, &again), out);
+      EXPECT_TRUE(stats_equal(stats, again))
+          << "hash_queries " << stats.hash_queries << " vs "
+          << again.hash_queries << ", probes " << stats.hash_probes << " vs "
+          << again.hash_probes;
+      EXPECT_EQ(stats.output_octants, out.size());
+      EXPECT_TRUE(is_balanced(out, 1, root));
+      outputs[slot++] = out;
     }
+    // Both subtree algorithms compute the same (unique, coarsest) balanced
+    // refinement.
+    EXPECT_EQ(outputs[0], outputs[1]);
   }
 }
 
 class CoreDifferentialThreads : public ::testing::TestWithParam<int> {};
 
+/// The balanced forest equals the serial oracle, and the run at 1, 4 or 8
+/// worker threads (the thread layouts of the rank bodies) is byte-identical
+/// to the single-threaded one, counters included.
 TEST_P(CoreDifferentialThreads, ForestPipelineByteIdenticalAcrossLayouts) {
   ThreadGuard guard;
-  par::set_num_threads(GetParam());
   const auto conn = Connectivity<3>::brick({2, 2, 1});
   const int ranks = 7;
   const auto run = [&] {
@@ -321,24 +346,27 @@ TEST_P(CoreDifferentialThreads, ForestPipelineByteIdenticalAcrossLayouts) {
     Rng rng(42);
     random_refine(f, rng, 5, 0.3);
     f.partition_uniform();
+    const auto before = f.gather();
     SimComm comm(ranks);
     BalanceOptions opt;  // new_config
     opt.k = 1;
     const BalanceReport rep = balance(f, opt, comm);
-    return std::make_pair(f.gather(), rep);
+    return std::make_tuple(before, f.gather(), rep);
   };
-  ScopedCoreLayout aos(CoreLayout::kAoS);
-  const auto ref = run();
-  set_core_layout(CoreLayout::kKeySoA);
-  const auto got = run();
-  EXPECT_EQ(got.first, ref.first);
-  EXPECT_TRUE(stats_equal(got.second.subtree, ref.second.subtree));
-  EXPECT_TRUE(stats_equal(got.second.owner_scan, ref.second.owner_scan));
-  EXPECT_EQ(got.second.comm.bytes, ref.second.comm.bytes);
-  EXPECT_EQ(got.second.comm.messages, ref.second.comm.messages);
-  EXPECT_EQ(got.second.notify_comm.bytes, ref.second.notify_comm.bytes);
-  EXPECT_EQ(got.second.queries_sent, ref.second.queries_sent);
-  EXPECT_EQ(got.second.response_items, ref.second.response_items);
+  par::set_num_threads(1);
+  const auto [input, ref, ref_rep] = run();
+  EXPECT_EQ(ref, forest_balance_serial(input, conn, 1));
+  par::set_num_threads(GetParam());
+  const auto [got_input, got, got_rep] = run();
+  EXPECT_EQ(got_input, input);
+  EXPECT_EQ(got, ref);
+  EXPECT_TRUE(stats_equal(got_rep.subtree, ref_rep.subtree));
+  EXPECT_TRUE(stats_equal(got_rep.owner_scan, ref_rep.owner_scan));
+  EXPECT_EQ(got_rep.comm.bytes, ref_rep.comm.bytes);
+  EXPECT_EQ(got_rep.comm.messages, ref_rep.comm.messages);
+  EXPECT_EQ(got_rep.notify_comm.bytes, ref_rep.notify_comm.bytes);
+  EXPECT_EQ(got_rep.queries_sent, ref_rep.queries_sent);
+  EXPECT_EQ(got_rep.response_items, ref_rep.response_items);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CoreDifferentialThreads,

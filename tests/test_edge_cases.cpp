@@ -1,9 +1,12 @@
 /// \file test_edge_cases.cpp
 /// \brief Edge cases of the distributed layer: more ranks than octants
 /// (empty ranks), coarsening across partition boundaries, minimal forests,
-/// and degenerate balance inputs.
+/// degenerate balance inputs, and the checked constructor preconditions
+/// (which throw in every build, NDEBUG included).
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "forest/balance.hpp"
 #include "forest/ghost.hpp"
@@ -101,6 +104,48 @@ TEST(Partition, RepartitionAfterBalancePreservesContent) {
   EXPECT_TRUE(f.is_valid());
   // Still balanced after moving octants between ranks.
   EXPECT_TRUE(forest_is_balanced(f.gather(), f.connectivity(), 2));
+}
+
+TEST(Preconditions, UniformForestRejectsNoRanks) {
+  EXPECT_THROW(Forest<2>(Connectivity<2>::unitcube(), 0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(Forest<3>(Connectivity<3>::unitcube(), -4, 0),
+               std::invalid_argument);
+}
+
+TEST(Preconditions, LeafForestRejectsNoRanks) {
+  std::vector<TreeOct<2>> leaves{{0, root_octant<2>()}};
+  EXPECT_THROW(Forest<2>(Connectivity<2>::unitcube(), 0, leaves),
+               std::invalid_argument);
+  EXPECT_THROW(Forest<2>(Connectivity<2>::unitcube(), -1, leaves),
+               std::invalid_argument);
+}
+
+TEST(Preconditions, UniformForestRejectsLevelOutOfRange) {
+  EXPECT_THROW(Forest<2>(Connectivity<2>::unitcube(), 1, -1),
+               std::invalid_argument);
+  EXPECT_THROW(Forest<3>(Connectivity<3>::unitcube(), 1, max_level<3> + 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Forest<1>(Connectivity<1>::unitcube(), 1, 0));
+}
+
+TEST(Preconditions, SimCommRejectsNoRanks) {
+  EXPECT_THROW(SimComm(0), std::invalid_argument);
+  EXPECT_THROW(SimComm(-3), std::invalid_argument);
+  EXPECT_NO_THROW(SimComm(1));
+}
+
+TEST(Preconditions, BrickRejectsEmptyAxis) {
+  EXPECT_THROW(Connectivity<2>::brick({2, 0}), std::invalid_argument);
+  EXPECT_THROW(Connectivity<3>::brick({-1, 1, 1}), std::invalid_argument);
+  EXPECT_EQ(Connectivity<3>::brick({2, 1, 3}).num_trees(), 6);
+}
+
+TEST(Preconditions, GeneralRejectsFaceTableSizeMismatch) {
+  std::vector<std::array<FaceGlue, 4>> faces(2);
+  EXPECT_THROW(Connectivity<2>::general(3, faces), std::invalid_argument);
+  EXPECT_THROW(Connectivity<2>::general(-2, {}), std::invalid_argument);
+  EXPECT_EQ(Connectivity<2>::general(2, faces).num_trees(), 2);
 }
 
 }  // namespace

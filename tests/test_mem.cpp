@@ -4,16 +4,15 @@
 /// live bytes on the next phase's floor, sessions stack, stale releases
 /// are dropped, unmatched releases saturate instead of underflowing, the
 /// full pipeline's memory section is byte-identical across thread counts
-/// and delivery scrambles, each CoreLayout repeats deterministically,
-/// delta_balance keeps its scratch out of the caller's phase, and the
-/// hooks cost (almost) nothing when no session is installed.
+/// and delivery scrambles, delta_balance keeps its scratch out of the
+/// caller's phase, and the hooks cost (almost) nothing when no session is
+/// installed.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 
-#include "core/key.hpp"
 #include "forest/balance.hpp"
 #include "forest/delta_balance.hpp"
 #include "forest/forest.hpp"
@@ -294,20 +293,6 @@ TEST(Mem, ScrambledDeliveryDoesNotChangeAccounting) {
   const std::string ref = accounted_run(1, false);
   EXPECT_EQ(accounted_run(1, true), ref);
   EXPECT_EQ(accounted_run(4, true), ref);
-}
-
-TEST(Mem, EachCoreLayoutRepeatsDeterministically) {
-  ThreadGuard guard;
-  // The layouts size different record types, so their peaks may (and do)
-  // differ from each other — but each layout must reproduce itself
-  // byte-for-byte at any thread count.
-  for (const CoreLayout layout : {CoreLayout::kAoS, CoreLayout::kKeySoA}) {
-    const ScopedCoreLayout scoped(layout);
-    const std::string ref = accounted_run(1, false);
-    EXPECT_FALSE(ref.empty());
-    EXPECT_EQ(accounted_run(4, false), ref)
-        << "layout=" << static_cast<int>(layout);
-  }
 }
 
 TEST(Mem, DeltaScratchStaysOutOfTheCallersPhase) {

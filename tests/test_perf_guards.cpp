@@ -140,25 +140,6 @@ TEST(PerfGuards, RadixDigitPassGoldens) {
   }
 }
 
-TEST(PerfGuards, HashGoldensAreLayoutIndependent) {
-  // The key-SoA hash set must compute the *same* hash values and probe
-  // sequences as the AoS reference — that identity is what keeps the exact
-  // goldens above meaningful under the default kKeySoA layout.  Run the
-  // same fixed workload pinned to the AoS path and require the identical
-  // counters, including zero rehashes (sizing covers the working set in
-  // both layouts).
-  ScopedCoreLayout aos(CoreLayout::kAoS);
-  Forest<3> f = fig15_step2_forest();
-  SimComm comm(16);
-  const BalanceReport rep = balance(f, BalanceOptions::new_config(), comm);
-  EXPECT_EQ(rep.subtree.hash_queries, 1229246u);
-  EXPECT_EQ(rep.subtree.hash_probes, 69136u);
-  EXPECT_EQ(rep.subtree.hash_rehash_probes, 0u);
-  EXPECT_EQ(rep.subtree.binary_searches, 35846u);
-  EXPECT_EQ(rep.subtree.sorted_octants, 49522u);
-  EXPECT_EQ(rep.octants_after, 239672u);
-}
-
 TEST(PerfGuards, OwnerResolutionStaysWindowed) {
   Forest<3> f = fig15_step2_forest();
   SimComm comm(16);
@@ -245,38 +226,20 @@ std::uint64_t tag_total(const obs::MemSnapshot& m, obs::MemTag tag) {
 
 TEST(PerfGuards, MemoryPeaksPinnedPerLayout) {
   // The memory accountant tracks logical capacity transitions, so every
-  // figure below is a pure function of the workload and the CoreLayout —
+  // figure below is a pure function of the workload and of the record
+  // types the kernels size (KeyRec sort scratch, packed-key hash slots) —
   // pinned exactly, like the traffic goldens (the same numbers live in
-  // BENCH_baseline.json's fig15 memory sections).  The layouts size
-  // different record types (KeyRec vs Octant<3> scratch, key-SoA vs AoS
-  // hash slots), so each gets its own golden rather than being expected
-  // to match.
-  const auto run = [](CoreLayout layout) {
-    const ScopedCoreLayout scoped(layout);
-    obs::MemSession mem(16);
-    Forest<3> f = fig15_step2_forest();
-    SimComm comm(16);
-    balance(f, BalanceOptions::new_config(), comm);
-    return mem.snapshot();
-  };
-  {
-    const obs::MemSnapshot m = run(CoreLayout::kKeySoA);
-    EXPECT_EQ(m.peak_bytes, 11304912u);
-    EXPECT_EQ(tag_total(m, obs::MemTag::kHashSlots), 4718592u);
-    EXPECT_EQ(tag_total(m, obs::MemTag::kForestLeaves), 4793440u);
-    EXPECT_EQ(tag_total(m, obs::MemTag::kBalanceStaging), 1496824u);
-    EXPECT_EQ(tag_total(m, obs::MemTag::kCommMailbox), 1026640u);
-  }
-  {
-    const obs::MemSnapshot m = run(CoreLayout::kAoS);
-    EXPECT_EQ(m.peak_bytes, 17737968u);
-    EXPECT_EQ(tag_total(m, obs::MemTag::kHashSlots), 10485760u);
-    // Layout changes how kernels compute, not what the forest holds or
-    // what travels: leaf bytes, staging and mailbox peaks match kKeySoA.
-    EXPECT_EQ(tag_total(m, obs::MemTag::kForestLeaves), 4793440u);
-    EXPECT_EQ(tag_total(m, obs::MemTag::kBalanceStaging), 1496824u);
-    EXPECT_EQ(tag_total(m, obs::MemTag::kCommMailbox), 1026640u);
-  }
+  // BENCH_baseline.json's fig15 memory sections).
+  obs::MemSession mem(16);
+  Forest<3> f = fig15_step2_forest();
+  SimComm comm(16);
+  balance(f, BalanceOptions::new_config(), comm);
+  const obs::MemSnapshot m = mem.snapshot();
+  EXPECT_EQ(m.peak_bytes, 11304912u);
+  EXPECT_EQ(tag_total(m, obs::MemTag::kHashSlots), 4718592u);
+  EXPECT_EQ(tag_total(m, obs::MemTag::kForestLeaves), 4793440u);
+  EXPECT_EQ(tag_total(m, obs::MemTag::kBalanceStaging), 1496824u);
+  EXPECT_EQ(tag_total(m, obs::MemTag::kCommMailbox), 1026640u);
 }
 
 }  // namespace
