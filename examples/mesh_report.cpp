@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(after.coarse_faces),
               static_cast<unsigned long long>(after.boundary_faces));
 
-  const auto ghost = build_ghost_layer(f, k, comm);
+  // opt.k = 0 means k = D for balance; the ghost layer takes the resolved k.
+  const auto ghost = build_ghost_layer(f, balance_condition<2>(opt), comm);
   std::size_t gmin = static_cast<std::size_t>(-1), gmax = 0, gtot = 0;
   for (int r = 0; r < ranks; ++r) {
     const auto n = ghost.per_rank[r].size();

@@ -34,9 +34,13 @@
 /// (gap-vector, size) admissibility cases for d = 3, e <= 6, and the
 /// greedy decision procedures below were verified equivalent to brute
 /// force over all realizable gap vectors.  size(a) is the largest
-/// admissible e: admissibility is monotone in e, so the scan is a short
-/// ascending loop (at most max_level steps, independent of the distance
-/// between o and r).
+/// admissible e.  Admissibility is monotone in e (a larger block is closer
+/// to the family on every axis and meets a longer chain), so two facts
+/// follow:
+///   - balanced_pair(o, r) is one chain_reaches call, at the block r itself
+///     (e = size_exp(r) - size_exp(o));
+///   - finest_exp_in bisects over e, at most ceil(log2(max_level + 1))
+///     calls, independent of the distance between o and r.
 ///
 /// Everything in this header is validated exhaustively against the ripple
 /// oracle in tests/test_lambda.cpp: every octant pair of a small domain,
@@ -137,88 +141,149 @@ constexpr bool chain_reaches(const std::array<std::uint64_t, D>& g, int e,
   return true;
 }
 
-/// The closest descendant position of \p r with o's size (the paper's ō):
-/// o's anchor clamped into r's anchor grid.  Requires size(r) >= size(o).
+/// The decision frame of a pair (o, r): ō — the closest descendant
+/// position of r with o's size, o's anchor clamped into r's anchor grid —
+/// and parent(o), both in units of o's side h = 2^l.  In these units the
+/// dyadic block of size 2^e containing ō is ō with its low e bits cleared,
+/// so every gap of the decision is a mask and a subtraction — no division
+/// by h.
 template <int D>
-constexpr Octant<D> closest_contained(const Octant<D>& o, const Octant<D>& r) {
-  assert(r.level <= o.level);
-  Octant<D> c;
-  c.level = o.level;
-  const coord_t span = side_len(r) - side_len(o);
-  for (int i = 0; i < D; ++i) {
-    coord_t v = o.x[i];
-    if (v < r.x[i]) v = r.x[i];
-    const coord_t hi = r.x[i] + span;
-    if (v > hi) v = hi;
-    c.x[i] = v;
+struct LambdaFrame {
+  int l = 0;                        ///< size_exp(o)
+  std::array<scoord_t, D> obar{};  ///< ō's anchor / h
+  std::array<scoord_t, D> fam{};   ///< parent(o)'s anchor / h (even)
+
+  /// Anchor of the 2^e block containing ō on axis \p i, in units of h.
+  constexpr scoord_t block_lo(int i, int e) const {
+    return obar[i] & ~((scoord_t{1} << e) - 1);
   }
-  return c;
+
+  /// Per-axis biased gaps between the 2^e block containing ō and the
+  /// family cube [fam, fam + 2): 0 when the projections overlap with
+  /// positive measure, distance + 1 when they touch or are separated (the
+  /// +1 makes corner/edge contacts count as one diagonal step).
+  constexpr std::array<std::uint64_t, D> gaps(int e) const {
+    std::array<std::uint64_t, D> g{};
+    for (int i = 0; i < D; ++i) {
+      const scoord_t blo = block_lo(i, e);
+      const scoord_t bhi = blo + (scoord_t{1} << e);
+      const scoord_t flo = fam[i], fhi = flo + 2;
+      if (blo >= fhi) {
+        g[i] = static_cast<std::uint64_t>(blo - fhi) + 1;
+      } else if (flo >= bhi) {
+        g[i] = static_cast<std::uint64_t>(flo - bhi) + 1;
+      }
+    }
+    return g;
+  }
+
+  /// Is the 2^e block containing ō forced finer by Tk(o)?  Requires e >= 1.
+  constexpr bool forced(int e, int k) const {
+    return chain_reaches<D>(gaps(e), e, k);
+  }
+
+  /// ō is a sibling of o (same family cube).
+  constexpr bool sibling() const {
+    for (int i = 0; i < D; ++i) {
+      if ((obar[i] & ~scoord_t{1}) != fam[i]) return false;
+    }
+    return true;
+  }
+
+  /// The largest e in [lo, hi) with the 2^e block admissible, given that
+  /// the 2^lo block is admissible (or lo == 0) and the 2^hi block is
+  /// forced (or hi is one past the largest exponent).  Bisection over the
+  /// monotone admissibility: forced(e) implies forced(e + 1).
+  constexpr int last_admissible(int lo, int hi, int k) const {
+    while (hi - lo > 1) {
+      const int mid = lo + (hi - lo) / 2;
+      if (forced(mid, k)) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+    return lo;
+  }
+
+  /// The 2^e block containing ō, as an octant.
+  constexpr Octant<D> block(int e) const {
+    Octant<D> a;
+    a.level = static_cast<level_t>(max_level<D> - l - e);
+    for (int i = 0; i < D; ++i) {
+      a.x[i] = static_cast<coord_t>(block_lo(i, e) * (scoord_t{1} << l));
+    }
+    return a;
+  }
+};
+
+/// Build the decision frame of (o, r).  Requires size(r) >= size(o) and
+/// o.level > 0.
+template <int D>
+constexpr LambdaFrame<D> lambda_frame(const Octant<D>& o, const Octant<D>& r) {
+  assert(r.level <= o.level && o.level > 0);
+  LambdaFrame<D> f;
+  f.l = size_exp(o);
+  const scoord_t span = (scoord_t{1} << (o.level - r.level)) - 1;
+  for (int i = 0; i < D; ++i) {
+    const scoord_t v = static_cast<scoord_t>(o.x[i]) >> f.l;
+    const scoord_t rlo = static_cast<scoord_t>(r.x[i]) >> f.l;
+    f.obar[i] = v < rlo ? rlo : (v > rlo + span ? rlo + span : v);
+    f.fam[i] = v & ~scoord_t{1};
+  }
+  return f;
 }
 
 /// Size exponent (log2 of side length) of the finest leaf of Tk(o) that
 /// overlaps octant \p r — equivalently, of the coarsest descendant of r at
 /// the position closest to o that is balanced with o (the paper's a).
 /// Requires size(r) >= size(o); if r contains o the answer is size(o).
+/// Note: the finest leaf overlapping r may be *coarser* than r itself (an
+/// ancestor of r), so the search is not capped at r's size.
 template <int D>
 constexpr int finest_exp_in(const Octant<D>& o, const Octant<D>& r, int k) {
   const int l = size_exp(o);
   if (contains(r, o)) return l;  // o itself is the finest leaf
-  assert(o.level > 0);
-  const Octant<D> obar = closest_contained(o, r);
-  const Octant<D> p = parent(o);
-  if (obar.level > 0 && parent(obar).x == p.x) return l;  // ō is a sibling
-
-  // Walk up the dyadic ancestors of ō while the distance/size relation
-  // holds; everything is measured in units of o's side length.
-  const scoord_t h = side_len(o);
-  // Note: the finest leaf overlapping r may be *coarser* than r itself (an
-  // ancestor of r); the scan is therefore not capped at r's size.
-  const int e_max = max_level<D> - l;
-  int e = 0;
-  while (e < e_max) {
-    const int cand = e + 1;
-    // The 2^cand-sized dyadic block containing ō.
-    const coord_t mask = ~((coord_t{1} << (max_level<D> - o.level + cand)) - 1);
-    std::array<std::uint64_t, D> g{};
-    for (int i = 0; i < D; ++i) {
-      const scoord_t blo = obar.x[i] & mask;
-      const scoord_t bhi = blo + (h << cand);
-      const scoord_t flo = p.x[i], fhi = flo + 2 * h;
-      // Per-axis separation in units of h: 0 when the projections overlap
-      // with positive measure, gap+1 when they touch or are separated (the
-      // +1 makes corner/edge contacts count as one diagonal step).
-      if (blo >= fhi) {
-        g[i] = static_cast<std::uint64_t>((blo - fhi) / h) + 1;
-      } else if (flo >= bhi) {
-        g[i] = static_cast<std::uint64_t>((flo - bhi) / h) + 1;
-      } else {
-        g[i] = 0;
-      }
-    }
-    if (chain_reaches<D>(g, cand, k)) break;
-    e = cand;
-  }
-  return l + e;
+  const LambdaFrame<D> f = lambda_frame(o, r);
+  if (f.sibling()) return l;  // ō is a sibling of o
+  // The 2^0 block is ō itself, a leaf candidate; the largest block is the
+  // root-sized one at e = max_level - l.
+  return l + f.last_admissible(0, max_level<D> - l + 1, k);
 }
 
 /// O(1) predicate: are octants o and r balanced, i.e. can both be leaves of
 /// one k-balanced octree?  (The paper's key decision procedure.)  Requires
 /// disjoint octants with size(r) >= size(o).
+///
+/// One chain_reaches call: the 2^Δ block containing ō, Δ = size_exp(r) -
+/// size_exp(o), is r itself, and by monotonicity the finest leaf of Tk(o)
+/// in r is at least as coarse as r iff that block is admissible.  For a
+/// disjoint pair with Δ >= 1, ō is never a sibling of o (r would contain
+/// parent(o) and hence o).
 template <int D>
 constexpr bool balanced_pair(const Octant<D>& o, const Octant<D>& r, int k) {
   assert(!overlaps(o, r));
-  return finest_exp_in(o, r, k) >= size_exp(r);
+  const int dl = o.level - r.level;
+  if (dl == 0) return true;
+  return !lambda_frame(o, r).forced(dl, k);
 }
 
 /// The octant a itself: the coarsest descendant of \p r at the closest
-/// position to \p o that is balanced with \p o.
+/// position to \p o that is balanced with \p o — the 2^e block containing
+/// ō for e = min(finest_exp_in(o, r, k), size_exp(r)).  One chain_reaches
+/// call at r's own size decides whether the cap binds (then a == r, which
+/// happens iff the pair is balanced); only an unbalanced pair bisects
+/// below it.  Requires size(r) >= size(o).
 template <int D>
 constexpr Octant<D> closest_balanced(const Octant<D>& o, const Octant<D>& r,
                                      int k) {
-  const int e = finest_exp_in(o, r, k);
-  const int er = size_exp(r);
-  const Octant<D> obar = closest_contained(o, r);
-  return ancestor(obar, max_level<D> - (e < er ? e : er));
+  if (contains(r, o)) return o;  // o itself is the finest leaf
+  const int dl = o.level - r.level;
+  if (dl == 0) return r;
+  const LambdaFrame<D> f = lambda_frame(o, r);
+  if (f.sibling()) return f.block(0);
+  if (!f.forced(dl, k)) return r;
+  return f.block(f.last_admissible(0, dl, k));
 }
 
 }  // namespace octbal

@@ -137,21 +137,6 @@ bool is_complete(const std::vector<Octant<D>>& a, const Octant<D>& root) {
 }
 
 template <int D>
-bool is_complete_keys(KeySpan a, okey_t root) {
-  if (a.empty()) return false;
-  if (key_interval_begin<D>(a[0]) != key_interval_begin<D>(root)) return false;
-  if (key_interval_end<D>(a[a.size() - 1]) != key_interval_end<D>(root)) {
-    return false;
-  }
-  for (std::size_t i = 0; i + 1 < a.size(); ++i) {
-    if (key_interval_end<D>(a[i]) != key_interval_begin<D>(a[i + 1])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-template <int D>
 void fill_gap(const Octant<D>& root, std::optional<Octant<D>> after,
               std::optional<Octant<D>> before, std::vector<Octant<D>>& out) {
   std::vector<okey_t> tiles;
@@ -207,19 +192,11 @@ std::size_t binary_find(const std::vector<Octant<D>>& a, const Octant<D>& q) {
   return npos;
 }
 
-std::size_t binary_find_keys(KeySpan a, okey_t q) {
-  const auto it = std::lower_bound(
-      a.begin(), a.end(), q, [](okey_t x, okey_t y) { return key_less(x, y); });
-  if (it != a.end() && *it == q) return static_cast<std::size_t>(it - a.begin());
-  return npos;
-}
-
 #define OCTBAL_INSTANTIATE(D)                                                  \
   template void linearize<D>(std::vector<Octant<D>>&);                         \
   template bool is_linear<D>(const std::vector<Octant<D>>&);                   \
   template bool is_complete<D>(const std::vector<Octant<D>>&,                  \
                                const Octant<D>&);                              \
-  template bool is_complete_keys<D>(KeySpan, okey_t);                          \
   template void fill_gap<D>(const Octant<D>&, std::optional<Octant<D>>,        \
                             std::optional<Octant<D>>,                          \
                             std::vector<Octant<D>>&);                          \

@@ -39,9 +39,6 @@ bool is_linear_keys(KeySpan a);
 template <int D>
 bool is_complete(const std::vector<Octant<D>>& a, const Octant<D>& root);
 
-template <int D>
-bool is_complete_keys(KeySpan a, okey_t root);
-
 /// Append to \p out the coarsest octants that tile the space inside \p root
 /// strictly between \p after and \p before (in Morton order).  Either bound
 /// may be std::nullopt, meaning the gap extends to the respective end of
@@ -74,9 +71,6 @@ std::pair<std::size_t, std::size_t> overlapping_range(
 /// Binary search for an exact element.  Returns its index or npos.
 template <int D>
 std::size_t binary_find(const std::vector<Octant<D>>& a, const Octant<D>& q);
-
-/// Key-native exact binary search over a sorted key array.
-std::size_t binary_find_keys(KeySpan a, okey_t q);
 
 inline constexpr std::size_t npos = static_cast<std::size_t>(-1);
 

@@ -54,23 +54,11 @@ std::size_t find_precluding_le(const std::vector<Octant<D>>& r,
   return npos;
 }
 
-template <int D>
-std::size_t find_precluding_le_keys(KeySpan r, okey_t q) {
-  const okey_t s = key_zero_sibling<D>(q);
-  auto it = std::upper_bound(r.begin(), r.end(), s,
-                             [](okey_t x, okey_t y) { return key_less(x, y); });
-  if (it == r.begin()) return npos;
-  --it;
-  if (key_precludes_le<D>(*it, q)) return static_cast<std::size_t>(it - r.begin());
-  return npos;
-}
-
 #define OCTBAL_INSTANTIATE(D)                                               \
   template std::vector<Octant<D>> reduce<D>(const std::vector<Octant<D>>&); \
   template std::vector<okey_t> reduce_keys<D>(KeySpan);                     \
   template std::size_t find_precluding_le<D>(const std::vector<Octant<D>>&, \
-                                             const Octant<D>&);             \
-  template std::size_t find_precluding_le_keys<D>(KeySpan, okey_t);
+                                             const Octant<D>&);
 OCTBAL_INSTANTIATE(1)
 OCTBAL_INSTANTIATE(2)
 OCTBAL_INSTANTIATE(3)

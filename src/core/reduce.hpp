@@ -12,8 +12,7 @@
 /// The single-pass loop runs over packed keys with preclusion as
 /// shift-prefix tests; reduce() packs, reduces and unpacks.  The per-query
 /// find_precluding_le keeps its Octant<D> binary search (converting
-/// the array per query would defeat it); find_precluding_le_keys is the
-/// key-native entry for key-resident callers.
+/// the array per query would defeat it).
 
 #include <vector>
 
@@ -40,9 +39,5 @@ std::vector<okey_t> reduce_keys(KeySpan s);
 template <int D>
 std::size_t find_precluding_le(const std::vector<Octant<D>>& r,
                                const Octant<D>& q);
-
-/// Key-native single equivalent binary search over a reduced key array.
-template <int D>
-std::size_t find_precluding_le_keys(KeySpan r, okey_t q);
 
 }  // namespace octbal

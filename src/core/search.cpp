@@ -83,18 +83,6 @@ std::size_t find_containing_leaf(const std::vector<Octant<D>>& leaves,
 }
 
 template <int D>
-std::size_t find_containing_leaf_keys(KeySpan leaves,
-                                      const std::array<coord_t, D>& point) {
-  const okey_t cell = point_cell_key<D>(point);
-  const auto it =
-      std::upper_bound(leaves.begin(), leaves.end(), cell,
-                       [](okey_t x, okey_t y) { return key_less(x, y); });
-  if (it == leaves.begin()) return npos;
-  const std::size_t idx = static_cast<std::size_t>(it - leaves.begin()) - 1;
-  return key_contains(leaves[idx], cell) ? idx : npos;
-}
-
-template <int D>
 std::vector<std::size_t> locate_points(
     const std::vector<Octant<D>>& leaves, const Octant<D>& root,
     const std::vector<std::array<coord_t, D>>& points) {
@@ -157,8 +145,6 @@ std::vector<std::size_t> locate_points_keys(
       const std::function<void(okey_t, std::size_t)>&);                     \
   template std::size_t find_containing_leaf<D>(                             \
       const std::vector<Octant<D>>&, const std::array<coord_t, D>&);        \
-  template std::size_t find_containing_leaf_keys<D>(                        \
-      KeySpan, const std::array<coord_t, D>&);                              \
   template std::vector<std::size_t> locate_points<D>(                       \
       const std::vector<Octant<D>>&, const Octant<D>&,                      \
       const std::vector<std::array<coord_t, D>>&);                          \

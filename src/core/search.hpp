@@ -15,7 +15,7 @@
 /// containment is a prefix test on the precomputed finest-cell key.
 /// search_tree and locate_points pack the leaf array once and call the key
 /// kernels; the per-query find_containing_leaf keeps its Octant<D> binary
-/// search, with find_containing_leaf_keys as the key-resident entry.
+/// search.
 
 #include <functional>
 #include <vector>
@@ -50,11 +50,6 @@ void search_tree_keys(
 template <int D>
 std::size_t find_containing_leaf(const std::vector<Octant<D>>& leaves,
                                  const std::array<coord_t, D>& point);
-
-/// Key-native point lookup over a sorted key array.
-template <int D>
-std::size_t find_containing_leaf_keys(KeySpan leaves,
-                                      const std::array<coord_t, D>& point);
 
 /// Batch point location via one shared top-down pass: for each query point
 /// the index of its containing leaf (or npos).  Faster than repeated

@@ -15,11 +15,10 @@ std::vector<Octant<D>> balance_seeds(const Octant<D>& o, const Octant<D>& r,
   assert(!overlaps(o, r));
   std::vector<Octant<D>> out;
   if (r.level > o.level) return out;  // r is finer than o: o cannot split it
-  const int er = size_exp(r);
-  if (finest_exp_in(o, r, k) >= er) return out;  // already balanced
-
-  // a: the finest leaf of Tk(o) inside r, at the closest position to o.
+  // a: the finest leaf of Tk(o) inside r, at the closest position to o;
+  // a == r exactly when r is already balanced with o.
   const Octant<D> a = closest_balanced(o, r, k);
+  if (a.level == r.level) return out;
   out.push_back(a);
   std::vector<Octant<D>> nbhd;
 
@@ -34,8 +33,8 @@ std::vector<Octant<D>> balance_seeds(const Octant<D>& o, const Octant<D>& r,
     nbhd.clear();
     coarse_neighborhood(s, k, r, nbhd);
     for (const Octant<D>& n : nbhd) {
-      if (finest_exp_in(o, n, k) >= size_exp(n)) continue;  // n can be a leaf
       const Octant<D> t = closest_balanced(o, n, k);
+      if (t.level == n.level) continue;  // n can be a leaf
       if (std::find(out.begin(), out.end(), t) != out.end()) continue;
       out.push_back(t);
     }

@@ -9,6 +9,7 @@
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
 #include "core/seeds.hpp"
+#include "forest/halo.hpp"
 #include "forest/span.hpp"
 #include "obs/mem.hpp"
 #include "obs/trace.hpp"
@@ -42,11 +43,11 @@ struct ResponseWork {
   std::uint64_t seed_calls = 0;  ///< balance_seeds calls
 };
 
-/// Answer one insulation piece \p nb of the query \p w (octant \p q): scan
-/// the leaves of \p run (one tree's sorted keys) inside the piece and
-/// append the response items to \p out — the raw octants finer than q, or,
-/// with \p seeds, the seeds of every leaf at least two levels finer than q
-/// that q is not balanced with.
+/// Answer one insulation piece \p nb of the query \p w (octant \p q) from
+/// \p leaves, the rank's leaves meeting the piece (RankKeys::overlapping),
+/// and append the response items to \p out — the raw octants finer than q,
+/// or, with \p seeds, the seeds of every leaf at least two levels finer
+/// than q that q is not balanced with.
 ///
 /// Seeds are decided once per sibling family (DESIGN.md §2.18): for a
 /// disjoint pair with size(o) <= size(q)/4, balanced_pair(o, q) and
@@ -55,41 +56,29 @@ struct ResponseWork {
 /// the families already handled along the current path form a stack, so
 /// each family is decided exactly once per piece.
 template <int D>
-void respond_piece(KeySpan run, const TreeNeighbor<D>& nb,
+void respond_piece(KeySpan leaves, const TreeNeighbor<D>& nb,
                    const WireOct<D>& w, const Octant<D>& q, int k, bool seeds,
                    std::vector<WirePair<D>>& out, ResponseWork& work) {
-  const okey_t pk = key_of(nb.oct);
-  const morton_t pb = key_interval_begin<D>(pk);
-  const morton_t pe = key_interval_end<D>(pk);
-  if (run.empty() || key_interval_begin<D>(run[0]) >= pe ||
-      key_interval_end<D>(run[run.size() - 1]) <= pb) {
-    return;  // the piece misses this rank's part of the tree
-  }
-  const okey_t* lo = std::partition_point(
-      run.begin(), run.end(),
-      [&](okey_t x) { return key_interval_end<D>(x) <= pb; });
-  const okey_t* hi = std::partition_point(
-      lo, run.end(), [&](okey_t x) { return key_interval_begin<D>(x) < pe; });
   std::array<okey_t, max_level<D> + 1> families;
   int depth = 0;
-  for (; lo != hi; ++lo) {
+  for (const okey_t leaf : leaves) {
     ++work.visited;
-    const int level = key_level<D>(*lo);
+    const int level = key_level<D>(leaf);
     if (!seeds) {
       if (level <= q.level) continue;  // too coarse to split q
-      const Octant<D> o = nb.xform.apply(key_oct<D>(*lo));
+      const Octant<D> o = nb.xform.apply(key_oct<D>(leaf));
       out.push_back(WirePair<D>{w, o.level, o.x});
       continue;
     }
     if (level <= q.level + 1) continue;  // 2:1 already
-    const okey_t fam = key_parent<D>(*lo);
+    const okey_t fam = key_parent<D>(leaf);
     while (depth > 0 && !key_contains(families[depth - 1], fam)) --depth;
     if (depth > 0 && families[depth - 1] == fam) continue;  // decided
     families[depth++] = fam;
     // Map from the piece's own tree frame into q's frame (a pure
     // translation for brick connectivities, a signed permutation plus
     // translation for general 2D gluings); it maps families to families.
-    const Octant<D> o = nb.xform.apply(key_oct<D>(*lo));
+    const Octant<D> o = nb.xform.apply(key_oct<D>(leaf));
     ++work.decisions;
     if (balanced_pair(o, q, k)) continue;  // O(1) decision
     ++work.seed_calls;
@@ -193,9 +182,10 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
     // Fault injection (audit self-tests): drop the last insulation-layer
     // offset from the query walk, silently losing one neighbor direction.
     const auto& all_offs = full_offsets<D>();
-    const std::size_t n_offs =
+    const std::span<const std::array<int, D>> offs(
+        all_offs.data(),
         all_offs.size() -
-        (opt.inject == FaultInjection::kSkipInsulationNeighbor ? 1 : 0);
+            (opt.inject == FaultInjection::kSkipInsulationNeighbor ? 1 : 0));
     par::parallel_for_ranks(P, [&](int r) {
       OBS_SPAN_RANK("build_queries", r);
       Timer t;
@@ -204,100 +194,32 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       const auto& mine = f.local(r);
       // Owner resolution for this rank's stream of insulation pieces:
       // per-octant envelope windows + a one-entry last-hit cache replace
-      // the per-offset O(log P) binary searches (DESIGN.md §2.10).
-      OwnerWindow<D> owners(f, &rank_owner[r]);
-      // The rank's own curve span: insulation pieces that stay inside the
-      // tree and inside this span need no owner search and no query at all
-      // (the bulk of the octants on a large partition — p4est likewise
-      // touches only near-boundary octants in this phase).
-      const GlobalPos own_lo = f.marker(r);
-      const GlobalPos own_hi = f.marker(r + 1);
+      // the per-offset O(log P) binary searches (DESIGN.md §2.10).  Pieces
+      // inside the tree and inside this rank's curve span need no owner
+      // search and no query at all (the bulk of the octants on a large
+      // partition — p4est likewise touches only near-boundary octants in
+      // this phase).
+      HaloOwnerWalk<D> walk(f, r);
+      std::uint64_t queued = 0;
       for (std::size_t i = 0; i < mine.size(); ++i) {
-        const auto& to = mine[i];
-        // Whole-envelope early-out: if the full insulation layer I(o) lies
-        // inside the tree and inside this rank's curve span, no offset can
-        // produce a query.  Morton keys are monotone in componentwise
-        // coordinate order, so the (-1..-1) and (+1..+1) corner pieces
-        // bound every piece's key interval.
-        const coord_t hh = side_len(to.oct);
-        bool interior = true;
-        for (int dd = 0; dd < D && interior; ++dd) {
-          interior =
-              to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
-        }
-        if (interior) {
-          Octant<D> lo_p = to.oct, hi_p = to.oct;
-          for (int dd = 0; dd < D; ++dd) {
-            lo_p.x[dd] -= hh;
-            hi_p.x[dd] += hh;
-          }
-          const GlobalPos env_lo{to.tree, morton_key(lo_p)};
-          const GlobalPos env_hi{
-              to.tree,
-              morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
-          if (own_lo <= env_lo && env_hi < own_hi) continue;
-          // The envelope straddles a partition boundary: resolve its owner
-          // window once; every piece below resolves inside it.
-          owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
-          // Interior octant: every insulation piece exists, stays in this
-          // tree and keeps the identity frame, so the pieces are plain
-          // coordinate offsets — no connectivity lookups needed.
-          const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
-          for (std::size_t oi = 0; oi < n_offs; ++oi) {
-            const auto& off = all_offs[oi];
-            Octant<D> piece = to.oct;
-            for (int dd = 0; dd < D; ++dd) {
-              piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
-            }
-            const GlobalPos lo{to.tree, morton_key(piece)};
-            const GlobalPos hi{to.tree, lo.key + sz};
-            if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
-              continue;  // fully interior to this rank's subtree
-            }
-            const auto [r0, r1] = owners.owners_of(lo, hi);
-            for (int dest = r0; dest <= r1; ++dest) {
-              if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
-              if (dest == r) continue;  // covered by local subtree balance
-              if (last_mark[dest] == i) continue;          // already queued
-              last_mark[dest] = i;
-              qsend[r][dest].push_back(to_wire(to));
-              ++rank_count[r];
-            }
-          }
-          continue;
-        }
-        // Boundary octant: pieces may cross into other trees and frames;
-        // resolve through the connectivity, with only the last-hit cache.
-        owners.clear_window();
-        for (std::size_t oi = 0; oi < n_offs; ++oi) {
-          const auto& off = all_offs[oi];
-          const auto nb = conn.neighbor(to.tree, to.oct, off);
-          if (!nb) continue;
-          const GlobalPos lo{nb->tree, morton_key(nb->oct)};
-          const GlobalPos hi{
-              nb->tree,
-              morton_key(nb->oct) + (morton_t{1} << (D * size_exp(nb->oct)))};
-          const bool same_frame =
-              nb->xform == FrameTransform<D>::identity();
-          if (nb->tree == to.tree && same_frame && own_lo <= lo &&
-              GlobalPos{nb->tree, hi.key - 1} < own_hi) {
-            continue;  // fully interior to this rank's subtree
-          }
-          const auto [r0, r1] = owners.owners_of(lo, hi);
+        walk.visit(mine[i], offs, [&](const TreeNeighbor<D>&,
+                                      bool same_frame, int r0, int r1) {
           for (int dest = r0; dest <= r1; ++dest) {
             if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty rank
-            // Same rank, same tree, and no boundary crossing: covered by
-            // the local subtree balance.  A piece that *wrapped* around a
-            // periodic boundary back into the same tree is a different
-            // coordinate frame and still needs the query/response path.
-            if (dest == r && nb->tree == to.tree && same_frame) continue;
-            if (last_mark[dest] == i) continue;              // already queued
+            // Same rank in the identity frame: covered by the local
+            // subtree balance.  A piece that *wrapped* around a periodic
+            // boundary back into the same tree is a different coordinate
+            // frame and still needs the query/response path.
+            if (dest == r && same_frame) continue;
+            if (last_mark[dest] == i) continue;  // already queued
             last_mark[dest] = i;
-            qsend[r][dest].push_back(to_wire(to));
-            ++rank_count[r];
+            qsend[r][dest].push_back(to_wire(mine[i]));
+            ++queued;
           }
-        }
+        });
       }
+      rank_count[r] = queued;
+      rank_owner[r] = walk.stats();
       for (int dest = 0; dest < P; ++dest) {
         if (!qsend[r][dest].empty()) {
           receivers[r].push_back(dest);
@@ -443,39 +365,36 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       OBS_SPAN_RANK("response", r);
       const obs::MemRank mem_rank(r);
       Timer t;
-      const auto& mine = f.local(r);
-      // The rank's leaves as packed keys; a tree's leaves are one
-      // contiguous run of the sorted array.
-      std::vector<okey_t> keys(mine.size());
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        keys[i] = key_of(mine[i].oct);
-      }
-      const auto runs = tree_runs(mine);
-      const auto run_of = [&](int tree) {
-        const auto it = std::partition_point(
-            runs.begin(), runs.end(),
-            [&](const auto& ij) { return mine[ij.first].tree < tree; });
-        if (it == runs.end() || mine[it->first].tree != tree) return KeySpan();
-        return KeySpan(keys.data() + it->first, it->second - it->first);
-      };
+      // The rank's leaves as packed keys, one run per tree: a piece that
+      // misses the run is dropped by two comparisons, and only a piece that
+      // leaves the query's tree goes through the connectivity.
+      const RankKeys<D> keys(f.local(r));
+      // Counted locally and stored once: rank bodies run concurrently, and
+      // per-leaf writes into rank_work[r] would share cache lines between
+      // the threads running neighboring ranks.
+      ResponseWork work;
       std::map<int, std::vector<WirePair<D>>> reply;
       const auto& offs = full_offsets<D>();
       for (const auto& [from, queries] : qrecv[r]) {
         auto& out = reply[from];
         for (const auto& w : queries) {
           const TreeOct<D> q = from_wire(w);
-          for (const auto& off : offs) {
-            const auto nb = conn.neighbor(q.tree, q.oct, off);
-            if (!nb) continue;
-            respond_piece(run_of(nb->tree), *nb, w, q.oct, k,
-                          opt.seed_response, out, rank_work[r]);
-          }
+          for_each_halo_piece<D>(
+              conn, q, offs, [&](const TreeNeighbor<D>& nb, bool) {
+                const KeySpan leaves = keys.overlapping(nb.tree, nb.oct);
+                if (!leaves.empty()) {
+                  respond_piece(leaves, nb, w, q.oct, k, opt.seed_response,
+                                out, work);
+                }
+                return false;
+              });
         }
         // Seeds from different response octants overlap; deduplicate.
         std::sort(out.begin(), out.end());
         out.erase(std::unique(out.begin(), out.end()), out.end());
         rank_count[r] += out.size();
       }
+      rank_work[r] = work;
       for (auto& [dest, items] : reply) {
         if (items.empty()) continue;
         if (dest == r) {

@@ -11,6 +11,7 @@
 #include "core/neighborhood.hpp"
 #include "core/region.hpp"
 #include "core/seeds.hpp"
+#include "forest/halo.hpp"
 #include "forest/span.hpp"
 #include "obs/mem.hpp"
 #include "obs/trace.hpp"
@@ -203,7 +204,6 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   OBS_SPAN("delta_balance");
   const int P = f.num_ranks();
   const int k = balance_condition<D>(opt);
-  const auto& conn = f.connectivity();
   DeltaBalanceReport rep;
   rep.octants_before = f.global_num_octants();
   rep.dirty_logged = f.dirty().size();
@@ -362,86 +362,32 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
         OBS_SPAN_RANK("delta_push", r);
         qsend[r].assign(P, {});
         aux[r].clear();
-        OwnerWindow<D> owners(f);
-        const GlobalPos own_lo = f.marker(r);
-        const GlobalPos own_hi = f.marker(r + 1);
+        HaloOwnerWalk<D> walk(f, r);
         for (const auto& to : frontier[r]) {
           // Round 0's frontier was re-balanced whole-run by the pre-pass.
           // Later frontiers come from grouped applies and can ripple inside
           // their own run, so they also constrain it as self-directed aux.
           if (round > 0) aux[r][to.tree].push_back(to.oct);
-          const coord_t hh = side_len(to.oct);
-          bool interior = true;
-          for (int dd = 0; dd < D && interior; ++dd) {
-            interior =
-                to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
-          }
-          if (interior) {
-            // Whole-envelope early-out and per-piece owner windows, exactly
-            // as in the full pipeline's query walk (balance.cpp phase 2a).
-            Octant<D> lo_p = to.oct, hi_p = to.oct;
-            for (int dd = 0; dd < D; ++dd) {
-              lo_p.x[dd] -= hh;
-              hi_p.x[dd] += hh;
-            }
-            const GlobalPos env_lo{to.tree, morton_key(lo_p)};
-            const GlobalPos env_hi{
-                to.tree,
-                morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
-            if (own_lo <= env_lo && env_hi < own_hi) continue;
-            owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
-            const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
-            for (const auto& off : offs) {
-              Octant<D> piece = to.oct;
-              for (int dd = 0; dd < D; ++dd) {
-                piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
-              }
-              const GlobalPos lo{to.tree, morton_key(piece)};
-              const GlobalPos hi{to.tree, lo.key + sz};
-              if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
-                continue;  // own run: pre-pass or self constraint above
-              }
-              const auto [r0, r1] = owners.owners_of(lo, hi);
-              for (int dest = r0; dest <= r1; ++dest) {
-                if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
-                if (dest == r) continue;
-                qsend[r][dest].push_back(to_wire(to));
-              }
-            }
-            continue;
-          }
-          owners.clear_window();
-          for (const auto& off : offs) {
-            const auto nb = conn.neighbor(to.tree, to.oct, off);
-            if (!nb) continue;
-            const GlobalPos lo{nb->tree, morton_key(nb->oct)};
-            const GlobalPos hi{
-                nb->tree,
-                morton_key(nb->oct) + (morton_t{1} << (D * size_exp(nb->oct)))};
-            const bool same_frame =
-                nb->xform == FrameTransform<D>::identity();
-            if (nb->tree == to.tree && same_frame && own_lo <= lo &&
-                GlobalPos{nb->tree, hi.key - 1} < own_hi) {
-              continue;  // own run: pre-pass or self constraint above
-            }
+          // Pieces inside the own span are the pre-pass's or the self
+          // constraint's business; the walk visits only the others.
+          walk.visit(to, offs, [&](const TreeNeighbor<D>& nb, bool same_frame,
+                                   int r0, int r1) {
             // The receiver holds its leaves in the neighbor tree's frame, so
             // the announcement ships the frontier octant mapped *into* that
-            // frame (nb->xform maps neighbor -> source; its inverse maps the
+            // frame (nb.xform maps neighbor -> source; its inverse maps the
             // source octant to its — possibly exterior — image there).
             const Octant<D> img =
-                same_frame ? to.oct : nb->xform.inverse().apply(to.oct);
-            const auto [r0, r1] = owners.owners_of(lo, hi);
+                same_frame ? to.oct : nb.xform.inverse().apply(to.oct);
             for (int dest = r0; dest <= r1; ++dest) {
               if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
-              if (dest == r && nb->tree == to.tree && same_frame) continue;
+              if (dest == r && same_frame) continue;
               if (dest == r) {
-                aux[r][nb->tree].push_back(img);
+                aux[r][nb.tree].push_back(img);
               } else {
-                qsend[r][dest].push_back(
-                    WireOct<D>{nb->tree, img.level, img.x});
+                qsend[r][dest].push_back(WireOct<D>{nb.tree, img.level, img.x});
               }
             }
-          }
+          });
         }
         for (int dest = 0; dest < P; ++dest) {
           auto& q = qsend[r][dest];

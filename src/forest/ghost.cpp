@@ -1,11 +1,12 @@
 #include "forest/ghost.hpp"
 
 #include <algorithm>
-#include <map>
+#include <stdexcept>
+#include <string>
 
 #include "core/balance_check.hpp"
-#include "core/linear.hpp"
 #include "core/neighborhood.hpp"
+#include "forest/halo.hpp"
 #include "obs/mem.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
@@ -21,24 +22,25 @@ struct WireGhost {
   std::array<coord_t, D> x;
 };
 
-/// Exact adjacency test of a candidate ghost \p g against any leaf of
-/// \p mine (per-tree views), across tree boundaries.
+/// Exact adjacency test of a candidate ghost \p g against the rank's leaves
+/// \p mine, across tree boundaries: for each balance-offset piece of g, the
+/// leaves meeting the piece are one key range of the piece tree's run, and
+/// the first one sharing a boundary object of codimension in [1, k] with g
+/// decides.
 template <int D>
-bool adjacent_to_any(const Connectivity<D>& conn, const TreeOct<D>& g, int k,
-                     const std::map<int, std::vector<Octant<D>>>& mine) {
-  for (const auto& off : balance_offsets<D>(k)) {
-    const auto nb = conn.neighbor(g.tree, g.oct, off);
-    if (!nb) continue;
-    const auto it = mine.find(nb->tree);
-    if (it == mine.end()) continue;
-    const auto [lo, hi] = overlapping_range(it->second, nb->oct);
-    for (std::size_t j = lo; j < hi; ++j) {
-      const Octant<D> m = nb->xform.apply(it->second[j]);
-      const int c = adjacency_codim(g.oct, m);
-      if (c >= 1 && c <= k) return true;
-    }
-  }
-  return false;
+bool adjacent_to_rank(const Connectivity<D>& conn, const TreeOct<D>& g, int k,
+                      const RankKeys<D>& mine) {
+  return for_each_halo_piece<D>(
+      conn, g, balance_offsets<D>(k),
+      [&](const TreeNeighbor<D>& nb, bool same_frame) {
+        for (const okey_t leaf : mine.overlapping(nb.tree, nb.oct)) {
+          Octant<D> m = key_oct<D>(leaf);
+          if (!same_frame) m = nb.xform.apply(m);
+          const int c = adjacency_codim(g.oct, m);
+          if (c >= 1 && c <= k) return true;
+        }
+        return false;
+      });
 }
 
 }  // namespace
@@ -47,6 +49,10 @@ template <int D>
 GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
                                 NotifyAlgo notify_algo) {
   OBS_SPAN("ghost");
+  if (k < 1 || k > D) {
+    throw std::invalid_argument("build_ghost_layer: k = " + std::to_string(k) +
+                                " is outside [1, " + std::to_string(D) + "]");
+  }
   const int P = f.num_ranks();
   const auto& conn = f.connectivity();
   GhostLayer<D> ghost;
@@ -64,11 +70,8 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
 
   // Sender side: my leaf o is a (conservative) ghost candidate for every
   // rank owning part of a same-size neighbor piece of o.  Owner resolution
-  // uses the same per-octant envelope window + last-hit cache as the
-  // balance Query phase (DESIGN.md §2.10); candidates landing on the rank
-  // itself are discarded below, so octants whose whole neighborhood
-  // envelope sits inside the rank's own curve span produce nothing and can
-  // skip the offset loop entirely.
+  // is the balance Query phase's halo owner walk (DESIGN.md §2.10): pieces
+  // inside the rank's own span are self-candidates and visit nothing.
   std::vector<std::vector<std::vector<WireGhost<D>>>> send(P);
   std::vector<std::vector<int>> receivers(P);
   std::vector<OwnerScanStats> rank_owner(P);
@@ -81,74 +84,20 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
     send[r].assign(P, {});
     std::vector<std::size_t> last(P, static_cast<std::size_t>(-1));
     const auto& mine = f.local(r);
-    OwnerWindow<D> owners(f, &rank_owner[r]);
-    const GlobalPos own_lo = f.marker(r);
-    const GlobalPos own_hi = f.marker(r + 1);
+    HaloOwnerWalk<D> walk(f, r);
     for (std::size_t i = 0; i < mine.size(); ++i) {
-      const auto& to = mine[i];
-      const coord_t hh = side_len(to.oct);
-      bool interior = true;
-      for (int dd = 0; dd < D && interior; ++dd) {
-        interior =
-            to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
-      }
-      if (interior) {
-        // Interior octant: every same-size neighbor piece exists, stays in
-        // this tree and keeps the identity frame.  The (-1..-1)/(+1..+1)
-        // corner pieces bound every piece's key interval, so if the whole
-        // envelope is inside this rank's span every candidate would be a
-        // self-candidate (q == r) and is dropped anyway.
-        Octant<D> lo_p = to.oct, hi_p = to.oct;
-        for (int dd = 0; dd < D; ++dd) {
-          lo_p.x[dd] -= hh;
-          hi_p.x[dd] += hh;
-        }
-        const GlobalPos env_lo{to.tree, morton_key(lo_p)};
-        const GlobalPos env_hi{
-            to.tree,
-            morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
-        if (own_lo <= env_lo && env_hi < own_hi) continue;
-        owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
-        const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
-        for (const auto& off : offs) {
-          Octant<D> piece = to.oct;
-          for (int dd = 0; dd < D; ++dd) {
-            piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
-          }
-          const GlobalPos lo{to.tree, morton_key(piece)};
-          const GlobalPos hi{to.tree, lo.key + sz};
-          if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
-            continue;  // all owners == r: self-candidates only
-          }
-          const auto [a, b] = owners.owners_of(lo, hi);
-          for (int q = a; q <= b; ++q) {
-            if (q == r || f.marker(q) == f.marker(q + 1)) continue;
-            if (last[q] == i) continue;
-            last[q] = i;
-            send[r][q].push_back(
-                WireGhost<D>{to.tree, to.oct.level, to.oct.x});
-          }
-        }
-        continue;
-      }
-      // Boundary octant: pieces may cross trees and frames; resolve via
-      // the connectivity, with only the last-hit cache.
-      owners.clear_window();
-      for (const auto& off : offs) {
-        const auto nb = conn.neighbor(to.tree, to.oct, off);
-        if (!nb) continue;
-        const GlobalPos lo{nb->tree, morton_key(nb->oct)};
-        const GlobalPos hi{nb->tree, morton_key(nb->oct) +
-                                         (morton_t{1} << (D * size_exp(nb->oct)))};
-        const auto [a, b] = owners.owners_of(lo, hi);
-        for (int q = a; q <= b; ++q) {
-          if (q == r || f.marker(q) == f.marker(q + 1)) continue;
-          if (last[q] == i) continue;
-          last[q] = i;
-          send[r][q].push_back(WireGhost<D>{to.tree, to.oct.level, to.oct.x});
-        }
-      }
+      walk.visit(mine[i], offs,
+                 [&](const TreeNeighbor<D>&, bool, int a, int b) {
+                   for (int q = a; q <= b; ++q) {
+                     if (q == r || f.marker(q) == f.marker(q + 1)) continue;
+                     if (last[q] == i) continue;
+                     last[q] = i;
+                     send[r][q].push_back(WireGhost<D>{
+                         mine[i].tree, mine[i].oct.level, mine[i].oct.x});
+                   }
+                 });
     }
+    rank_owner[r] = walk.stats();
     for (int q = 0; q < P; ++q) {
       if (!send[r][q].empty()) {
         receivers[r].push_back(q);
@@ -189,19 +138,20 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
   });
   comm.deliver();
 
-  // Receiver side: exact filter against the rank's own leaves.
+  // Receiver side: exact check against the rank's own leaves, by key range.
   par::parallel_for_ranks(P, [&](int r) {
     OBS_SPAN_RANK("ghost_filter", r);
-    std::map<int, std::vector<Octant<D>>> mine;
-    for (const auto& to : f.local(r)) mine[to.tree].push_back(to.oct);
-    auto& out = ghost.per_rank[r];
+    const RankKeys<D> mine(f.local(r));
+    // Filled locally and moved in once: push_back writes the vector's
+    // header, and the headers of neighboring ranks share cache lines.
+    std::vector<typename GhostLayer<D>::Entry> out;
     for (const auto& m : comm.recv_all(r)) {
       for (const auto& w : SimComm::decode_items<WireGhost<D>>(m)) {
         TreeOct<D> g;
         g.tree = w.tree;
         g.oct.level = static_cast<level_t>(w.level);
         g.oct.x = w.x;
-        if (!adjacent_to_any(conn, g, k, mine)) continue;
+        if (!adjacent_to_rank(conn, g, k, mine)) continue;
         out.push_back(typename GhostLayer<D>::Entry{g, m.from});
       }
     }
@@ -212,6 +162,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
     std::size_t staged = out.size() * sizeof(typename GhostLayer<D>::Entry);
     for (const auto& v : send[r]) staged += v.size() * sizeof(WireGhost<D>);
     stage_mem[r].set_slot(r, obs::MemTag::kGhost, staged);
+    ghost.per_rank[r] = std::move(out);
   });
   ghost.traffic.messages = comm.stats().messages - pre.messages;
   ghost.traffic.bytes = comm.stats().bytes - pre.bytes;

@@ -7,9 +7,9 @@
 /// Numerical codes built on 2:1-balanced forests need the neighboring
 /// remote elements to assemble operators near partition boundaries (the
 /// paper's motivation for balance in the first place).  Ghost exchange
-/// reuses the same machinery as the balance Query phase: same-size
-/// neighborhoods, cross-tree transforms and owner lookups, followed by a
-/// Notify-reversed exchange.
+/// reuses the same machinery as the balance Query phase: the halo-piece
+/// kernel and owner walk of forest/halo.hpp, followed by a Notify-reversed
+/// exchange and an exact receiver check by key range (DESIGN.md §2.20).
 
 #include "comm/notify.hpp"
 #include "forest/forest.hpp"
@@ -40,6 +40,8 @@ struct GhostLayer {
   }
 };
 
+/// Build the k-ghost layer of \p f.  Throws std::invalid_argument when
+/// \p k lies outside [1, D].
 template <int D>
 GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
                                 NotifyAlgo notify_algo = NotifyAlgo::kNotify);

@@ -180,7 +180,6 @@ TYPED_TEST(CoreDifferentialTypedTest, LinearizeCompleteReduceAgree) {
     // tile's parent must reach an input leaf, or the parent would tile.
     const auto comp = complete(lin, root);
     ASSERT_TRUE(is_complete(comp, root));
-    EXPECT_TRUE(is_complete_keys<D>(octants_to_keys(comp), key_of(root)));
     for (const auto& o : lin) EXPECT_NE(binary_find(comp, o), npos);
     for (const auto& c : comp) {
       if (c.level == 0 || binary_find(lin, c) != npos) continue;
@@ -192,19 +191,6 @@ TYPED_TEST(CoreDifferentialTypedTest, LinearizeCompleteReduceAgree) {
     const auto red = reduce(comp);
     EXPECT_LE(red.size(), comp.size() / num_children<D> + 1);
     EXPECT_EQ(complete(red, root), comp);
-    // Key-native queries against the reduced array match the Octant<D>
-    // binary search for both members and misses.
-    const auto red_keys = octants_to_keys(red);
-    Rng rng(1003);
-    for (int q = 0; q < 200 && !comp.empty(); ++q) {
-      const auto probe = rng.chance(0.5)
-                             ? comp[rng.below(comp.size())]
-                             : random_octant(rng, root, max_level<D>);
-      EXPECT_EQ(find_precluding_le_keys<D>(red_keys, key_of(probe)),
-                find_precluding_le(red, probe));
-      EXPECT_EQ(binary_find_keys(red_keys, key_of(probe)),
-                binary_find(red, probe));
-    }
   }
 }
 
@@ -248,11 +234,6 @@ TYPED_TEST(CoreDifferentialTypedTest, SearchAgrees) {
     }
     EXPECT_EQ(locate_points<D>(leaves, root, points),
               reference::locate_points<D>(leaves, points));
-    const auto leaf_keys = octants_to_keys(leaves);
-    for (const auto& p : points) {
-      EXPECT_EQ(find_containing_leaf_keys<D>(leaf_keys, p),
-                find_containing_leaf<D>(leaves, p));
-    }
   }
 }
 

@@ -142,5 +142,15 @@ TEST(Ghost, TrafficIsCounted) {
   EXPECT_GT(g.traffic.messages, 0u);
 }
 
+TEST(Ghost, ConditionOutsideRangeThrows) {
+  // k selects the balance-offset table, which has entries for 1..D only.
+  Forest<2> f(Connectivity<2>::brick({2, 1}), 2, 2);
+  SimComm comm(2);
+  EXPECT_THROW(build_ghost_layer(f, 0, comm), std::invalid_argument);
+  EXPECT_THROW(build_ghost_layer(f, 3, comm), std::invalid_argument);
+  EXPECT_THROW(build_ghost_layer(f, -1, comm), std::invalid_argument);
+  EXPECT_NO_THROW(build_ghost_layer(f, 2, comm));
+}
+
 }  // namespace
 }  // namespace octbal
