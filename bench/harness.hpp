@@ -11,9 +11,10 @@
 ///                      per-rank stats, message histograms, α–β model)
 ///   --trace out.json   record a Chrome trace_event file of the run
 ///                      (load in https://ui.perfetto.dev)
-///   --flight out.json  record the communication flight log (schema
+///   --flight out.json  add payload digests to the recorded comm rounds
+///                      and write them as a flight log (schema
 ///                      octbal-flight-v1: per-round, per-edge counts and
-///                      payload digests; bisect two with octbal_inspect)
+///                      digests; bisect two with octbal_inspect)
 ///   --threads N        thread-pool override (wall-clock only; counters
 ///                      are identical for every thread count)
 
@@ -75,13 +76,12 @@ struct RunResult {
   std::string error;          ///< failure description when !ok
   double modeled_time = 0;    ///< α–β time of the whole run
   obs::Snapshot metrics;      ///< the run's full metrics registry
-  std::vector<SimComm::Round> rounds;  ///< per-round send/recv matrices
+  std::vector<SimComm::Round> rounds;  ///< recorded comm rounds
   std::uint64_t rounds_truncated = 0;  ///< rounds dropped by the record cap
+  /// The rounds carry flight digests (SimComm::flight_default() was on,
+  /// i.e. the bench ran with --flight): the run also has a flight log.
+  bool flight = false;
   std::vector<SimComm::PhaseCost> critical_path;  ///< per-phase attribution
-  /// Flight log (empty unless SimComm::flight_default() was on, i.e. the
-  /// bench ran with --flight).
-  std::vector<SimComm::FlightRound> flight;
-  std::uint64_t flight_truncated = 0;
   /// Deterministic memory accounting: per-tag / per-phase peak bytes from
   /// the run's MemSession (empty when OCTBAL_OBS_DISABLE compiled the
   /// hooks out).  Byte-identical across thread counts and scrambles, so
@@ -129,9 +129,8 @@ RunResult run_balance(Builder&& build, int ranks, const BalanceOptions& opt) {
   r.metrics = comm.metrics().snapshot();
   r.rounds = comm.rounds();
   r.rounds_truncated = comm.rounds_truncated();
+  r.flight = comm.flight_recording();
   r.critical_path = comm.critical_path();
-  r.flight = comm.flight();
-  r.flight_truncated = comm.flight_truncated();
   r.memory = mem.snapshot();
   r.max_rss_kb = current_max_rss_kb();
   const int k = opt.k == 0 ? D : opt.k;
@@ -307,7 +306,7 @@ class BenchReport {
       w.kv("rounds_truncated", row.result.rounds_truncated);
       w.key("critical_path");
       obs::critical_path_json(w, row.result.critical_path);
-      if (!row.result.flight.empty()) {
+      if (row.result.flight) {
         w.key("flight");
         obs::flight_log_json(w, row_flight_log(row));
       }
@@ -334,13 +333,13 @@ class BenchReport {
   static obs::FlightLog row_flight_log(const Row& row) {
     return obs::FlightLog{
         row.algo + "/p" + std::to_string(row.result.ranks),
-        row.result.ranks, row.result.flight_truncated, row.result.flight};
+        row.result.ranks, row.result.rounds_truncated, row.result.rounds};
   }
 
   std::vector<obs::FlightLog> flight_logs() const {
     std::vector<obs::FlightLog> logs;
     for (const Row& row : rows_) {
-      if (!row.result.flight.empty()) logs.push_back(row_flight_log(row));
+      if (row.result.flight) logs.push_back(row_flight_log(row));
     }
     return logs;
   }

@@ -23,8 +23,8 @@ struct PipelineRun {
   std::string metrics;
   std::string mem;  ///< serialized memory section (flags.account_mem only)
   bool valid = false;
-  std::vector<SimComm::FlightRound> flight;  ///< empty unless flags.flight
-  std::uint64_t flight_truncated = 0;
+  std::vector<SimComm::Round> rounds;  ///< empty unless flags.flight
+  std::uint64_t rounds_truncated = 0;
 };
 
 /// Per-run switches for divergence attribution: record the flight log,
@@ -87,8 +87,10 @@ PipelineRun<D> run_pipeline(const CaseConfig& cfg, const CaseData<D>& data,
   run.valid = f.is_valid();
   run.got = f.gather();
   run.metrics = comm.metrics().snapshot().serialize();
-  run.flight = comm.flight();
-  run.flight_truncated = comm.flight_truncated();
+  if (flags.flight) {
+    run.rounds = comm.rounds();
+    run.rounds_truncated = comm.rounds_truncated();
+  }
   if (mem) run.mem = mem->snapshot().serialize();
   return run;
 }
@@ -99,8 +101,8 @@ enum class DivergencePair { kInject, kScramble, kThreads };
 
 template <int D>
 obs::FlightLog flight_of(std::string label, int ranks, PipelineRun<D>&& run) {
-  return obs::FlightLog{std::move(label), ranks, run.flight_truncated,
-                        std::move(run.flight)};
+  return obs::FlightLog{std::move(label), ranks, run.rounds_truncated,
+                        std::move(run.rounds)};
 }
 
 /// Re-run the failing invariant's natural A/B pair with flight recording,

@@ -4,17 +4,32 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
 namespace octbal {
+namespace {
+
+/// Reject a per-rank array that does not have one entry per rank of
+/// \p comm: the algorithms index it by rank.
+void check_per_rank(const char* what, std::size_t n, const SimComm& comm) {
+  if (n != static_cast<std::size_t>(comm.size())) {
+    throw std::invalid_argument(std::string(what) + ": " + std::to_string(n) +
+                                " per-rank lists for " +
+                                std::to_string(comm.size()) + " ranks");
+  }
+}
+
+}  // namespace
 
 std::vector<std::vector<int>> notify_naive(
     SimComm& comm, const std::vector<std::vector<int>>& receivers) {
   OBS_SPAN("notify_naive");
+  check_per_rank("notify_naive", receivers.size(), comm);
   const int p = comm.size();
-  assert(static_cast<int>(receivers.size()) == p);
   // N <- Allgather(|R|); R <- Allgatherv(R, N, O); scan (Figure 12).
   std::vector<std::int32_t> counts(p);
   for (int q = 0; q < p; ++q)
@@ -38,8 +53,13 @@ std::vector<std::vector<int>> notify_ranges(
     SimComm& comm, const std::vector<std::vector<int>>& receivers,
     int max_ranges) {
   OBS_SPAN("notify_ranges");
+  check_per_rank("notify_ranges", receivers.size(), comm);
+  if (max_ranges < 1) {
+    throw std::invalid_argument("notify_ranges: max_ranges = " +
+                                std::to_string(max_ranges) +
+                                " must be >= 1");
+  }
   const int p = comm.size();
-  assert(max_ranges >= 1);
   // Encode each sorted receiver list as <= max_ranges intervals by keeping
   // the largest gaps as separators; the closure over-covers, so the sender
   // lists are supersets (zero-length messages downstream).
@@ -88,6 +108,7 @@ std::vector<std::vector<int>> notify_ranges(
 std::vector<std::vector<int>> notify_dc(
     SimComm& comm, const std::vector<std::vector<int>>& receivers) {
   OBS_SPAN("notify_dc");
+  check_per_rank("notify_dc", receivers.size(), comm);
   const int p = comm.size();
   // Knowledge at rank q: pairs (receiver, original sender).  The invariant
   // (Eq. 2): after round l, rank q holds exactly the pairs whose receiver
@@ -164,8 +185,8 @@ std::vector<std::vector<NotifyPayload>> notify_dc_payload(
     const std::vector<std::vector<std::pair<int, std::vector<std::uint8_t>>>>&
         outgoing) {
   OBS_SPAN("notify_dc_payload");
+  check_per_rank("notify_dc_payload", outgoing.size(), comm);
   const int p = comm.size();
-  assert(static_cast<int>(outgoing.size()) == p);
   struct Item {
     std::int32_t receiver;
     std::int32_t sender;

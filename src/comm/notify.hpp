@@ -25,6 +25,9 @@
 
 namespace octbal {
 
+/// Every entry point takes one per-rank list per rank of \p comm and throws
+/// std::invalid_argument when the count differs from comm.size().
+
 /// Selects the pattern-reversal algorithm used by the balance pipeline.
 enum class NotifyAlgo { kNaive, kRanges, kNotify };
 
@@ -36,7 +39,8 @@ std::vector<std::vector<int>> notify_naive(
 
 /// Range-encoded reversal with at most \p max_ranges intervals per rank.
 /// The result is a superset of the true sender lists (exact when every
-/// receiver list fits in max_ranges intervals).
+/// receiver list fits in max_ranges intervals).  Throws
+/// std::invalid_argument when \p max_ranges < 1.
 std::vector<std::vector<int>> notify_ranges(
     SimComm& comm, const std::vector<std::vector<int>>& receivers,
     int max_ranges);

@@ -1,7 +1,6 @@
 #include "comm/simcomm.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -22,6 +21,15 @@ int checked_ranks(int nranks) {
                                 std::to_string(nranks) + " must be >= 1");
   }
   return nranks;
+}
+
+/// Reject a rank outside [0, size): it would index past the mailboxes.
+void check_rank(const char* what, int rank, int size) {
+  if (rank < 0 || rank >= size) {
+    throw std::invalid_argument(std::string("SimComm::") + what + ": rank " +
+                                std::to_string(rank) + " outside [0, " +
+                                std::to_string(size) + ")");
+  }
 }
 
 /// Chain \p n bytes into an FNV-1a 64-bit digest.
@@ -78,8 +86,8 @@ SimComm::PhaseCost& SimComm::phase_cost() {
 }
 
 void SimComm::send(int from, int to, std::vector<std::uint8_t> data) {
-  assert(0 <= from && from < size());
-  assert(0 <= to && to < size());
+  check_rank("send", from, size());
+  check_rank("send", to, size());
   // In-flight payload, attributed to the sender until deliver() hands it
   // to the receiver.  Charged against the sender's own slot, which is the
   // calling thread's rank in the BSP engine.
@@ -97,16 +105,13 @@ void SimComm::deliver() {
   OBS_SPAN("deliver");
   Timer barrier_timer;
   Round round;
-  FlightRound fround;
   // Per-rank α–β cost of this round: the critical path is the maximum over
   // ranks of (bytes sent + received, messages sent + received).
   std::vector<CommStats> per_rank(outbox_.size());
   for (auto& src : outbox_) {
-    // Aggregate this source's traffic per destination for the round
-    // matrix (sources are visited in rank order, so entries come out
-    // sorted by (from, to)).
-    std::map<int, RoundEntry> by_dest;
-    std::map<int, FlightEdge> by_dest_flight;
+    // Aggregate this source's traffic per destination (sources are
+    // visited in rank order, so edges come out sorted by (from, to)).
+    std::map<int, std::pair<Edge, std::uint64_t>> by_dest;
     for (auto& p : src) {
       // Hand the payload's attribution from sender to receiver.  The
       // barrier is serial, so this canonical outbox walk makes mailbox
@@ -125,49 +130,36 @@ void SimComm::deliver() {
       c_bytes_recv_->add(p.to, p.data.size());
       h_msg_bytes_->record(p.from, p.data.size());
       if (record_rounds_) {
-        RoundEntry& e = by_dest[p.to];
-        e.from = p.from;
-        e.to = p.to;
+        auto& [e, digest] =
+            by_dest.try_emplace(p.to, Edge{p.from, p.to}, kFlightDigestSeed)
+                .first->second;
         e.messages += 1;
         e.bytes += p.data.size();
-      }
-      if (flight_record_) {
-        // Digest the canonical outbox walk, before the payload moves into
-        // the inbox (and before any scramble): the chain depends only on
-        // what was sent, per edge, in post order.
-        FlightEdge& e = by_dest_flight[p.to];
-        e.from = p.from;
-        e.to = p.to;
-        e.messages += 1;
-        e.bytes += p.data.size();
-        e.digest = fnv1a_u64(e.digest, p.data.size());
-        e.digest = fnv1a(e.digest, p.data.data(), p.data.size());
-        if (flight_payload_used_ < flight_payload_limit_) {
-          const std::size_t take = std::min(
-              p.data.size(), flight_payload_limit_ - flight_payload_used_);
-          e.payload.insert(e.payload.end(), p.data.begin(),
-                           p.data.begin() + static_cast<std::ptrdiff_t>(take));
-          flight_payload_used_ += take;
+        if (flight_record_) {
+          // Digest the canonical outbox walk, before the payload moves
+          // into the inbox (and before any scramble): the chain depends
+          // only on what was sent, per edge, in post order.
+          digest = fnv1a_u64(digest, p.data.size());
+          digest = fnv1a(digest, p.data.data(), p.data.size());
         }
       }
       inbox_[p.to].push_back(SimMessage{p.from, std::move(p.data)});
     }
     src.clear();
-    for (auto& [to, e] : by_dest) {
+    for (const auto& [to, ed] : by_dest) {
+      const auto& [e, digest] = ed;
       round.total.messages += e.messages;
       round.total.bytes += e.bytes;
-      round.entries.push_back(e);
-    }
-    for (auto& [to, e] : by_dest_flight) {
-      fround.messages += e.messages;
-      fround.bytes += e.bytes;
-      fround.digest = fnv1a_u64(
-          fround.digest, (static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(e.from))
-                          << 32) |
-                             static_cast<std::uint32_t>(e.to));
-      fround.digest = fnv1a_u64(fround.digest, e.digest);
-      fround.edges.push_back(std::move(e));
+      round.edges.push_back(e);
+      if (flight_record_) {
+        round.digest = fnv1a_u64(
+            round.digest,
+            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.from))
+             << 32) |
+                static_cast<std::uint32_t>(e.to));
+        round.digest = fnv1a_u64(round.digest, digest);
+        round.digests.push_back(digest);
+      }
     }
   }
   // Critical-path attribution: the round's modeled time is the maximum
@@ -185,50 +177,36 @@ void SimComm::deliver() {
       critical = static_cast<int>(r);
     }
   }
-  const double mean = sum / static_cast<double>(per_rank.size());
   modeled_time_ += worst;
   PhaseCost& pc = phase_cost();
   pc.rounds += 1;
   pc.time += worst;
-  pc.mean_time += mean;
+  pc.mean_time += sum / static_cast<double>(per_rank.size());
   pc.slack += worst * static_cast<double>(per_rank.size()) - sum;
   if (critical >= 0) {
     pc.critical_by_rank[static_cast<std::size_t>(critical)] += 1;
     c_critical_rounds_->add(critical);
   }
   c_rounds_->add(0);
-  round.critical_rank = critical;
-  round.critical_time = worst;
-  round.mean_time = mean;
-  round.slack = worst * static_cast<double>(per_rank.size()) - sum;
-  round.phase = phase_;
-  // Both recorders keep a *contiguous prefix* of the round sequence: once
-  // a round exceeds the budget, recording stops for good.  Admitting a
+  // 24 B per recorded edge is what the flight_recorder memory goldens pin.
+  static_assert(sizeof(Edge) == 24);
+  // The record keeps a *contiguous prefix* of the round sequence: once a
+  // round exceeds the budget, recording stops for good.  Admitting a
   // smaller later round after a drop would leave interior gaps, and a
   // gapped log bisects to a bogus first divergence (the comparison would
   // pair round i of one log with round j!=i of the other).
   if (record_rounds_) {
     if (rounds_truncated_ == 0 &&
-        recorded_entries_ + round.entries.size() <= round_record_limit_) {
-      recorded_entries_ += round.entries.size();
+        recorded_edges_ + round.edges.size() <= round_record_limit_) {
+      recorded_edges_ += round.edges.size();
+      recorded_digests_ += round.digests.size();
+      round.phase = phase_;
       rounds_.push_back(std::move(round));
       rounds_mem_.set(obs::MemTag::kFlightRecorder,
-                      recorded_entries_ * sizeof(RoundEntry));
+                      recorded_edges_ * sizeof(Edge) +
+                          recorded_digests_ * sizeof(std::uint64_t));
     } else {
       rounds_truncated_ += 1;
-    }
-  }
-  if (flight_record_) {
-    fround.phase = phase_;
-    if (flight_truncated_ == 0 &&
-        flight_recorded_edges_ + fround.edges.size() <= flight_record_limit_) {
-      flight_recorded_edges_ += fround.edges.size();
-      flight_.push_back(std::move(fround));
-      flight_mem_.set(obs::MemTag::kFlightRecorder,
-                      flight_recorded_edges_ * sizeof(FlightEdge) +
-                          flight_payload_used_);
-    } else {
-      flight_truncated_ += 1;
     }
   }
   // Keep inboxes deterministic: order by sender, stable in post order —
@@ -255,7 +233,7 @@ void SimComm::deliver() {
 }
 
 std::vector<SimMessage> SimComm::recv_all(int rank) {
-  assert(0 <= rank && rank < size());
+  check_rank("recv_all", rank, size());
   std::vector<SimMessage> out;
   out.swap(inbox_[rank]);
   // Drained payloads leave the mailbox: the caller owns them now (and
@@ -301,14 +279,10 @@ void SimComm::reset_stats() {
   stats_ = CommStats{};
   modeled_time_ = 0.0;
   rounds_.clear();
-  recorded_entries_ = 0;
+  recorded_edges_ = 0;
+  recorded_digests_ = 0;
   rounds_truncated_ = 0;
-  flight_.clear();
-  flight_recorded_edges_ = 0;
-  flight_truncated_ = 0;
-  flight_payload_used_ = 0;
   rounds_mem_.set(obs::MemTag::kFlightRecorder, 0);
-  flight_mem_.set(obs::MemTag::kFlightRecorder, 0);
   phases_.clear();
   barrier_seconds_ = 0.0;
   // The metrics registry intentionally keeps accumulating: snapshots are

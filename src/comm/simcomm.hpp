@@ -13,6 +13,12 @@
 /// work, message counts, and communication volumes — the quantities the
 /// paper's claims are about — are measured exactly; modeled time comes from
 /// comm/stats.hpp.
+///
+/// One recorder keeps the per-round evidence: each deliver() appends a
+/// Round (phase, totals, and the (from, to, messages, bytes) edges), under
+/// one cumulative edge budget.  Flight recording (`--flight` on the
+/// benches) adds per-edge and per-round payload digests to the same
+/// records, so two runs can be bisected to their first differing round.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,6 +49,7 @@ class SimComm {
 
   /// Post a message from rank \p from to rank \p to; visible at \p to after
   /// the next deliver().  Zero-length messages are legal and are counted.
+  /// Throws std::invalid_argument when either rank is outside [0, size()).
   ///
   /// Thread-safety: send() may be called concurrently for *different*
   /// senders with no synchronization cost beyond an uncontended per-sender
@@ -70,7 +77,8 @@ class SimComm {
   void deliver();
 
   /// Drain the inbox of \p rank (messages are returned in deterministic
-  /// (sender, post order) order).
+  /// (sender, post order) order).  Throws std::invalid_argument when
+  /// \p rank is outside [0, size()).
   std::vector<SimMessage> recv_all(int rank);
 
   template <typename T>
@@ -129,53 +137,83 @@ class SimComm {
   obs::Metrics& metrics() { return *metrics_; }
   const obs::Metrics& metrics() const { return *metrics_; }
 
-  /// One deliver() round's sparse send/recv matrix: who sent how much to
-  /// whom, aggregated per (from, to) edge and sorted by it.
-  struct RoundEntry {
+  /// FNV-1a 64-bit offset basis: the seed of every flight digest chain.
+  static constexpr std::uint64_t kFlightDigestSeed = 0xcbf29ce484222325ull;
+
+  /// One (from, to) edge of a recorded round: the messages and bytes the
+  /// round moved from rank `from` to rank `to`.
+  struct Edge {
     std::int32_t from = 0;
     std::int32_t to = 0;
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;
   };
+
+  /// One deliver() round: who sent how much to whom, aggregated per
+  /// (from, to) edge and sorted by it.  While flight recording is on
+  /// (set_flight_recording()) the round also carries digests: edge i's
+  /// order-sensitive FNV-1a chain over its payloads in post order (each
+  /// message's length, then its bytes) in digests[i], and a round digest
+  /// that folds every edge's identity and digest, so two rounds are
+  /// content-identical iff their digests match (modulo 64-bit
+  /// collisions).  The chains run over the canonical outbox walk, before
+  /// any inbox scramble, so they are byte-identical for any thread count
+  /// and any delivery-order injection.  With flight recording off,
+  /// digests stays empty and digest stays kFlightDigestSeed.
   struct Round {
-    std::vector<RoundEntry> entries;
-    CommStats total;  ///< sums over the entries
-    /// Critical-path attribution of this round (see critical_path()): the
-    /// rank whose α–β cost bounds the round (-1 when nothing moved; lowest
-    /// rank on ties), its modeled time, the mean over all ranks, and the
-    /// total slack Σ_r (critical_time - time_r).
-    std::int32_t critical_rank = -1;
-    double critical_time = 0;
-    double mean_time = 0;
-    double slack = 0;
     std::string phase;  ///< phase label active when the round delivered
+    CommStats total;    ///< sums over the edges
+    std::vector<Edge> edges;
+    std::uint64_t digest = kFlightDigestSeed;
+    std::vector<std::uint64_t> digests;  ///< per edge; flight only
+
+    /// Edge \p i's digest (kFlightDigestSeed when the round has none).
+    std::uint64_t edge_digest(std::size_t i) const {
+      return i < digests.size() ? digests[i] : kFlightDigestSeed;
+    }
   };
 
-  /// Per-round matrices since construction (or the last reset_stats()),
-  /// one entry per deliver() call — empty rounds included, so indices
-  /// align with the pipeline's barrier structure.  Recording stops (and
+  /// Recorded rounds since construction (or the last reset_stats()), one
+  /// per deliver() call — empty rounds included, so indices align with
+  /// the pipeline's barrier structure.  Recording stops (and
   /// rounds_truncated() starts counting) once the cumulative edge budget
   /// set by set_round_record_limit() is exhausted.
   const std::vector<Round>& rounds() const { return rounds_; }
 
-  /// Matrices are recorded by default (they are small: one aggregated
-  /// edge per communicating pair per round); disable for huge runs.
+  /// Rounds are recorded by default (they are small: one aggregated edge
+  /// per communicating pair per round).  Off, deliver() does no recorder
+  /// work at all, flight digests included.
   void set_record_rounds(bool on) { record_rounds_ = on; }
 
-  /// Cap the cumulative number of recorded (from, to) edges across all
-  /// rounds (default 1M ≈ 24 MB worst case).  Recording stops permanently
-  /// at the first round that exceeds the budget — rounds() is always a
-  /// contiguous prefix of the round sequence (no interior gaps), and every
-  /// dropped round from then on is counted by rounds_truncated(), so
-  /// reports can say "N rounds not recorded" instead of lying by omission.
-  /// Critical-path aggregation (critical_path()) is unaffected by the cap.
-  void set_round_record_limit(std::size_t max_entries) {
-    round_record_limit_ = max_entries;
+  /// Cap the cumulative number of recorded edges across all rounds
+  /// (default 1M ≈ 24 MB worst case, 32 MB with flight digests).
+  /// Recording stops permanently at the first round that exceeds the
+  /// budget — rounds() is always a contiguous prefix of the round
+  /// sequence (no interior gaps), and every dropped round from then on is
+  /// counted by rounds_truncated(), so reports can say "N rounds not
+  /// recorded" instead of lying by omission.  Critical-path aggregation
+  /// (critical_path()) is unaffected by the cap.
+  void set_round_record_limit(std::size_t max_edges) {
+    round_record_limit_ = max_edges;
   }
 
-  /// Number of deliver() rounds whose matrix was dropped by the record
-  /// limit (0 unless a long run exhausted the edge budget).
+  /// Number of deliver() rounds dropped by the edge budget (0 unless a
+  /// long run exhausted it).
   std::uint64_t rounds_truncated() const { return rounds_truncated_; }
+
+  /// Flight recording: every recorded round also carries its digests
+  /// (see Round).  Off by default; when off the per-message cost is one
+  /// predictable branch (same discipline as the disabled-span guard in
+  /// obs/trace.hpp).
+  void set_flight_recording(bool on) { flight_record_ = on; }
+  bool flight_recording() const { return flight_record_; }
+
+  /// Process-wide default for flight recording, read once per SimComm
+  /// constructor.  Lets `--flight` on a bench reach the communicators that
+  /// run_balance() constructs internally.  Engine-level: set from the
+  /// orchestrating thread before the runs start.
+  static void set_flight_default(bool on);
+  static bool flight_default();
 
   /// Phase label attributed to subsequent deliver() rounds and collectives
   /// in the critical-path accounting.  Engine-level: call from the
@@ -249,77 +287,6 @@ class SimComm {
   /// The seed passed to set_scramble() (meaningful only when scrambled()).
   std::uint64_t scramble_seed() const { return scramble_seed_; }
 
-  /// FNV-1a 64-bit offset basis: the seed of every flight digest chain.
-  static constexpr std::uint64_t kFlightDigestSeed = 0xcbf29ce484222325ull;
-
-  /// One (from, to) edge of a flight-recorded round: aggregate counts plus
-  /// an order-sensitive 64-bit digest chained over the edge's payloads in
-  /// delivery order (FNV-1a over each message's length then bytes).  The
-  /// chain runs over the *canonical* outbox walk, before any inbox
-  /// scramble, so digests are byte-identical for any thread count and any
-  /// delivery-order injection — two runs' flights differ only where the
-  /// traffic itself differs.
-  struct FlightEdge {
-    std::int32_t from = 0;
-    std::int32_t to = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t digest = kFlightDigestSeed;
-    /// Captured payload prefix (concatenated message bytes, in delivery
-    /// order) — empty unless a payload budget was set; shorter than
-    /// bytes when the budget ran out mid-edge.
-    std::vector<std::uint8_t> payload;
-  };
-
-  /// One deliver() round of the flight log.  Edges are sorted by
-  /// (from, to); the round digest folds every edge's identity and digest,
-  /// so two rounds are content-identical iff their digests match (modulo
-  /// 64-bit collisions).
-  struct FlightRound {
-    std::string phase;  ///< phase label active when the round delivered
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t digest = kFlightDigestSeed;
-    std::vector<FlightEdge> edges;
-  };
-
-  /// Enable the flight recorder: every subsequent deliver() appends a
-  /// FlightRound (empty rounds included, so indices align with rounds()
-  /// and the pipeline's barrier structure).  Off by default; when off the
-  /// per-message cost is one predictable branch (same discipline as the
-  /// disabled-span guard in obs/trace.hpp).
-  void set_flight_recording(bool on) { flight_record_ = on; }
-  bool flight_recording() const { return flight_record_; }
-
-  /// Cap the cumulative number of recorded flight edges across all rounds
-  /// (default 1M, mirroring set_round_record_limit()).  Recording stops
-  /// permanently at the first round that exceeds the budget, so flight()
-  /// is always a contiguous prefix; every round dropped from then on is
-  /// counted by flight_truncated().
-  void set_flight_record_limit(std::size_t max_edges) {
-    flight_record_limit_ = max_edges;
-  }
-
-  /// Cap the cumulative payload bytes captured into FlightEdge::payload
-  /// (default 0: digests only).  Capture stops mid-message when the
-  /// budget runs out; counts and digests are never affected.
-  void set_flight_payload_limit(std::size_t max_bytes) {
-    flight_payload_limit_ = max_bytes;
-  }
-
-  /// The flight log since construction (or the last reset_stats()).
-  const std::vector<FlightRound>& flight() const { return flight_; }
-
-  /// Number of deliver() rounds dropped by the flight edge budget.
-  std::uint64_t flight_truncated() const { return flight_truncated_; }
-
-  /// Process-wide default for flight recording, read once per SimComm
-  /// constructor.  Lets `--flight` on a bench reach the communicators that
-  /// run_balance() constructs internally.  Engine-level: set from the
-  /// orchestrating thread before the runs start.
-  static void set_flight_default(bool on);
-  static bool flight_default();
-
  private:
   void charge_collective(std::size_t total_bytes);
 
@@ -344,25 +311,19 @@ class SimComm {
   std::unique_ptr<obs::Metrics> metrics_;
   std::vector<Round> rounds_;
   bool record_rounds_ = true;
-  std::size_t round_record_limit_ = 1u << 20;  ///< cumulative edge budget
-  std::size_t recorded_entries_ = 0;
-  std::uint64_t rounds_truncated_ = 0;
-  std::vector<FlightRound> flight_;
   bool flight_record_ = false;
-  std::size_t flight_record_limit_ = 1u << 20;  ///< cumulative edge budget
-  std::size_t flight_recorded_edges_ = 0;
-  std::uint64_t flight_truncated_ = 0;
-  std::size_t flight_payload_limit_ = 0;  ///< cumulative captured bytes
-  std::size_t flight_payload_used_ = 0;
+  std::size_t round_record_limit_ = 1u << 20;  ///< cumulative edge budget
+  std::size_t recorded_edges_ = 0;
+  std::size_t recorded_digests_ = 0;
+  std::uint64_t rounds_truncated_ = 0;
   std::string phase_ = "run";
   std::vector<PhaseCost> phases_;  ///< first-charge order
   double barrier_seconds_ = 0.0;
   // Memory accounting (obs/mem.hpp).  Mailbox bytes are charged per rank
   // slot by send/deliver/recv_all (free-function charges: in-flight
   // payloads, attributed to the sender until delivery and the receiver
-  // after).  The two recorder stores are engine-level capacities.
-  obs::MemScope rounds_mem_;  ///< round matrices (kFlightRecorder)
-  obs::MemScope flight_mem_;  ///< flight log + payloads (kFlightRecorder)
+  // after).  The round record is an engine-level capacity.
+  obs::MemScope rounds_mem_;  ///< recorded rounds (kFlightRecorder)
   // Cached registry entries for the delivery loop (lookup is mutexed).
   obs::Counter* c_msgs_sent_ = nullptr;
   obs::Counter* c_bytes_sent_ = nullptr;

@@ -1,6 +1,7 @@
 #include "obs/analysis.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -749,80 +750,108 @@ std::string hex64(std::uint64_t v) {
   return fmt("%016llx", static_cast<unsigned long long>(v));
 }
 
-/// Parse a 16-digit hex digest back to its uint64 (0 on malformed input —
-/// the digests we emit are never the empty string).
-std::uint64_t parse_hex64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
+/// \p v as an integer in [0, limit) (a counter when \p limit is left out).
+bool parse_uint(const JsonValue* v, std::uint64_t* out,
+                double limit = HUGE_VAL) {
+  if (!v || !v->is_integer() || v->num < 0 || v->num >= limit) return false;
+  *out = v->as_uint();
+  return true;
 }
 
-bool parse_flight_run(const JsonValue& v, FlightLog* log, std::string* err) {
-  if (!v.is_object()) {
-    if (err) *err = "flight log entry is not an object";
+/// \p v as a 64-bit digest: a string of exactly 16 hex digits.
+bool parse_hex64(const JsonValue* v, std::uint64_t* out) {
+  if (!v || !v->is_string() || v->str.size() != 16 ||
+      !std::all_of(v->str.begin(), v->str.end(),
+                   [](unsigned char c) { return std::isxdigit(c) != 0; })) {
     return false;
   }
+  *out = std::strtoull(v->str.c_str(), nullptr, 16);
+  return true;
+}
+
+/// Read one flight log, rejecting anything a recorder could not have
+/// written: a corrupt digest or count must not bisect as a real one.
+bool parse_flight_run(const JsonValue& v, FlightLog* log, std::string* err) {
+  const auto fail = [&](const std::string& what) {
+    if (err) *err = what;
+    return false;
+  };
+  if (!v.is_object()) return fail("flight log entry is not an object");
   log->label = v.string_or("label", "");
-  log->ranks = static_cast<int>(v.uint_or("ranks", 0));
-  log->rounds_truncated = v.uint_or("rounds_truncated", 0);
+  std::uint64_t ranks = 0;
+  if (!parse_uint(v.find("ranks"), &ranks, 1u << 31) || ranks < 1) {
+    return fail("flight log has no valid rank count");
+  }
+  log->ranks = static_cast<int>(ranks);
+  log->rounds_truncated = 0;
+  if (const JsonValue* t = v.find("rounds_truncated");
+      t && !parse_uint(t, &log->rounds_truncated)) {
+    return fail("flight log has a non-numeric rounds_truncated");
+  }
   const JsonValue* rounds = v.find("rounds");
   if (!rounds || !rounds->is_array()) {
-    if (err) *err = "flight log has no rounds array";
-    return false;
+    return fail("flight log has no rounds array");
   }
   log->rounds.clear();
   log->rounds.reserve(rounds->arr.size());
   for (const JsonValue& r : rounds->arr) {
-    SimComm::FlightRound out;
+    SimComm::Round& out = log->rounds.emplace_back();
+    // Positions are rendered only on failure: a log can hold 1M edges.
+    const auto at = [&] {
+      return fmt("flight round %zu", log->rounds.size() - 1);
+    };
+    const auto edge_at = [&] {
+      return at() + fmt(", edge %zu", out.edges.size() - 1);
+    };
     out.phase = r.string_or("phase", "");
-    out.messages = r.uint_or("messages", 0);
-    out.bytes = r.uint_or("bytes", 0);
-    out.digest = parse_hex64(r.string_or("digest", ""));
+    if (!parse_uint(r.find("messages"), &out.total.messages) ||
+        !parse_uint(r.find("bytes"), &out.total.bytes)) {
+      return fail(at() + ": messages/bytes must be non-negative integers");
+    }
+    if (!parse_hex64(r.find("digest"), &out.digest)) {
+      return fail(at() + ": digest is not 16 hex digits");
+    }
     const JsonValue* edges = r.find("edges");
-    if (!edges || !edges->is_array()) {
-      if (err) *err = "flight round has no edges array";
-      return false;
-    }
+    if (!edges || !edges->is_array()) return fail(at() + " has no edges array");
     for (const JsonValue& e : edges->arr) {
-      if (!e.is_array() || e.arr.size() < 5 || !e.arr[4].is_string()) {
-        if (err) *err = "malformed flight edge (want [from, to, messages, "
-                        "bytes, digest])";
-        return false;
+      SimComm::Edge& fe = out.edges.emplace_back();
+      if (!e.is_array() || e.arr.size() != 5) {
+        return fail(edge_at() + ": want [from, to, messages, bytes, digest]");
       }
-      SimComm::FlightEdge fe;
-      fe.from = static_cast<int>(e.arr[0].num);
-      fe.to = static_cast<int>(e.arr[1].num);
-      fe.messages = e.arr[2].as_uint();
-      fe.bytes = e.arr[3].as_uint();
-      fe.digest = parse_hex64(e.arr[4].str);
-      if (e.arr.size() >= 6 && e.arr[5].is_string()) {
-        const std::string& hex = e.arr[5].str;
-        fe.payload.reserve(hex.size() / 2);
-        for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
-          const char b[3] = {hex[i], hex[i + 1], 0};
-          fe.payload.push_back(
-              static_cast<std::uint8_t>(std::strtoul(b, nullptr, 16)));
-        }
+      std::uint64_t from = 0, to = 0;
+      if (!parse_uint(&e.arr[0], &from, log->ranks) ||
+          !parse_uint(&e.arr[1], &to, log->ranks)) {
+        return fail(edge_at() + fmt(": from/to must be ranks in [0, %d)",
+                                    log->ranks));
       }
-      out.edges.push_back(std::move(fe));
+      fe.from = static_cast<std::int32_t>(from);
+      fe.to = static_cast<std::int32_t>(to);
+      if (!parse_uint(&e.arr[2], &fe.messages) ||
+          !parse_uint(&e.arr[3], &fe.bytes)) {
+        return fail(edge_at() + ": messages/bytes must be non-negative "
+                                "integers");
+      }
+      if (!parse_hex64(&e.arr[4], &out.digests.emplace_back())) {
+        return fail(edge_at() + ": digest is not 16 hex digits");
+      }
     }
-    log->rounds.push_back(std::move(out));
   }
   return true;
 }
 
-std::string edge_desc(const SimComm::FlightEdge& e) {
+std::string edge_desc(const SimComm::Round& r, std::size_t i) {
   return fmt("%llu msgs, %llu B, digest %s",
-             static_cast<unsigned long long>(e.messages),
-             static_cast<unsigned long long>(e.bytes),
-             hex64(e.digest).c_str());
+             static_cast<unsigned long long>(r.edges[i].messages),
+             static_cast<unsigned long long>(r.edges[i].bytes),
+             hex64(r.edge_digest(i)).c_str());
 }
 
-/// Merge two (from, to)-sorted edge lists of one round into \p d's
+/// Merge the (from, to)-sorted edge lists of two rounds into \p d's
 /// offending edges: an edge on one side only reads "absent" on the other.
-void diff_edges(const std::vector<SimComm::FlightEdge>& a,
-                const std::vector<SimComm::FlightEdge>& b,
+void diff_edges(const SimComm::Round& a, const SimComm::Round& b,
                 FlightDivergence& d) {
   constexpr std::size_t kMaxEdgeDiffs = 8;
-  const auto add = [&](const SimComm::FlightEdge& e, std::string on_a,
+  const auto add = [&](const SimComm::Edge& e, std::string on_a,
                        std::string on_b) {
     d.edges_differing += 1;
     if (d.edges.size() < kMaxEdgeDiffs) {
@@ -830,20 +859,20 @@ void diff_edges(const std::vector<SimComm::FlightEdge>& a,
     }
   };
   std::size_t ia = 0, ib = 0;
-  while (ia < a.size() || ib < b.size()) {
-    const SimComm::FlightEdge* ea = ia < a.size() ? &a[ia] : nullptr;
-    const SimComm::FlightEdge* eb = ib < b.size() ? &b[ib] : nullptr;
+  while (ia < a.edges.size() || ib < b.edges.size()) {
+    const SimComm::Edge* ea = ia < a.edges.size() ? &a.edges[ia] : nullptr;
+    const SimComm::Edge* eb = ib < b.edges.size() ? &b.edges[ib] : nullptr;
     if (ea &&
         (!eb || std::tie(ea->from, ea->to) < std::tie(eb->from, eb->to))) {
-      add(*ea, edge_desc(*ea), "absent");
+      add(*ea, edge_desc(a, ia), "absent");
       ++ia;
     } else if (!ea || std::tie(eb->from, eb->to) < std::tie(ea->from, ea->to)) {
-      add(*eb, "absent", edge_desc(*eb));
+      add(*eb, "absent", edge_desc(b, ib));
       ++ib;
     } else {
       if (ea->messages != eb->messages || ea->bytes != eb->bytes ||
-          ea->digest != eb->digest) {
-        add(*ea, edge_desc(*ea), edge_desc(*eb));
+          a.edge_digest(ia) != b.edge_digest(ib)) {
+        add(*ea, edge_desc(a, ia), edge_desc(b, ib));
       }
       ++ia;
       ++ib;
@@ -915,12 +944,12 @@ FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b) {
   }
   const std::size_t n = std::min(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < n; ++i) {
-    const SimComm::FlightRound& ra = a.rounds[i];
-    const SimComm::FlightRound& rb = b.rounds[i];
+    const SimComm::Round& ra = a.rounds[i];
+    const SimComm::Round& rb = b.rounds[i];
     const bool same_phase = ra.phase == rb.phase;
     const bool same_content = ra.digest == rb.digest &&
-                              ra.messages == rb.messages &&
-                              ra.bytes == rb.bytes &&
+                              ra.total.messages == rb.total.messages &&
+                              ra.total.bytes == rb.total.bytes &&
                               ra.edges.size() == rb.edges.size();
     if (same_phase && same_content) continue;
     d.diverged = true;
@@ -928,7 +957,7 @@ FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b) {
     d.rounds_compared = i;
     d.phase_a = ra.phase;
     d.phase_b = rb.phase;
-    diff_edges(ra.edges, rb.edges, d);
+    diff_edges(ra, rb, d);
     if (!same_phase) {
       d.what = fmt("phase label differs (\"%s\" vs \"%s\")",
                    ra.phase.c_str(), rb.phase.c_str());
@@ -960,11 +989,10 @@ FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b) {
     // The first extra round exists on one side only: every edge it carries
     // is an offender, absent on the other side.
     const bool a_longer = a.rounds.size() > b.rounds.size();
-    const SimComm::FlightRound& extra = (a_longer ? a : b).rounds[n];
+    const SimComm::Round& extra = (a_longer ? a : b).rounds[n];
     (a_longer ? d.phase_a : d.phase_b) = extra.phase;
-    const SimComm::FlightRound none;
-    diff_edges((a_longer ? extra : none).edges, (a_longer ? none : extra).edges,
-               d);
+    const SimComm::Round none;
+    diff_edges(a_longer ? extra : none, a_longer ? none : extra, d);
   }
   return d;
 }
@@ -974,8 +1002,8 @@ std::string render_flight(const std::vector<FlightLog>& logs) {
   for (const FlightLog& log : logs) {
     std::uint64_t msgs = 0, bytes = 0;
     for (const auto& r : log.rounds) {
-      msgs += r.messages;
-      bytes += r.bytes;
+      msgs += r.total.messages;
+      bytes += r.total.bytes;
     }
     out += fmt("flight %s: %d ranks, %zu rounds (%llu msgs, %llu B)",
                log.label.empty() ? "(unlabeled)" : log.label.c_str(),
@@ -993,8 +1021,8 @@ std::string render_flight(const std::vector<FlightLog>& logs) {
       std::uint64_t pm = 0, pb = 0;
       while (j < log.rounds.size() &&
              log.rounds[j].phase == log.rounds[i].phase) {
-        pm += log.rounds[j].messages;
-        pb += log.rounds[j].bytes;
+        pm += log.rounds[j].total.messages;
+        pb += log.rounds[j].total.bytes;
         ++j;
       }
       out += fmt("  rounds [%zu..%zu] %-20s %llu msgs, %llu B\n", i, j - 1,

@@ -101,7 +101,9 @@ std::string diff_json(const DiffResult& d, double tol);
 /// `octbal-flight-v1` document, or the embedded "flight" members of a
 /// bench report's runs (labeled algo/pN when the log itself has no
 /// label).  Returns false and sets \p err when the document carries no
-/// flight data or a log is malformed.
+/// flight data or a log is malformed: a digest that is not 16 hex digits,
+/// an edge rank outside [0, ranks), or a count that is not a non-negative
+/// integer.
 bool parse_flight(const JsonValue& doc, std::vector<FlightLog>* out,
                   std::string* err);
 
@@ -132,8 +134,7 @@ struct FlightDivergence {
 
 /// Compare two flight logs round-by-round (phase label, then the sorted
 /// (from, to) edge sets with their digests) and report the earliest
-/// difference.  Identical traffic with different payload *capture* never
-/// diverges: the digests cover the payloads.
+/// difference.
 FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b);
 
 /// Pretty text for `octbal_inspect flight`: per-log phase timeline

@@ -59,7 +59,7 @@ enum class MemTag : int {
   kSeeds,            ///< balance_seeds output + neighborhood buffers
   kForestLeaves,     ///< per-rank leaf arrays of a Forest
   kCommMailbox,      ///< SimComm in-flight message payloads
-  kFlightRecorder,   ///< SimComm round matrices + flight log records
+  kFlightRecorder,   ///< SimComm recorded rounds (edges + flight digests)
   kDirtyLog,         ///< Forest dirty-octant log
   kRegionCover,      ///< dirty_region_cover piece buffers
   kBalanceStaging,   ///< balance/delta query + response staging arrays

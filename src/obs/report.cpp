@@ -12,17 +12,6 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-std::string hex_bytes(const std::vector<std::uint8_t>& bytes) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string s;
-  s.reserve(bytes.size() * 2);
-  for (const std::uint8_t b : bytes) {
-    s += kDigits[b >> 4];
-    s += kDigits[b & 0xf];
-  }
-  return s;
-}
-
 }  // namespace
 
 void balance_report_json(JsonWriter& w, const BalanceReport& rep) {
@@ -68,7 +57,7 @@ void rounds_json(JsonWriter& w, const std::vector<SimComm::Round>& rounds) {
     w.kv("messages", round.total.messages);
     w.kv("bytes", round.total.bytes);
     w.key("edges").begin_array();
-    for (const auto& e : round.entries) {
+    for (const auto& e : round.edges) {
       w.begin_array();
       w.value(e.from).value(e.to).value(e.messages).value(e.bytes);
       w.end_array();
@@ -111,15 +100,15 @@ void flight_log_json(JsonWriter& w, const FlightLog& log) {
   for (const auto& r : log.rounds) {
     w.begin_object();
     w.kv("phase", r.phase);
-    w.kv("messages", r.messages);
-    w.kv("bytes", r.bytes);
+    w.kv("messages", r.total.messages);
+    w.kv("bytes", r.total.bytes);
     w.kv("digest", hex64(r.digest));
     w.key("edges").begin_array();
-    for (const auto& e : r.edges) {
+    for (std::size_t i = 0; i < r.edges.size(); ++i) {
+      const SimComm::Edge& e = r.edges[i];
       w.begin_array();
       w.value(e.from).value(e.to).value(e.messages).value(e.bytes);
-      w.value(hex64(e.digest));
-      if (!e.payload.empty()) w.value(hex_bytes(e.payload));
+      w.value(hex64(r.edge_digest(i)));
       w.end_array();
     }
     w.end_array();

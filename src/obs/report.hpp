@@ -18,9 +18,10 @@ namespace octbal::obs {
 /// of an (already open) JSON object.
 void balance_report_json(JsonWriter& w, const BalanceReport& rep);
 
-/// Emit the recorded per-round send/recv matrices: one array entry per
+/// Emit the recorded rounds as send/recv matrices: one array entry per
 /// deliver() round with totals and the sparse (from, to, messages, bytes)
-/// edges.  Writes the value only — call w.key("rounds") first.
+/// edges, digests left out.  Writes the value only — call w.key("rounds")
+/// first.
 void rounds_json(JsonWriter& w, const std::vector<SimComm::Round>& rounds);
 
 /// Emit the per-phase critical-path aggregation (rounds, bounding-rank
@@ -29,9 +30,10 @@ void rounds_json(JsonWriter& w, const std::vector<SimComm::Round>& rounds);
 void critical_path_json(JsonWriter& w,
                         const std::vector<SimComm::PhaseCost>& phases);
 
-/// One run's communication flight log with identifying context: what the
-/// SimComm flight recorder captured (per-round, per-edge counts and
-/// payload digests), labeled so two logs can be told apart in a bisect.
+/// One run's communication flight log with identifying context: the
+/// SimComm rounds recorded with flight digests on (per-round, per-edge
+/// counts and payload digests), labeled so two logs can be told apart in
+/// a bisect.
 /// Serialized inside bench run reports (member "flight") and as the "runs"
 /// entries of a standalone octbal-flight-v1 document; parse_flight()
 /// (obs/analysis) reads both back.
@@ -39,7 +41,7 @@ struct FlightLog {
   std::string label;
   int ranks = 0;
   std::uint64_t rounds_truncated = 0;  ///< rounds dropped by the edge budget
-  std::vector<SimComm::FlightRound> rounds;
+  std::vector<SimComm::Round> rounds;
 };
 
 /// Emit one flight log as a JSON object.  64-bit digests serialize as

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 
+#include "comm/notify.hpp"
 #include "forest/balance.hpp"
 #include "forest/ghost.hpp"
 #include "util/rng.hpp"
@@ -133,6 +134,56 @@ TEST(Preconditions, SimCommRejectsNoRanks) {
   EXPECT_THROW(SimComm(0), std::invalid_argument);
   EXPECT_THROW(SimComm(-3), std::invalid_argument);
   EXPECT_NO_THROW(SimComm(1));
+}
+
+TEST(Preconditions, SimCommSendRejectsRankOutsideComm) {
+  SimComm c(2);
+  EXPECT_THROW(c.send(0, 5, {1}), std::invalid_argument);
+  EXPECT_THROW(c.send(2, 0, {1}), std::invalid_argument);
+  EXPECT_THROW(c.send(-1, 0, {1}), std::invalid_argument);
+  EXPECT_THROW(c.send(0, -1, {1}), std::invalid_argument);
+  // Nothing was posted: the next round is empty and deliver() is safe.
+  c.deliver();
+  EXPECT_EQ(c.stats().messages, 0u);
+  EXPECT_NO_THROW(c.send(1, 0, {1}));
+}
+
+TEST(Preconditions, SimCommRecvAllRejectsRankOutsideComm) {
+  SimComm c(2);
+  EXPECT_THROW(c.recv_all(2), std::invalid_argument);
+  EXPECT_THROW(c.recv_all(-1), std::invalid_argument);
+  EXPECT_TRUE(c.recv_all(1).empty());
+}
+
+TEST(Preconditions, NotifyNaiveRejectsWrongListCount) {
+  SimComm c(4);
+  EXPECT_THROW(notify_naive(c, {{1}, {0}}), std::invalid_argument);
+}
+
+TEST(Preconditions, NotifyRangesRejectsWrongListCount) {
+  SimComm c(4);
+  EXPECT_THROW(notify_ranges(c, {{1}, {0}}, 2), std::invalid_argument);
+}
+
+TEST(Preconditions, NotifyRangesRejectsNoRanges) {
+  SimComm c(2);
+  EXPECT_THROW(notify_ranges(c, {{1}, {0}}, 0), std::invalid_argument);
+  EXPECT_THROW(notify_ranges(c, {{1}, {0}}, -2), std::invalid_argument);
+  EXPECT_EQ(notify_ranges(c, {{1}, {0}}, 1),
+            (std::vector<std::vector<int>>{{1}, {0}}));
+}
+
+TEST(Preconditions, NotifyDcRejectsWrongListCount) {
+  SimComm c(4);
+  EXPECT_THROW(notify_dc(c, {{1}, {0}}), std::invalid_argument);
+  EXPECT_THROW(notify_dc(c, std::vector<std::vector<int>>(5)),
+               std::invalid_argument);
+}
+
+TEST(Preconditions, NotifyDcPayloadRejectsWrongListCount) {
+  SimComm c(4);
+  std::vector<std::vector<std::pair<int, std::vector<std::uint8_t>>>> out(2);
+  EXPECT_THROW(notify_dc_payload(c, out), std::invalid_argument);
 }
 
 TEST(Preconditions, BrickRejectsEmptyAxis) {

@@ -215,9 +215,9 @@ TEST(Inspect, ReportRoundTripsThroughParser) {
   for (std::size_t i = 0; i < r.rounds.size(); ++i) {
     const JsonValue* edges = rounds->arr[i].find("edges");
     ASSERT_NE(edges, nullptr);
-    ASSERT_EQ(edges->arr.size(), r.rounds[i].entries.size());
-    for (std::size_t j = 0; j < r.rounds[i].entries.size(); ++j) {
-      const auto& e = r.rounds[i].entries[j];
+    ASSERT_EQ(edges->arr.size(), r.rounds[i].edges.size());
+    for (std::size_t j = 0; j < r.rounds[i].edges.size(); ++j) {
+      const auto& e = r.rounds[i].edges[j];
       const auto& je = edges->arr[j].arr;
       ASSERT_EQ(je.size(), 4u);
       EXPECT_EQ(static_cast<int>(je[0].num), e.from);
@@ -595,7 +595,8 @@ TEST(Inspect, BenchReportEmbedsAndParsesFlightLogs) {
   };
   const RunResult r = run_balance<3>(build, 4, BalanceOptions::new_config());
   SimComm::set_flight_default(false);
-  ASSERT_FALSE(r.flight.empty());
+  ASSERT_TRUE(r.flight);
+  ASSERT_FALSE(r.rounds.empty());
   char prog[] = "test_inspect";
   char* argv[] = {prog};
   const Cli cli(1, argv);
@@ -609,7 +610,7 @@ TEST(Inspect, BenchReportEmbedsAndParsesFlightLogs) {
   ASSERT_EQ(logs.size(), 1u);
   EXPECT_EQ(logs[0].label, "new/p4");
   EXPECT_EQ(logs[0].ranks, 4);
-  EXPECT_EQ(logs[0].rounds.size(), r.flight.size());
+  EXPECT_EQ(logs[0].rounds.size(), r.rounds.size());
   const std::string rendered = obs::render_flight(logs);
   EXPECT_NE(rendered.find("new/p4"), std::string::npos) << rendered;
   EXPECT_NE(rendered.find("top edges"), std::string::npos) << rendered;

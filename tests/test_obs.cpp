@@ -326,12 +326,12 @@ TEST(Metrics, RoundMatricesAreDeterministic) {
   ASSERT_FALSE(ref.empty());
   for (const auto& round : ref) {
     std::uint64_t msgs = 0, bytes = 0;
-    for (std::size_t i = 0; i < round.entries.size(); ++i) {
-      const auto& e = round.entries[i];
+    for (std::size_t i = 0; i < round.edges.size(); ++i) {
+      const auto& e = round.edges[i];
       msgs += e.messages;
       bytes += e.bytes;
-      if (i > 0) {  // entries sorted by (from, to)
-        const auto& p = round.entries[i - 1];
+      if (i > 0) {  // edges sorted by (from, to)
+        const auto& p = round.edges[i - 1];
         EXPECT_TRUE(p.from < e.from || (p.from == e.from && p.to < e.to));
       }
     }
@@ -344,12 +344,12 @@ TEST(Metrics, RoundMatricesAreDeterministic) {
     for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_EQ(got[i].total.messages, ref[i].total.messages);
       EXPECT_EQ(got[i].total.bytes, ref[i].total.bytes);
-      ASSERT_EQ(got[i].entries.size(), ref[i].entries.size());
-      for (std::size_t j = 0; j < ref[i].entries.size(); ++j) {
-        EXPECT_EQ(got[i].entries[j].from, ref[i].entries[j].from);
-        EXPECT_EQ(got[i].entries[j].to, ref[i].entries[j].to);
-        EXPECT_EQ(got[i].entries[j].messages, ref[i].entries[j].messages);
-        EXPECT_EQ(got[i].entries[j].bytes, ref[i].entries[j].bytes);
+      ASSERT_EQ(got[i].edges.size(), ref[i].edges.size());
+      for (std::size_t j = 0; j < ref[i].edges.size(); ++j) {
+        EXPECT_EQ(got[i].edges[j].from, ref[i].edges[j].from);
+        EXPECT_EQ(got[i].edges[j].to, ref[i].edges[j].to);
+        EXPECT_EQ(got[i].edges[j].messages, ref[i].edges[j].messages);
+        EXPECT_EQ(got[i].edges[j].bytes, ref[i].edges[j].bytes);
       }
     }
   }

@@ -435,13 +435,14 @@ void expect_same_traffic(const SimComm& got, const SimComm& want,
   EXPECT_EQ(got.stats().messages, want.stats().messages) << ctx;
   EXPECT_EQ(got.stats().bytes, want.stats().bytes) << ctx;
   EXPECT_EQ(got.modeled_time(), want.modeled_time()) << ctx;
-  const auto& a = got.flight();
-  const auto& b = want.flight();
+  const auto& a = got.rounds();
+  const auto& b = want.rounds();
   ASSERT_EQ(a.size(), b.size()) << ctx;
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].phase, b[i].phase) << ctx << ", round " << i;
-    EXPECT_EQ(a[i].messages, b[i].messages) << ctx << ", round " << i;
-    EXPECT_EQ(a[i].bytes, b[i].bytes) << ctx << ", round " << i;
+    EXPECT_EQ(a[i].total.messages, b[i].total.messages)
+        << ctx << ", round " << i;
+    EXPECT_EQ(a[i].total.bytes, b[i].total.bytes) << ctx << ", round " << i;
     EXPECT_EQ(a[i].digest, b[i].digest) << ctx << ", round " << i;
     EXPECT_EQ(a[i].edges.size(), b[i].edges.size()) << ctx << ", round " << i;
   }
