@@ -89,8 +89,7 @@ RepartitionLoopResult repartition_loop(Forest<D> f, const BalanceOptions& bopt,
   double best_slack = std::numeric_limits<double>::infinity();
   const int measured = dynamic ? rounds : 1;
   for (int round = 0; round < measured; ++round) {
-    SimComm comm(p);
-    comm.set_record_rounds(false);
+    SimComm comm(p);  // records rounds: the report carries the matrix
     const std::uint64_t before = f.global_num_octants();
     const BalanceReport rep = balance(f, bopt, comm);
     const double s = slack_total(comm.critical_path());

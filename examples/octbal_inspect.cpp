@@ -25,11 +25,15 @@
 ///       with embedded flight members): per-run totals, phase timeline,
 ///       top edges by volume, digest spot-checks.
 ///   octbal_inspect bisect   <a.json> [<b.json>] [--json]
-///       First-divergence bisection of two flight logs: the earliest round
+///       First-divergence bisection of flight logs: the earliest round
 ///       where the recorded traffic differs, its phase, and the offending
-///       edges.  With one file, the document's first two runs are paired
-///       (the form fuzz_main --flight writes).  Exits 0 when the logs are
-///       identical, 1 on divergence, 2 on usage/parse errors.
+///       edges.  With two files, the logs are paired by index and every
+///       pair is bisected (one verdict each; --json prints one object per
+///       line).  With one file, the document's first two runs are paired
+///       (the form fuzz_main --flight writes).  Exits 0 when every pair is
+///       identical, 1 when any pair diverges, 2 on usage/parse errors, when
+///       the two files differ in log count or labels, or when a truncated
+///       log leaves the verdict open.
 ///
 /// Reports come from any bench binary's --json flag; BENCH_baseline.json
 /// at the repo root is the checked-in perf trajectory CI diffs against.
@@ -142,6 +146,7 @@ int main(int argc, char** argv) {
   if (std::strcmp(cmd, "bisect") == 0) {
     if (files.empty() || files.size() > 2) return usage();
     std::vector<FlightLog> a, b;
+    std::vector<FlightDivergence> verdicts;
     std::string err;
     if (files.size() == 2) {
       JsonValue da, db;
@@ -154,6 +159,11 @@ int main(int argc, char** argv) {
       if (!parse_flight(db, &b, &err)) {
         std::fprintf(stderr, "octbal_inspect: %s: %s\n", files[1],
                      err.c_str());
+        return 2;
+      }
+      if (!flight_bisect_pairs(a, b, &verdicts, &err)) {
+        std::fprintf(stderr, "octbal_inspect: %s vs %s: %s\n", files[0],
+                     files[1], err.c_str());
         return 2;
       }
     } else {
@@ -173,18 +183,24 @@ int main(int argc, char** argv) {
                      files[0], a.size());
         return 2;
       }
-      b.push_back(a[1]);
+      verdicts.push_back(flight_bisect(a[0], a[1]));
     }
-    const FlightDivergence d = flight_bisect(a.front(), b.front());
-    std::fputs((as_json ? bisect_json(d) : render_bisect(d)).c_str(), stdout);
-    if (as_json) std::fputs("\n", stdout);
-    if (d.truncated) {
+    bool diverged = false, truncated = false;
+    for (const FlightDivergence& d : verdicts) {
+      std::fputs((as_json ? bisect_json(d) : render_bisect(d)).c_str(),
+                 stdout);
+      if (as_json) std::fputs("\n", stdout);
+      diverged = diverged || d.diverged;
+      truncated = truncated || d.truncated;
+    }
+    if (diverged) return 1;
+    if (truncated) {
       std::fprintf(stderr,
                    "octbal_inspect: refusing to bisect past a truncation "
                    "point (raise the record limit and re-capture)\n");
       return 2;
     }
-    return d.diverged ? 1 : 0;
+    return 0;
   }
   if (std::strcmp(cmd, "diff") == 0) {
     if (files.size() != 2) return usage();

@@ -147,6 +147,8 @@ class SimComm {
     std::int32_t to = 0;
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;
+
+    friend bool operator==(const Edge&, const Edge&) = default;
   };
 
   /// One deliver() round: who sent how much to whom, aggregated per

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <stdexcept>
+#include <string>
 
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
@@ -13,6 +15,16 @@
 namespace octbal {
 
 namespace {
+
+/// Throws std::invalid_argument unless \p s is sorted and linear: both
+/// algorithms binary-search the input and complete around it.
+template <int D>
+void require_linear(const std::vector<Octant<D>>& s, const char* who) {
+  if (!is_linear(s)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": input is not a sorted linear array");
+  }
+}
 
 /// Drop octants that lie outside \p root.  Exterior octants are legal
 /// *inputs* (auxiliary constraints transformed from neighboring trees or
@@ -63,7 +75,7 @@ template <int D>
 std::vector<Octant<D>> balance_subtree_old(const std::vector<Octant<D>>& s,
                                            int k, const Octant<D>& root,
                                            SubtreeBalanceStats* stats) {
-  assert(is_linear(s));
+  require_linear(s, "balance_subtree_old");
   SubtreeBalanceStats local;
   HashStats hs;
   OctantHashSet<D> w(s.size() * 4 + 16, &hs);
@@ -112,7 +124,7 @@ template <int D>
 std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
                                            int k, const Octant<D>& root,
                                            SubtreeBalanceStats* stats) {
-  assert(is_linear(s));
+  require_linear(s, "balance_subtree_new");
   SubtreeBalanceStats local;
   // Preclusion compression is only lossless when the completion domain can
   // regenerate the dropped octant, i.e. when its parent lies inside the

@@ -110,9 +110,14 @@ void linearize(std::vector<Octant<D>>& a) {
 
 template <int D>
 bool is_linear(const std::vector<Octant<D>>& a) {
-  for (std::size_t i = 0; i + 1 < a.size(); ++i) {
-    if (!(a[i] < a[i + 1])) return false;
-    if (contains(a[i], a[i + 1])) return false;
+  // Dyadic intervals nest or are disjoint, so "sorted, duplicate-free and
+  // ancestor-free" is "each interval ends before the next one begins": one
+  // Morton key per octant (this check guards every balance_subtree call).
+  morton_t end = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const morton_t begin = interval_begin(a[i]);
+    if (i > 0 && end > begin) return false;
+    end = begin + (morton_t{1} << (D * size_exp(a[i])));
   }
   return true;
 }

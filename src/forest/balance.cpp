@@ -6,7 +6,6 @@
 
 #include "core/key.hpp"
 #include "core/lambda.hpp"
-#include "core/linear.hpp"
 #include "core/neighborhood.hpp"
 #include "core/seeds.hpp"
 #include "forest/halo.hpp"
@@ -19,18 +18,23 @@
 namespace octbal {
 namespace {
 
-using detail::clip_to_span;
-using detail::linearize_treeocts;
-using detail::tree_runs;
+using detail::apply_groups;
+using detail::every_run;
+using detail::LeafGroups;
+using detail::rebalance_runs;
 
 /// Wire format for one response item: a payload octant expressed in the
 /// query octant's tree frame (possibly exterior), tagged with its query.
-/// (WireOct itself lives in balance.hpp, shared with delta_balance.)
 template <int D>
 struct WirePair {
   WireOct<D> query;
   std::int32_t level;
   std::array<coord_t, D> x;
+
+  /// The payload octant, in the query's tree.
+  TreeOct<D> item() const {
+    return from_wire(WireOct<D>{query.tree, level, x});
+  }
 
   friend bool operator==(const WirePair&, const WirePair&) = default;
   friend auto operator<=>(const WirePair&, const WirePair&) = default;
@@ -95,7 +99,6 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
   OBS_SPAN("balance");
   const int P = f.num_ranks();
   const int k = balance_condition<D>(opt);
-  const auto root = root_octant<D>();
   const auto& conn = f.connectivity();
   BalanceReport rep;
   rep.octants_before = f.global_num_octants();
@@ -154,17 +157,8 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       const obs::MemRank mem_rank(r);
       Timer t;
       auto& mine = f.local(r);
-      std::vector<TreeOct<D>> out;
-      out.reserve(mine.size());
-      for (const auto& [i, j] : tree_runs(mine)) {
-        std::vector<Octant<D>> run;
-        run.reserve(j - i);
-        for (std::size_t q = i; q < j; ++q) run.push_back(mine[q].oct);
-        const auto bal = balance_subtree(opt.subtree, run, k, root,
-                                         &rank_subtree[r]);
-        clip_to_span(bal, run.front(), run.back(), mine[i].tree, out);
-      }
-      mine.swap(out);
+      auto runs = every_run(mine);
+      rebalance_runs(mine, runs, opt.subtree, k, &rank_subtree[r]);
       rank_secs[r] = t.seconds();
     });
     f.refresh_markers();
@@ -448,22 +442,20 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       if (opt.grouped_rebalance) {
         // New scheme: reconstruct Tk ∩ q from the seeds, per query octant,
         // with q as the subtree root — work proportional to the output.
-        std::map<WireOct<D>, std::vector<Octant<D>>> groups;
+        LeafGroups<D> groups;
         for (const auto& [from, items] : rrecv[r]) {
           for (const auto& it : items) {
-            Octant<D> o;
-            o.level = static_cast<level_t>(it.level);
-            o.x = it.x;
-            groups[it.query].push_back(o);
+            groups[from_wire(it.query)].push_back(it.item().oct);
           }
         }
         // Fault injection (audit self-tests): fold the response senders
         // through a polynomial hash *in delivery order* — a deliberately
         // non-commutative, delivery-order-sensitive "reduction" — and drop
-        // the last query group when the fold lands odd.  Under canonical
-        // delivery this is a deterministic (wrong) result; under scrambled
-        // delivery the fold, and hence the forest, changes with the order,
-        // which is exactly what the scramble invariant must detect.
+        // the group of the largest query record when the fold lands odd.
+        // Under canonical delivery this is a deterministic (wrong) result;
+        // under scrambled delivery the fold, and hence the forest, changes
+        // with the order, which is exactly what the scramble invariant must
+        // detect.
         if (opt.inject == FaultInjection::kOrderDependentReduce &&
             !groups.empty()) {
           std::uint64_t acc = 0x2012;
@@ -475,49 +467,26 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
           // not just the sender multiset.
           acc = (acc ^ (acc >> 30)) * 0xbf58476d1ce4e5b9ull;
           acc = (acc ^ (acc >> 27)) * 0x94d049bb133111ebull;
-          if ((acc ^ (acc >> 31)) & 1) groups.erase(std::prev(groups.end()));
+          if ((acc ^ (acc >> 31)) & 1) {
+            groups.erase(std::max_element(
+                groups.begin(), groups.end(),
+                [](const auto& a, const auto& b) {
+                  return to_wire(a.first) < to_wire(b.first);
+                }));
+          }
         }
-        std::vector<TreeOct<D>> extra;
-        for (auto& [qw, octs] : groups) {
-          const TreeOct<D> q = from_wire(qw);
-          std::sort(octs.begin(), octs.end());
-          linearize(octs);
-          const auto sub =
-              balance_subtree(opt.subtree, octs, k, q.oct, &rank_subtree[r]);
-          for (const auto& o : sub) extra.push_back(TreeOct<D>{q.tree, o});
-        }
-        mine.insert(mine.end(), extra.begin(), extra.end());
-        linearize_treeocts(mine);
+        apply_groups(mine, groups, opt.subtree, k, &rank_subtree[r]);
       } else {
         // Old scheme: merge every received octant as an auxiliary
         // (possibly exterior) constraint and re-balance whole partitions.
-        std::map<int, std::vector<Octant<D>>> aux;
+        auto aux = every_run(mine);
         for (const auto& [from, items] : rrecv[r]) {
           for (const auto& it : items) {
-            Octant<D> o;
-            o.level = static_cast<level_t>(it.level);
-            o.x = it.x;
-            aux[it.query.tree].push_back(o);
+            const TreeOct<D> o = it.item();
+            aux[o.tree].push_back(o.oct);
           }
         }
-        std::vector<TreeOct<D>> out;
-        out.reserve(mine.size());
-        for (const auto& [i, j] : tree_runs(mine)) {
-          const int tree = mine[i].tree;
-          std::vector<Octant<D>> input;
-          input.reserve(j - i);
-          for (std::size_t q = i; q < j; ++q) input.push_back(mine[q].oct);
-          const Octant<D> first = input.front(), last = input.back();
-          if (auto it = aux.find(tree); it != aux.end()) {
-            input.insert(input.end(), it->second.begin(), it->second.end());
-            std::sort(input.begin(), input.end());
-            linearize(input);
-          }
-          const auto bal =
-              balance_subtree(opt.subtree, input, k, root, &rank_subtree[r]);
-          clip_to_span(bal, first, last, tree, out);
-        }
-        mine.swap(out);
+        rebalance_runs(mine, aux, opt.subtree, k, &rank_subtree[r]);
       }
       rank_secs[r] = t.seconds();
     });

@@ -33,33 +33,6 @@
 
 namespace octbal {
 
-/// Wire format for one octant within a tree (trivially copyable): the
-/// payload of the balance query exchange, shared with the delta-balance
-/// push rounds so both charge the same bytes per octant.
-template <int D>
-struct WireOct {
-  std::int32_t tree;
-  std::int32_t level;
-  std::array<coord_t, D> x;
-
-  friend bool operator==(const WireOct&, const WireOct&) = default;
-  friend auto operator<=>(const WireOct&, const WireOct&) = default;
-};
-
-template <int D>
-WireOct<D> to_wire(const TreeOct<D>& to) {
-  return WireOct<D>{to.tree, to.oct.level, to.oct.x};
-}
-
-template <int D>
-TreeOct<D> from_wire(const WireOct<D>& w) {
-  TreeOct<D> to;
-  to.tree = w.tree;
-  to.oct.level = static_cast<level_t>(w.level);
-  to.oct.x = w.x;
-  return to;
-}
-
 /// Deliberate pipeline defects for the audit subsystem's self-tests
 /// (src/audit): the fuzzer must catch each of these on randomized
 /// workloads, proving the invariant checks have teeth.  Always kNone in

@@ -43,6 +43,34 @@ constexpr bool operator<(const TreeOct<D>& a, const TreeOct<D>& b) {
   return a.oct < b.oct;
 }
 
+/// Wire format for one octant within a tree (trivially copyable): the
+/// payload of the balance query exchange, the delta-balance push rounds and
+/// the ghost candidate exchange, so all three charge the same bytes per
+/// octant.
+template <int D>
+struct WireOct {
+  std::int32_t tree;
+  std::int32_t level;
+  std::array<coord_t, D> x;
+
+  friend bool operator==(const WireOct&, const WireOct&) = default;
+  friend auto operator<=>(const WireOct&, const WireOct&) = default;
+};
+
+template <int D>
+WireOct<D> to_wire(const TreeOct<D>& to) {
+  return WireOct<D>{to.tree, to.oct.level, to.oct.x};
+}
+
+template <int D>
+TreeOct<D> from_wire(const WireOct<D>& w) {
+  TreeOct<D> to;
+  to.tree = w.tree;
+  to.oct.level = static_cast<level_t>(w.level);
+  to.oct.x = w.x;
+  return to;
+}
+
 /// Affine frame transform between two trees' coordinate systems:
 ///   x_source[i] = offset[i] + sign[i] * x_neighbor[perm[i]]
 /// with sign = ±1 and perm a permutation of the axes.  Brick couplings are

@@ -1,13 +1,11 @@
 #include "forest/delta_balance.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <map>
 
 #include "core/key.hpp"
 #include "core/lambda.hpp"
-#include "core/linear.hpp"
 #include "core/neighborhood.hpp"
 #include "core/region.hpp"
 #include "core/seeds.hpp"
@@ -20,80 +18,20 @@
 namespace octbal {
 namespace {
 
-using detail::clip_to_span;
-using detail::linearize_treeocts;
+using detail::apply_groups;
+using detail::LeafGroups;
+using detail::rebalance_runs;
 using detail::tree_runs;
+using detail::TreeConstraints;
 
-/// Re-balance every run of \p mine whose tree has auxiliary constraints:
-/// whole-run input + aux, coarsest balanced refinement, clipped back to
-/// the run's span (the old-scheme phase-4 mechanism).  Appends the leaves
-/// the re-balance created to \p created.
-///
-/// The run is already sorted and linear, so the balanced input is built by
-/// merging it with the sorted constraints and dropping ancestors in one
-/// in-place pass — the same array sort+linearize would produce (contains()
-/// is reflexive, so duplicate constraints collapse too) without the radix
-/// scratch of the keyed linearize, which would dominate the delta pass's
-/// memory peak on run-sized inputs.
-template <int D>
-void rebalance_with_aux(std::vector<TreeOct<D>>& mine,
-                        const std::map<std::int32_t, std::vector<Octant<D>>>& aux,
-                        const BalanceOptions& opt, int k,
-                        std::vector<TreeOct<D>>& created) {
-  if (aux.empty()) return;
-  const auto root = root_octant<D>();
-  std::vector<TreeOct<D>> out;
-  out.reserve(mine.size());
-  std::vector<Octant<D>> extra;
-  for (const auto& [i, j] : tree_runs(mine)) {
-    const std::int32_t tree = mine[i].tree;
-    const auto it = aux.find(tree);
-    if (it == aux.end()) {
-      out.insert(out.end(), mine.begin() + i, mine.begin() + j);
-      continue;
-    }
-    extra.assign(it->second.begin(), it->second.end());
-    std::sort(extra.begin(), extra.end());
-    const Octant<D> first = mine[i].oct, last = mine[j - 1].oct;
-    std::vector<Octant<D>> input;
-    input.reserve((j - i) + extra.size());
-    std::size_t q = i, e = 0;
-    while (q < j && e < extra.size()) {
-      if (extra[e] < mine[q].oct) {
-        input.push_back(extra[e++]);
-      } else {
-        input.push_back(mine[q++].oct);
-      }
-    }
-    for (; q < j; ++q) input.push_back(mine[q].oct);
-    input.insert(input.end(), extra.begin() + e, extra.end());
-    std::size_t w = 0;
-    for (std::size_t t = 0; t < input.size(); ++t) {
-      if (t + 1 < input.size() && contains(input[t], input[t + 1])) continue;
-      input[w++] = input[t];
-    }
-    input.resize(w);
-    const auto bal = balance_subtree(opt.subtree, input, k, root);
-    const std::size_t w0 = out.size();
-    clip_to_span(bal, first, last, tree, out);
-    std::set_difference(out.begin() + static_cast<std::ptrdiff_t>(w0),
-                        out.end(), mine.begin() + i, mine.begin() + j,
-                        std::back_inserter(created));
-  }
-  mine.swap(out);
-}
-
-/// Apply a round's exterior constraints with the insulation-grouped
-/// mechanism of the full pipeline's phase 4 (balance.cpp): for every local
-/// leaf a constraint violates 2:1 against, reconstruct the balanced
-/// subtree under that leaf from seeds and merge the cells — scratch
-/// proportional to the violations, not the run, unlike the whole-run
-/// rebalance whose run-sized hash tables would dominate the delta pass's
-/// memory peak.  Exact for the same reason the full pipeline's grouped
-/// rebalance is: every run is internally balanced when the round's
-/// constraints arrive, so the insulation property confines the refinement
-/// to the constrained leaves.  Appends the created cells (the next
-/// frontier) to \p created.
+/// Group a round's exterior constraints \p aux by the local leaf of \p mine
+/// they violate 2:1 against, as the seeds that reconstruct the balanced
+/// subtree under that leaf — the receiver-side counterpart of the full
+/// pipeline's seed response, for detail::apply_groups().  Scratch is
+/// proportional to the violations, not the run.  Exact for the same reason
+/// the full pipeline's grouped rebalance is: every run is internally
+/// balanced when the round's constraints arrive, so the insulation property
+/// confines the refinement to the constrained leaves.
 ///
 /// Most constraints are refinement-created leaves, so siblings arrive next
 /// to each other.  For a leaf q at least two levels coarser than a
@@ -102,28 +40,22 @@ void rebalance_with_aux(std::vector<TreeOct<D>>& mine,
 /// siblings decides and seeds each leaf q once.  Siblings that arrive apart
 /// are decided again, which only repeats identical seeds.
 template <int D>
-void grouped_apply(std::vector<TreeOct<D>>& mine,
-                   const std::map<std::int32_t, std::vector<Octant<D>>>& aux,
-                   const BalanceOptions& opt, int k,
-                   std::vector<TreeOct<D>>& created) {
-  if (aux.empty()) return;
+LeafGroups<D> constraint_groups(const std::vector<TreeOct<D>>& mine,
+                                const TreeConstraints<D>& aux, int k) {
+  LeafGroups<D> groups;
   const auto& offs = full_offsets<D>();
-  std::vector<TreeOct<D>> extra;
   const auto family = [](const Octant<D>& o) {
     return o.level > 0 ? parent(o) : o;
   };
   for (const auto& [i, j] : tree_runs(mine)) {
-    const std::int32_t tree = mine[i].tree;
-    const auto it = aux.find(tree);
+    const auto it = aux.find(mine[i].tree);
     if (it == aux.end()) continue;
     const auto run_lo = mine.begin() + static_cast<std::ptrdiff_t>(i);
     const auto run_hi = mine.begin() + static_cast<std::ptrdiff_t>(j);
-    // Constrained leaves and their constraints, grouped per leaf.  The
-    // constrained leaves are found from the receiver side: every leaf a
+    // The constrained leaves are found from the receiver side: every leaf a
     // constraint can violate overlaps one of the constraint's own-size
     // neighbor pieces (it is coarser by two or more levels, so it contains
     // the piece and touches the constraint).
-    std::map<Octant<D>, std::vector<Octant<D>>> groups;
     std::vector<std::size_t> cand;
     std::vector<std::size_t> seeded;  // leaves the current sibling run seeded
     Octant<D> piece;
@@ -157,43 +89,19 @@ void grouped_apply(std::vector<TreeOct<D>>& mine,
       cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
       for (const std::size_t qi : cand) {
         const Octant<D>& q = mine[qi].oct;
-        if (opt.seed_response) {
-          if (o.level <= q.level + 1) continue;  // 2:1 already
-          if (std::find(seeded.begin(), seeded.end(), qi) != seeded.end()) {
-            continue;  // a sibling of o already seeded q
-          }
-          seeded.push_back(qi);
-          if (balanced_pair(o, q, k)) continue;  // O(1) decision
-          for (const auto& s : balance_seeds(o, q, k)) {
-            groups[q].push_back(s);
-          }
-        } else {
-          if (o.level <= q.level) continue;  // too coarse
-          groups[q].push_back(o);
+        if (o.level <= q.level + 1) continue;  // 2:1 already
+        if (std::find(seeded.begin(), seeded.end(), qi) != seeded.end()) {
+          continue;  // a sibling of o already seeded q
+        }
+        seeded.push_back(qi);
+        if (balanced_pair(o, q, k)) continue;  // O(1) decision
+        for (const auto& s : balance_seeds(o, q, k)) {
+          groups[mine[qi]].push_back(s);
         }
       }
     }
-    for (auto& [q, octs] : groups) {
-      // Sort + in-place ancestor drop (duplicate seeds from distinct
-      // constraints collapse here): the groups are small, and the keyed
-      // linearize's radix scratch is pointless overhead at this size.
-      std::sort(octs.begin(), octs.end());
-      std::size_t w = 0;
-      for (std::size_t t = 0; t < octs.size(); ++t) {
-        if (t + 1 < octs.size() && contains(octs[t], octs[t + 1])) continue;
-        octs[w++] = octs[t];
-      }
-      octs.resize(w);
-      const auto sub = balance_subtree(opt.subtree, octs, k, q);
-      if (sub.size() == 1 && sub[0] == q) continue;  // already balanced
-      for (const auto& c : sub) extra.push_back(TreeOct<D>{tree, c});
-    }
   }
-  if (extra.empty()) return;
-  created.insert(created.end(), extra.begin(), extra.end());
-  std::sort(created.begin(), created.end());
-  mine.insert(mine.end(), extra.begin(), extra.end());
-  linearize_treeocts(mine);
+  return groups;
 }
 
 }  // namespace
@@ -331,10 +239,10 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
       OBS_SPAN_RANK("delta_local", r);
       const obs::MemRank mem_rank(r);
       if (frontier[r].empty()) return;
-      std::map<std::int32_t, std::vector<Octant<D>>> touch;
-      for (const auto& to : frontier[r]) touch[to.tree];  // empty aux: run-only
+      TreeConstraints<D> touch;
+      for (const auto& to : frontier[r]) touch[to.tree];  // run-only
       std::vector<TreeOct<D>> created;
-      rebalance_with_aux(f.local(r), touch, opt, k, created);
+      rebalance_runs(f.local(r), touch, opt.subtree, k, nullptr, &created);
       frontier[r].insert(frontier[r].end(), created.begin(), created.end());
       std::sort(frontier[r].begin(), frontier[r].end());
     });
@@ -342,12 +250,12 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
 
   // Push rounds: every frontier octant announces itself to the owners of
   // its insulation-layer pieces (mapped into the receiver's tree frame);
-  // receivers merge the announcements as auxiliary exterior constraints
-  // and re-balance the affected runs; the leaves that creates become the
-  // next frontier.  A charged allreduce of the per-rank work counts
-  // detects the global fixed point.
+  // receivers group the announcements, as exterior constraints, by the
+  // leaves they violate and rebuild those leaves from seeds; the leaves
+  // that creates become the next frontier.  A charged allreduce of the
+  // per-rank work counts detects the global fixed point.
   std::vector<std::vector<std::vector<WireOct<D>>>> qsend(P);
-  std::vector<std::map<std::int32_t, std::vector<Octant<D>>>> aux(P);
+  std::vector<TreeConstraints<D>> aux(P);
   std::vector<std::uint64_t> rank_created(P, 0);
   // Per-rank staging high water across rounds: frontier + pushes + aux.
   std::vector<obs::MemScope> stage_mem(P);
@@ -451,10 +359,8 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
         par::parallel_for_ranks(P, [&](int r) {
           for (const auto& m : comm.recv_all(r)) {
             for (const auto& w : SimComm::decode_items<WireOct<D>>(m)) {
-              Octant<D> o;
-              o.level = static_cast<level_t>(w.level);
-              o.x = w.x;
-              aux[r][w.tree].push_back(o);
+              const TreeOct<D> c = from_wire(w);
+              aux[r][c.tree].push_back(c.oct);
             }
           }
         });
@@ -473,20 +379,15 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
       });
     }
 
-    // Apply the constraints; the created leaves are the next frontier.
-    // Under the new configuration the grouped mechanism keeps the apply
-    // scratch proportional to the violations; the old configuration keeps
-    // the paper's whole-run re-balance for comparison.
+    // Apply the constraints with the grouped seed mechanism of the full
+    // pipeline's phase 4; the created leaves are the next frontier.
     OBS_SPAN("delta_apply");
     par::parallel_for_ranks(P, [&](int r) {
       OBS_SPAN_RANK("delta_apply", r);
       const obs::MemRank mem_rank(r);
       std::vector<TreeOct<D>> created;
-      if (opt.grouped_rebalance) {
-        grouped_apply(f.local(r), aux[r], opt, k, created);
-      } else {
-        rebalance_with_aux(f.local(r), aux[r], opt, k, created);
-      }
+      auto groups = constraint_groups(f.local(r), aux[r], k);
+      apply_groups(f.local(r), groups, opt.subtree, k, nullptr, &created);
       rank_created[r] += created.size();
       frontier[r].swap(created);
     });

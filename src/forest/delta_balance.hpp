@@ -24,21 +24,20 @@
 ///
 /// So only one direction of information flow is ever needed: each newly
 /// created octant *pushes* itself, as an auxiliary exterior constraint, to
-/// the owners of its insulation-layer pieces (the old-scheme phase-4
-/// mechanism of balance.cpp); no rank ever has to ask "did anything near
-/// me change".  The pass runs in three steps:
+/// the owners of its insulation-layer pieces; no rank ever has to ask "did
+/// anything near me change".  Both re-balance steps below are the stages
+/// the full pipeline runs (forest/span.hpp).  The pass runs in three steps:
 ///
 ///   1. Each rank validates its share of the dirty log against its leaves
-///      and re-balances every run holding a surviving entry whole
-///      (balance_subtree settles the intra-run ripple in one shot).
+///      and re-balances every run holding a surviving entry whole (the
+///      full pipeline's local balance, restricted to those runs, settles
+///      the intra-run ripple in one shot).
 ///   2. Push rounds: the leaves created so far are announced; receivers
 ///      apply the constraints with the insulation-grouped mechanism of the
-///      full pipeline's phase 4 (grouped_apply: only the leaves a
-///      constraint violates are refined, from seeds).  The old
-///      configuration (grouped_rebalance = false) re-balances the
-///      constrained runs whole instead.  From round 1 on, the created
-///      leaves also constrain their own run.  The leaves a round creates
-///      are the next round's frontier.
+///      full pipeline's phase 4 (only the leaves a constraint violates are
+///      refined, from seeds).  From round 1 on, the created leaves also
+///      constrain their own run.  The leaves a round creates are the next
+///      round's frontier.
 ///   3. The rounds terminate when a charged allreduce reports no work
 ///      anywhere; runs that never receive a constraint are fixed points of
 ///      local balance and are provably left byte-identical.
@@ -92,11 +91,11 @@ struct DeltaBalanceReport {
 /// the last clear_dirty()) to the full 2:1 condition of \p opt.  Consumes
 /// and clears the dirty log.  Only opt.k and opt.subtree are honored: the
 /// query/response switches do not apply (the push scheme has no query
-/// phase), and the announcements travel as direct point-to-point sends
-/// closed by the per-round termination allreduce (an NBX-style sparse
-/// exchange — senders know their destinations, so no notify algorithm is
-/// needed either).  Byte-identical to balance(f, opt, comm) under the
-/// precondition above.
+/// phase, and its rounds always apply constraints from seeds), and the
+/// announcements travel as direct point-to-point sends closed by the
+/// per-round termination allreduce (an NBX-style sparse exchange — senders
+/// know their destinations, so no notify algorithm is needed either).
+/// Byte-identical to balance(f, opt, comm) under the precondition above.
 ///
 /// Throws std::invalid_argument when opt.k lies outside [0, D], before
 /// anything is consumed.  Throws std::logic_error when the push rounds find

@@ -156,6 +156,11 @@ void Forest<D>::refine(const RefinePred& pred, bool recursive) {
 
 template <int D>
 void Forest<D>::coarsen(const RefinePred& pred, int balance_k) {
+  if (balance_k < 0 || balance_k > D) {
+    throw std::invalid_argument("Forest::coarsen: balance_k = " +
+                                std::to_string(balance_k) +
+                                " is outside [0, " + std::to_string(D) + "]");
+  }
   // 2:1-safety veto context: the *pre-sweep* global leaf set, split by
   // tree.  Judging every candidate family against this snapshot (rather
   // than the evolving arrays) makes the veto order-independent: two

@@ -95,7 +95,8 @@ class Forest {
   /// collapses of adjacent families cannot jointly break balance — a
   /// vetoed coarsen of a 2:1-balanced forest stays 2:1-balanced, which is
   /// what lets delta_balance() treat coarsening as a no-op for the
-  /// balance condition (see forest/delta_balance.hpp).
+  /// balance condition (see forest/delta_balance.hpp).  Throws
+  /// std::invalid_argument when balance_k lies outside [0, D].
   void coarsen(const RefinePred& pred, int balance_k = 0);
 
   /// The dirty log: every leaf created by refine() or coarsen() since the

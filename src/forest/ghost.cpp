@@ -15,13 +15,6 @@ namespace octbal {
 
 namespace {
 
-template <int D>
-struct WireGhost {
-  std::int32_t tree;
-  std::int32_t level;
-  std::array<coord_t, D> x;
-};
-
 /// Exact adjacency test of a candidate ghost \p g against the rank's leaves
 /// \p mine, across tree boundaries: for each balance-offset piece of g, the
 /// leaves meeting the piece are one key range of the piece tree's run, and
@@ -72,7 +65,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
   // rank owning part of a same-size neighbor piece of o.  Owner resolution
   // is the balance Query phase's halo owner walk (DESIGN.md §2.10): pieces
   // inside the rank's own span are self-candidates and visit nothing.
-  std::vector<std::vector<std::vector<WireGhost<D>>>> send(P);
+  std::vector<std::vector<std::vector<WireOct<D>>>> send(P);
   std::vector<std::vector<int>> receivers(P);
   std::vector<OwnerScanStats> rank_owner(P);
   // Candidate staging + accepted entries, per rank (kGhost); the scopes
@@ -92,8 +85,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
                      if (q == r || f.marker(q) == f.marker(q + 1)) continue;
                      if (last[q] == i) continue;
                      last[q] = i;
-                     send[r][q].push_back(WireGhost<D>{
-                         mine[i].tree, mine[i].oct.level, mine[i].oct.x});
+                     send[r][q].push_back(to_wire(mine[i]));
                    }
                  });
     }
@@ -105,7 +97,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
       }
     }
     std::size_t staged = 0;
-    for (const auto& v : send[r]) staged += v.size() * sizeof(WireGhost<D>);
+    for (const auto& v : send[r]) staged += v.size() * sizeof(WireOct<D>);
     stage_mem[r].set_slot(r, obs::MemTag::kGhost, staged);
   });
   for (int r = 0; r < P; ++r) {
@@ -132,8 +124,8 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
   par::parallel_for_ranks(P, [&](int r) {
     for (int q = 0; q < P; ++q) {
       if (send[r][q].empty()) continue;
-      comm.send_items<WireGhost<D>>(r, q,
-                                    std::span<const WireGhost<D>>(send[r][q]));
+      comm.send_items<WireOct<D>>(r, q,
+                                  std::span<const WireOct<D>>(send[r][q]));
     }
   });
   comm.deliver();
@@ -146,11 +138,8 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
     // header, and the headers of neighboring ranks share cache lines.
     std::vector<typename GhostLayer<D>::Entry> out;
     for (const auto& m : comm.recv_all(r)) {
-      for (const auto& w : SimComm::decode_items<WireGhost<D>>(m)) {
-        TreeOct<D> g;
-        g.tree = w.tree;
-        g.oct.level = static_cast<level_t>(w.level);
-        g.oct.x = w.x;
+      for (const auto& w : SimComm::decode_items<WireOct<D>>(m)) {
+        const TreeOct<D> g = from_wire(w);
         if (!adjacent_to_rank(conn, g, k, mine)) continue;
         out.push_back(typename GhostLayer<D>::Entry{g, m.from});
       }
@@ -160,7 +149,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
     out.erase(std::unique(out.begin(), out.end()), out.end());
     c_entries.add(r, out.size());
     std::size_t staged = out.size() * sizeof(typename GhostLayer<D>::Entry);
-    for (const auto& v : send[r]) staged += v.size() * sizeof(WireGhost<D>);
+    for (const auto& v : send[r]) staged += v.size() * sizeof(WireOct<D>);
     stage_mem[r].set_slot(r, obs::MemTag::kGhost, staged);
     ghost.per_rank[r] = std::move(out);
   });

@@ -950,7 +950,8 @@ FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b) {
     const bool same_content = ra.digest == rb.digest &&
                               ra.total.messages == rb.total.messages &&
                               ra.total.bytes == rb.total.bytes &&
-                              ra.edges.size() == rb.edges.size();
+                              ra.edges == rb.edges &&
+                              ra.digests == rb.digests;
     if (same_phase && same_content) continue;
     d.diverged = true;
     d.round = static_cast<std::int64_t>(i);
@@ -995,6 +996,30 @@ FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b) {
     diff_edges(a_longer ? extra : none, a_longer ? none : extra, d);
   }
   return d;
+}
+
+bool flight_bisect_pairs(const std::vector<FlightLog>& a,
+                         const std::vector<FlightLog>& b,
+                         std::vector<FlightDivergence>* out,
+                         std::string* err) {
+  out->clear();
+  if (a.size() != b.size()) {
+    if (err) *err = fmt("log count differs (%zu vs %zu)", a.size(), b.size());
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].label != b[i].label) {
+      if (err) {
+        *err = fmt("log %zu label differs (\"%s\" vs \"%s\")", i,
+                   a[i].label.c_str(), b[i].label.c_str());
+      }
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    out->push_back(flight_bisect(a[i], b[i]));
+  }
+  return true;
 }
 
 std::string render_flight(const std::vector<FlightLog>& logs) {

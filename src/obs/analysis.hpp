@@ -133,9 +133,17 @@ struct FlightDivergence {
 };
 
 /// Compare two flight logs round-by-round (phase label, then the sorted
-/// (from, to) edge sets with their digests) and report the earliest
-/// difference.
+/// (from, to) edge sets with their counts and digests) and report the
+/// earliest difference.
 FlightDivergence flight_bisect(const FlightLog& a, const FlightLog& b);
+
+/// Pair the flight logs of two documents by index and bisect every pair.
+/// Returns false and sets \p err, bisecting nothing, when the documents
+/// hold different numbers of logs or a pair's labels differ: the pairing
+/// would compare unrelated runs.
+bool flight_bisect_pairs(const std::vector<FlightLog>& a,
+                         const std::vector<FlightLog>& b,
+                         std::vector<FlightDivergence>* out, std::string* err);
 
 /// Pretty text for `octbal_inspect flight`: per-log phase timeline
 /// (consecutive same-phase round ranges), heaviest edges, and digest

@@ -2,8 +2,9 @@
 /// \file core_reference.hpp
 /// \brief Test-only reference for the core kernels: std::sort by
 /// Octant::operator< for sort_octants, sort-then-drop-ancestors for
-/// linearize, a per-point find_containing_leaf loop for locate_points, and
-/// a std::set membership model for OctantHashSet.
+/// linearize, the pairwise order-and-containment test for is_linear, a
+/// per-point find_containing_leaf loop for locate_points, and a std::set
+/// membership model for OctantHashSet.
 ///
 /// These are the plain definitions the packed-key kernels in core/ must
 /// reproduce byte for byte.  They are slow — comparison sorting of 24-byte
@@ -37,6 +38,16 @@ void linearize(std::vector<Octant<D>>& a) {
     out.push_back(a[i]);
   }
   a = std::move(out);
+}
+
+/// Linear: every element precedes its successor in Morton preorder and
+/// does not contain it.
+template <int D>
+bool is_linear(const std::vector<Octant<D>>& a) {
+  for (std::size_t i = 0; i + 1 < a.size(); ++i) {
+    if (!(a[i] < a[i + 1]) || contains(a[i], a[i + 1])) return false;
+  }
+  return true;
 }
 
 /// Batch point location, one independent binary search per point.

@@ -271,6 +271,22 @@ TEST(DirtyRegion, SplitCoversMergeToTheSingleCover) {
   }
 }
 
+/// Every count of a delta_balance() report plus the accounted-memory
+/// snapshot of its session, as one comparable string.
+std::string delta_fingerprint(const DeltaBalanceReport& rep,
+                              const obs::MemSession& mem) {
+  return std::to_string(rep.dirty_logged) + " " +
+         std::to_string(rep.dirty_validated) + " " +
+         std::to_string(rep.region_octants) + " " +
+         std::to_string(rep.constraints_sent) + " " +
+         std::to_string(rep.octants_created) + " " +
+         std::to_string(rep.rounds) + " " +
+         std::to_string(rep.octants_before) + " " +
+         std::to_string(rep.octants_after) + " " +
+         std::to_string(rep.comm.messages) + " " +
+         std::to_string(rep.comm.bytes) + "\n" + mem.snapshot().serialize();
+}
+
 TEST(DirtyRegion, DeltaReportAndMemoryAreThreadInvariant) {
   // The per-rank covers charge their own rank slots concurrently; the
   // report counts and the whole accounted ledger must not notice.
@@ -295,14 +311,7 @@ TEST(DirtyRegion, DeltaReportAndMemoryAreThreadInvariant) {
       const DeltaBalanceReport rep =
           delta_balance(f, BalanceOptions::new_config(), dc);
       EXPECT_GT(rep.region_octants, 0u);
-      seen += std::to_string(rep.dirty_logged) + " " +
-              std::to_string(rep.dirty_validated) + " " +
-              std::to_string(rep.region_octants) + " " +
-              std::to_string(rep.constraints_sent) + " " +
-              std::to_string(rep.octants_created) + " " +
-              std::to_string(rep.rounds) + " " +
-              std::to_string(rep.octants_after) + "\n" +
-              mem.snapshot().serialize();
+      seen += delta_fingerprint(rep, mem);
       front_coarsen(f, cp, step, 3);
     }
     if (first.empty()) {
@@ -445,6 +454,51 @@ TEST(DeltaBalance, ByteIdenticalAcrossThreadCounts) {
           f, cp, lmax, step,
           ("threads=" + std::to_string(threads)).c_str());
       front_coarsen(f, cp, step, 3);
+    }
+  }
+}
+
+TEST(DeltaBalance, IgnoresResponseSwitches) {
+  // delta_balance honors only k and the subtree algorithm: every
+  // seed_response x grouped_rebalance combination must give the forest a
+  // full balance gives, the same report and the same accounted memory.
+  ChurnFrontParams cp;
+  cp.drift = 0.03;
+  cp.wake = 0.06;
+  Forest<3> churned(Connectivity<3>::brick({4, 4, 1}), 16, 1);
+  front_refine(churned, 5, cp, 0);
+  churned.partition_uniform();
+  prebalance(churned);
+  front_refine(churned, 5, cp, 1);
+  Forest<3> ref = churned;
+  ref.clear_dirty();
+  {
+    SimComm fc(16);
+    fc.set_record_rounds(false);
+    balance(ref, BalanceOptions::new_config(), fc);
+  }
+  std::string first;
+  for (const bool seeds : {true, false}) {
+    for (const bool grouped : {true, false}) {
+      BalanceOptions opt = BalanceOptions::new_config();
+      opt.seed_response = seeds;
+      opt.grouped_rebalance = grouped;
+      Forest<3> f = churned;
+      SimComm dc(16);
+      dc.set_record_rounds(false);
+      obs::MemSession mem(16);
+      f.account_memory();
+      const DeltaBalanceReport rep = delta_balance(f, opt, dc);
+      const std::string what = "seed_response=" + std::to_string(seeds) +
+                               " grouped_rebalance=" + std::to_string(grouped);
+      EXPECT_TRUE(forests_identical(f, ref)) << what;
+      EXPECT_GT(rep.rounds, 0) << what;
+      const std::string seen = delta_fingerprint(rep, mem);
+      if (first.empty()) {
+        first = seen;
+      } else {
+        EXPECT_EQ(seen, first) << what;
+      }
     }
   }
 }

@@ -161,6 +161,45 @@ TYPED_TEST(CoreDifferentialTypedTest, SortIsByteIdentical) {
   }
 }
 
+TYPED_TEST(CoreDifferentialTypedTest, IsLinearMatchesPairwiseDefinition) {
+  // is_linear compares Morton intervals of neighbors; the reference
+  // compares order and containment.  Feed both linear arrays and the ways
+  // an array stops being linear: unsorted, a duplicate, an ancestor next
+  // to its descendant, and exterior octants (constraint inputs of the
+  // subtree balance) in and out of order.
+  constexpr int D = TypeParam::d;
+  const auto root = root_octant<D>();
+  for (const auto& input : battery_inputs<D>(1003)) {
+    auto lin = input;
+    reference::linearize(lin);
+    std::vector<std::vector<Octant<D>>> cases{lin, shuffled<D>(lin, 4)};
+    if (!lin.empty()) {
+      const std::size_t mid = lin.size() / 2;
+      auto dup = lin;
+      dup.insert(dup.begin() + static_cast<std::ptrdiff_t>(mid), lin[mid]);
+      cases.push_back(dup);
+      if (lin[mid].level > 0) {
+        auto anc = lin;
+        anc.insert(anc.begin() + static_cast<std::ptrdiff_t>(mid),
+                   parent(lin[mid]));
+        cases.push_back(anc);
+      }
+      Octant<D> below = root, above = root;
+      below.x[0] = -root_len<D>;
+      above.x[D - 1] = root_len<D>;
+      auto ext = lin;
+      ext.insert(ext.begin(), below);
+      ext.push_back(above);
+      cases.push_back(ext);
+      std::swap(ext.front(), ext.back());
+      cases.push_back(ext);
+    }
+    for (const auto& c : cases) {
+      EXPECT_EQ(is_linear(c), reference::is_linear(c)) << c.size();
+    }
+  }
+}
+
 TYPED_TEST(CoreDifferentialTypedTest, LinearizeCompleteReduceAgree) {
   constexpr int D = TypeParam::d;
   const auto root = root_octant<D>();

@@ -186,6 +186,39 @@ TEST(Preconditions, NotifyDcPayloadRejectsWrongListCount) {
   EXPECT_THROW(notify_dc_payload(c, out), std::invalid_argument);
 }
 
+TEST(Preconditions, CoarsenRejectsBalanceKOutOfRange) {
+  // balance_k indexes the neighbor-offset table: past D it would read
+  // beyond it in a release build.  Nothing is collapsed before the throw.
+  Forest<2> f(Connectivity<2>::unitcube(), 1, 2);
+  const auto all = [](const TreeOct<2>&) { return true; };
+  EXPECT_THROW(f.coarsen(all, 3), std::invalid_argument);
+  EXPECT_THROW(f.coarsen(all, -1), std::invalid_argument);
+  EXPECT_EQ(f.global_num_octants(), 16u);
+  EXPECT_NO_THROW(f.coarsen(all, 2));
+  EXPECT_EQ(f.global_num_octants(), 4u);
+}
+
+TEST(Preconditions, BalanceSubtreeOldRejectsNonLinearInput) {
+  const auto root = root_octant<2>();
+  const auto c0 = child(root, 0), c3 = child(root, 3);
+  // Unsorted, and an ancestor next to its descendant.
+  EXPECT_THROW(balance_subtree_old<2>({c3, c0}, 2, root),
+               std::invalid_argument);
+  EXPECT_THROW(balance_subtree_old<2>({c0, child(c0, 1)}, 2, root),
+               std::invalid_argument);
+  EXPECT_EQ(balance_subtree_old<2>({c0, c3}, 2, root).size(), 4u);
+}
+
+TEST(Preconditions, BalanceSubtreeNewRejectsNonLinearInput) {
+  const auto root = root_octant<3>();
+  const auto c0 = child(root, 0), c7 = child(root, 7);
+  EXPECT_THROW(balance_subtree_new<3>({c7, c0}, 3, root),
+               std::invalid_argument);
+  EXPECT_THROW(balance_subtree_new<3>({c0, c0}, 3, root),
+               std::invalid_argument);
+  EXPECT_EQ(balance_subtree_new<3>({c0, c7}, 3, root).size(), 8u);
+}
+
 TEST(Preconditions, BrickRejectsEmptyAxis) {
   EXPECT_THROW(Connectivity<2>::brick({2, 0}), std::invalid_argument);
   EXPECT_THROW(Connectivity<3>::brick({-1, 1, 1}), std::invalid_argument);

@@ -627,6 +627,57 @@ TEST(Inspect, BenchReportEmbedsAndParsesFlightLogs) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(Inspect, BisectPairsEveryLogAndCatchesALaterOne) {
+  // Two documents of two runs each, identical but for one edge's byte
+  // count in the second run: pairing by index must bisect both pairs and
+  // find the divergence in the second, not stop at the first.
+  SimComm::set_flight_default(true);
+  const auto build = [&](int p) {
+    Forest<3> f(Connectivity<3>::brick({2, 1, 1}), p, 2);
+    fractal_refine(f, 3);
+    f.partition_uniform();
+    return f;
+  };
+  char prog[] = "test_inspect";
+  char* argv[] = {prog};
+  const Cli cli(1, argv);
+  BenchReport report("flight_pairs", cli);
+  report.add("old", run_balance<3>(build, 4, BalanceOptions::old_config()));
+  report.add("new", run_balance<3>(build, 4, BalanceOptions::new_config()));
+  SimComm::set_flight_default(false);
+  std::vector<obs::FlightLog> a, b;
+  std::string err;
+  ASSERT_TRUE(obs::parse_flight(parse_ok(report.json()), &a, &err)) << err;
+  ASSERT_EQ(a.size(), 2u);
+  b = a;
+  const auto edged = std::find_if(
+      b[1].rounds.begin(), b[1].rounds.end(),
+      [](const SimComm::Round& r) { return !r.edges.empty(); });
+  ASSERT_NE(edged, b[1].rounds.end());
+  edged->edges[0].bytes += 1;
+
+  std::vector<obs::FlightDivergence> verdicts;
+  ASSERT_TRUE(obs::flight_bisect_pairs(a, a, &verdicts, &err)) << err;
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_FALSE(verdicts[0].diverged || verdicts[1].diverged);
+
+  ASSERT_TRUE(obs::flight_bisect_pairs(a, b, &verdicts, &err)) << err;
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_FALSE(verdicts[0].diverged);
+  ASSERT_TRUE(verdicts[1].diverged);
+  EXPECT_EQ(verdicts[1].round, edged - b[1].rounds.begin());
+  EXPECT_EQ(verdicts[1].edges_differing, 1u);
+
+  // Unpairable documents: a different log count or label is an error.
+  b.pop_back();
+  EXPECT_FALSE(obs::flight_bisect_pairs(a, b, &verdicts, &err));
+  EXPECT_NE(err.find("log count"), std::string::npos) << err;
+  b = a;
+  b[1].label = "other";
+  EXPECT_FALSE(obs::flight_bisect_pairs(a, b, &verdicts, &err));
+  EXPECT_NE(err.find("label"), std::string::npos) << err;
+}
+
 // -------------------------------------------------------------- renderers --
 
 TEST(Inspect, RenderersAndTopTalkers) {
