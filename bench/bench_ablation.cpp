@@ -3,7 +3,8 @@
 /// from the old configuration, enable one paper improvement at a time —
 /// the new subtree balance (Section III), seed responses with grouped
 /// rebalance (Section IV), and the Notify pattern reversal (Section V) —
-/// and measure what each contributes on a graded mesh.
+/// and measure what each contributes on a graded mesh.  The four rows are
+/// the paper's whole ablation; the last is BalanceOptions::new_config().
 ///
 ///   ./bench_ablation [--ranks 16] [--lmax 6] [--threads N]
 ///                    [--json out.json] [--trace trace.json]
@@ -26,22 +27,9 @@ int main(int argc, char** argv) {
     f.partition_uniform();
     return f;
   };
-  // Same mesh under a level-weighted partition: boundaries shift toward
-  // the refined grounding line, which is the interesting regime for
-  // notify_carries_queries (query payloads ride the Notify rounds, so
-  // their cost follows the partition-boundary shape, not the leaf count).
-  const auto build_weighted = [&](int p) {
-    Forest<3> f(Connectivity<3>::brick({4, 4, 1}), p, 1);
-    icesheet_refine(f, lmax);
-    f.partition_weighted(
-        [](const TreeOct<3>& to) { return 1 + to.oct.level; });
-    return f;
-  };
-
   struct Step {
     const char* name;
     BalanceOptions opt;
-    bool weighted = false;  ///< use the level-weighted partition build
   };
   BalanceOptions o_old = BalanceOptions::old_config();
   BalanceOptions o_subtree = o_old;
@@ -51,15 +39,11 @@ int main(int argc, char** argv) {
   o_seeds.grouped_rebalance = true;
   BalanceOptions o_all = o_seeds;
   o_all.notify_algo = NotifyAlgo::kNotify;
-  BalanceOptions o_carries = o_all;
-  o_carries.notify_carries_queries = true;
   const Step steps[] = {
       {"old (baseline)", o_old},
       {"+ new subtree (Sec III)", o_subtree},
       {"+ seeds/grouped (Sec IV)", o_seeds},
       {"+ notify d&c (Sec V) = new", o_all},
-      {"+ carried queries", o_carries},
-      {"weighted part. x carried", o_carries, /*weighted=*/true},
   };
 
   std::printf("=== Ablation: contribution of each paper section, %d ranks "
@@ -72,9 +56,7 @@ int main(int argc, char** argv) {
               "hashq");
   double baseline = 0;
   for (const Step& s : steps) {
-    const RunResult r = s.weighted
-                            ? run_balance<3>(build_weighted, ranks, s.opt)
-                            : run_balance<3>(build, ranks, s.opt);
+    const RunResult r = run_balance<3>(build, ranks, s.opt);
     report.add(s.name, r);
     if (baseline == 0) baseline = r.rep.total();
     std::printf("%-28s %9.4f %9.4f %9.4f %9.4f %9.4f %12llu %12llu   "

@@ -72,8 +72,10 @@ CaseConfig random_case_config(std::uint64_t seed, Tier tier) {
   c.opt.notify_algo = n < 0.5   ? NotifyAlgo::kNotify
                       : n < 0.75 ? NotifyAlgo::kRanges
                                  : NotifyAlgo::kNaive;
-  c.opt.notify_carries_queries =
-      c.opt.notify_algo == NotifyAlgo::kNotify && rng.chance(0.4);
+  // A retired dimension (queries riding the Notify rounds) drew here for
+  // Notify cases.  The draw stays, value discarded, so the draws below keep
+  // their values.
+  if (c.opt.notify_algo == NotifyAlgo::kNotify) (void)rng.chance(0.4);
   c.opt.notify_max_ranges = rng.chance(0.5) ? 8 : 2;
 
   // Repartition dimensions draw from their own stream: the draws above are
@@ -148,8 +150,7 @@ std::string describe(const CaseConfig& c) {
   os << " notify="
      << (c.opt.notify_algo == NotifyAlgo::kNotify   ? "notify"
          : c.opt.notify_algo == NotifyAlgo::kRanges ? "ranges"
-                                                    : "naive")
-     << " carries=" << (c.opt.notify_carries_queries ? 1 : 0);
+                                                    : "naive");
   if (c.opt.inject != FaultInjection::kNone) {
     os << " inject=" << static_cast<int>(c.opt.inject);
   }

@@ -274,9 +274,7 @@ std::string Shrinker::regression_source(const CaseConfig& cfg,
          : cfg.opt.notify_algo == NotifyAlgo::kRanges ? "kRanges"
                                                       : "kNaive")
      << ";\n"
-     << "  opt.notify_max_ranges = " << cfg.opt.notify_max_ranges << ";\n"
-     << "  opt.notify_carries_queries = "
-     << (cfg.opt.notify_carries_queries ? "true" : "false") << ";\n";
+     << "  opt.notify_max_ranges = " << cfg.opt.notify_max_ranges << ";\n";
   os << "  SimComm comm(" << cfg.ranks << ");\n";
   if (cfg.scramble) os << "  comm.set_scramble(" << cfg.seed << "ull);\n";
   os << "  balance(f, opt, comm);\n";

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -178,101 +177,6 @@ std::vector<std::vector<int>> notify_dc(
                      senders[q].end());
   });
   return senders;
-}
-
-std::vector<std::vector<NotifyPayload>> notify_dc_payload(
-    SimComm& comm,
-    const std::vector<std::vector<std::pair<int, std::vector<std::uint8_t>>>>&
-        outgoing) {
-  OBS_SPAN("notify_dc_payload");
-  check_per_rank("notify_dc_payload", outgoing.size(), comm);
-  const int p = comm.size();
-  struct Item {
-    std::int32_t receiver;
-    std::int32_t sender;
-    std::vector<std::uint8_t> data;
-  };
-  // Variable-length wire format: receiver, sender, length, bytes.
-  const auto pack = [](const std::vector<Item>& items) {
-    std::vector<std::uint8_t> buf;
-    for (const Item& it : items) {
-      std::uint8_t hdr[12];
-      std::memcpy(hdr, &it.receiver, 4);
-      std::memcpy(hdr + 4, &it.sender, 4);
-      const std::uint32_t len = static_cast<std::uint32_t>(it.data.size());
-      std::memcpy(hdr + 8, &len, 4);
-      buf.insert(buf.end(), hdr, hdr + 12);
-      buf.insert(buf.end(), it.data.begin(), it.data.end());
-    }
-    return buf;
-  };
-  const auto unpack = [](const std::vector<std::uint8_t>& buf) {
-    std::vector<Item> items;
-    std::size_t pos = 0;
-    while (pos + 12 <= buf.size()) {
-      Item it;
-      std::memcpy(&it.receiver, &buf[pos], 4);
-      std::memcpy(&it.sender, &buf[pos + 4], 4);
-      std::uint32_t len = 0;
-      std::memcpy(&len, &buf[pos + 8], 4);
-      pos += 12;
-      it.data.assign(buf.begin() + pos, buf.begin() + pos + len);
-      pos += len;
-      items.push_back(std::move(it));
-    }
-    return items;
-  };
-
-  std::vector<std::vector<Item>> know(p);
-  for (int q = 0; q < p; ++q) {
-    for (const auto& [recv, data] : outgoing[q]) {
-      know[q].push_back(
-          Item{static_cast<std::int32_t>(recv), static_cast<std::int32_t>(q),
-               data});
-    }
-  }
-  int levels = 0;
-  while ((1 << levels) < p) ++levels;
-  comm.metrics().scalar("notify/rounds").add(0, levels);
-  for (int l = 0; l < levels; ++l) {
-    OBS_SPAN("notify_round");
-    const int bit = 1 << l;
-    const int mod = bit << 1;
-    par::parallel_for_ranks(p, [&](int q) {
-      const int other_class = (q ^ bit) & (mod - 1);
-      std::vector<Item> ship, keep;
-      for (Item& it : know[q]) {
-        ((it.receiver & (mod - 1)) == other_class ? ship : keep)
-            .push_back(std::move(it));
-      }
-      know[q].swap(keep);
-      int target = q ^ bit;
-      if (target >= p) target = (q ^ bit) - mod;
-      if (target < 0) {
-        assert(ship.empty());
-        return;
-      }
-      comm.send(q, target, pack(ship));
-    });
-    comm.deliver();
-    par::parallel_for_ranks(p, [&](int q) {
-      for (const SimMessage& m : comm.recv_all(q)) {
-        auto items = unpack(m.data);
-        for (auto& it : items) know[q].push_back(std::move(it));
-      }
-    });
-  }
-
-  std::vector<std::vector<NotifyPayload>> result(p);
-  par::parallel_for_ranks(p, [&](int q) {
-    std::sort(know[q].begin(), know[q].end(),
-              [](const Item& a, const Item& b) { return a.sender < b.sender; });
-    for (Item& it : know[q]) {
-      assert(it.receiver == q);
-      result[q].push_back(NotifyPayload{it.sender, std::move(it.data)});
-    }
-  });
-  return result;
 }
 
 std::vector<std::vector<int>> notify(NotifyAlgo algo, SimComm& comm,

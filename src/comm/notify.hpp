@@ -55,19 +55,4 @@ std::vector<std::vector<int>> notify(
     NotifyAlgo algo, SimComm& comm,
     const std::vector<std::vector<int>>& receivers, int max_ranges = 8);
 
-/// Payload-carrying variant of the divide-and-conquer Notify: each sender
-/// attaches one opaque payload per receiver, and the payloads ride along
-/// the log P exchange rounds instead of requiring a second communication
-/// step (this is how the production implementation delivers the first
-/// round of query metadata).  Returns, per rank, the (sender, payload)
-/// pairs addressed to it, sorted by sender.
-struct NotifyPayload {
-  int sender = 0;
-  std::vector<std::uint8_t> data;
-};
-std::vector<std::vector<NotifyPayload>> notify_dc_payload(
-    SimComm& comm,
-    const std::vector<std::vector<std::pair<int, std::vector<std::uint8_t>>>>&
-        outgoing);
-
 }  // namespace octbal

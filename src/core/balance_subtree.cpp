@@ -75,6 +75,7 @@ template <int D>
 std::vector<Octant<D>> balance_subtree_old(const std::vector<Octant<D>>& s,
                                            int k, const Octant<D>& root,
                                            SubtreeBalanceStats* stats) {
+  require_balance_k<D>(k, "balance_subtree_old");
   require_linear(s, "balance_subtree_old");
   SubtreeBalanceStats local;
   HashStats hs;
@@ -124,6 +125,7 @@ template <int D>
 std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
                                            int k, const Octant<D>& root,
                                            SubtreeBalanceStats* stats) {
+  require_balance_k<D>(k, "balance_subtree_new");
   require_linear(s, "balance_subtree_new");
   SubtreeBalanceStats local;
   // Preclusion compression is only lossless when the completion domain can

@@ -8,7 +8,7 @@
 /// keeps every input octant as a leaf (or refines it when inputs conflict).
 /// Both also work on *incomplete* input sets, which is what the seed-octant
 /// reconstruction of Section IV relies on.  Both throw std::invalid_argument
-/// when S is not sorted and linear.
+/// when S is not sorted and linear or k is outside [1, D].
 ///
 /// The old algorithm inserts, for every octant, its whole family and coarse
 /// neighborhood into a hash table and linearizes the union.  The new one

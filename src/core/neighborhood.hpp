@@ -14,11 +14,25 @@
 /// Neighbors outside the domain are dropped, which implements the paper's
 /// "treat the least common ancestor of the subtree as the root".
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/octant.hpp"
 
 namespace octbal {
+
+/// Throws std::invalid_argument, naming \p who, unless 1 <= k <= D.  Entry
+/// points that index balance_offsets with a caller's k check it first: the
+/// table has one entry per condition and no bounds check of its own.
+template <int D>
+void require_balance_k(int k, const char* who) {
+  if (k < 1 || k > D) {
+    throw std::invalid_argument(std::string(who) + ": k = " +
+                                std::to_string(k) + " is outside [1, " +
+                                std::to_string(D) + "]");
+  }
+}
 
 /// The offset vectors in {-1,0,1}^D \ {0} selected by balance condition k:
 /// those with between 1 and k nonzero components.  Computed once per (D, k).

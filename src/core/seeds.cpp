@@ -1,6 +1,8 @@
 #include "core/seeds.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/lambda.hpp"
 #include "core/linear.hpp"
@@ -12,7 +14,11 @@ namespace octbal {
 template <int D>
 std::vector<Octant<D>> balance_seeds(const Octant<D>& o, const Octant<D>& r,
                                      int k) {
-  assert(!overlaps(o, r));
+  require_balance_k<D>(k, "balance_seeds");
+  if (overlaps(o, r)) {
+    throw std::invalid_argument("balance_seeds: o = " + to_string(o) +
+                                " overlaps r = " + to_string(r));
+  }
   std::vector<Octant<D>> out;
   if (r.level > o.level) return out;  // r is finer than o: o cannot split it
   // a: the finest leaf of Tk(o) inside r, at the closest position to o;

@@ -22,7 +22,8 @@ namespace octbal {
 /// cause r to split (r is already balanced with o).  Otherwise the returned
 /// octants are descendants of r, and
 ///   balance_subtree_new(seeds, k, r) == Tk(o) ∩ r.
-/// Octants o and r must be disjoint.
+/// Throws std::invalid_argument when o and r overlap or k is outside
+/// [1, D].
 template <int D>
 std::vector<Octant<D>> balance_seeds(const Octant<D>& o, const Octant<D>& r,
                                      int k);

@@ -1,7 +1,6 @@
 #include "forest/balance.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 
 #include "core/key.hpp"
@@ -242,78 +241,29 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
   // Phase 2b: Notify — reverse the asymmetric pattern (Section V).
   // ------------------------------------------------------------------
   double notify_model_time = 0;
-  std::vector<std::vector<std::pair<int, std::vector<WireOct<D>>>>> qrecv(P);
-  const bool fused =
-      opt.notify_carries_queries && opt.notify_algo == NotifyAlgo::kNotify;
-  if (fused) {
-    // Fused mode: the query octants ride along the Notify rounds as
-    // payloads (production-p4est style), so pattern reversal and query
-    // exchange are one collective step.  Wall time spent in deliver()
-    // barriers inside the rounds is excluded from the phase's CPU share
-    // (the α–β model already charges the communication).
+  {
     OBS_SPAN("notify");
     comm.set_phase("balance/notify");
     const CommStats before = comm.stats();
     const double mbefore = comm.modeled_time();
     const double bbefore = comm.barrier_seconds();
     Timer t;
-    std::vector<std::vector<std::pair<int, std::vector<std::uint8_t>>>> out(P);
-    par::parallel_for_ranks(P, [&](int r) {
-      for (int dest = 0; dest < P; ++dest) {
-        if (qsend[r][dest].empty()) continue;
-        if (dest == r) {
-          qrecv[r].push_back({r, qsend[r][dest]});
-          continue;
-        }
-        std::vector<std::uint8_t> buf(qsend[r][dest].size() *
-                                      sizeof(WireOct<D>));
-        std::memcpy(buf.data(), qsend[r][dest].data(), buf.size());
-        out[r].push_back({dest, std::move(buf)});
-      }
-    });
-    const auto delivered = notify_dc_payload(comm, out);
-    par::parallel_for_ranks(P, [&](int r) {
-      for (const auto& np : delivered[r]) {
-        std::vector<WireOct<D>> items(np.data.size() / sizeof(WireOct<D>));
-        if (!items.empty()) {
-          std::memcpy(items.data(), np.data.data(), np.data.size());
-        }
-        qrecv[r].push_back({np.sender, std::move(items)});
-      }
-      std::size_t staged = 0;
-      for (const auto& [from, items] : qrecv[r]) {
-        staged += items.size() * sizeof(WireOct<D>);
-      }
-      qrecv_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
-    });
+    (void)notify(opt.notify_algo, comm, receivers, opt.notify_max_ranges);
     notify_model_time = comm.modeled_time() - mbefore;
     rep.t_notify = std::max(0.0, t.seconds() -
                                      (comm.barrier_seconds() - bbefore)) +
                    notify_model_time;
     rep.notify_comm.messages = comm.stats().messages - before.messages;
     rep.notify_comm.bytes = comm.stats().bytes - before.bytes;
-  } else {
-    {
-      OBS_SPAN("notify");
-      comm.set_phase("balance/notify");
-      const CommStats before = comm.stats();
-      const double mbefore = comm.modeled_time();
-      const double bbefore = comm.barrier_seconds();
-      Timer t;
-      (void)notify(opt.notify_algo, comm, receivers, opt.notify_max_ranges);
-      notify_model_time = comm.modeled_time() - mbefore;
-      rep.t_notify = std::max(0.0, t.seconds() -
-                                       (comm.barrier_seconds() - bbefore)) +
-                     notify_model_time;
-      rep.notify_comm.messages = comm.stats().messages - before.messages;
-      rep.notify_comm.bytes = comm.stats().bytes - before.bytes;
-    }
+  }
 
-    // ----------------------------------------------------------------
-    // Phase 2c: exchange the queries (self-queries bypass the network).
-    // The phase timer pauses across the deliver() barrier, so only the
-    // pack/unpack compute is attributed here.
-    // ----------------------------------------------------------------
+  // ------------------------------------------------------------------
+  // Phase 2c: exchange the queries (self-queries bypass the network).
+  // The phase timer pauses across the deliver() barrier, so only the
+  // pack/unpack compute is attributed here.
+  // ------------------------------------------------------------------
+  std::vector<std::vector<std::pair<int, std::vector<WireOct<D>>>>> qrecv(P);
+  {
     OBS_SPAN("exchange_queries");
     comm.set_phase("balance/queries");
     Timer t;

@@ -64,10 +64,6 @@ struct BalanceOptions {
   bool grouped_rebalance = true;  ///< Section IV: per-query reconstruction
   NotifyAlgo notify_algo = NotifyAlgo::kNotify;  ///< Section V choice
   int notify_max_ranges = 8;
-  /// Ship the query octants as payloads *inside* the Notify rounds
-  /// (production p4est style) instead of a separate exchange after the
-  /// pattern reversal.  Only meaningful with NotifyAlgo::kNotify.
-  bool notify_carries_queries = false;
   /// Fault injection for audit self-tests; kNone for real runs.
   FaultInjection inject = FaultInjection::kNone;
 

@@ -1,7 +1,6 @@
 #include "forest/ghost.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "core/balance_check.hpp"
@@ -42,10 +41,7 @@ template <int D>
 GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
                                 NotifyAlgo notify_algo) {
   OBS_SPAN("ghost");
-  if (k < 1 || k > D) {
-    throw std::invalid_argument("build_ghost_layer: k = " + std::to_string(k) +
-                                " is outside [1, " + std::to_string(D) + "]");
-  }
+  require_balance_k<D>(k, "build_ghost_layer");
   const int P = f.num_ranks();
   const auto& conn = f.connectivity();
   GhostLayer<D> ghost;

@@ -386,36 +386,48 @@ void diff_run(Differ& d, const std::string& path, const JsonValue& a,
   }
 }
 
+/// (from, to) edge sums, keyed so each edge is summed once.
+using EdgeTally = std::map<std::pair<int, int>, CommEdge>;
+
+void tally_edge(EdgeTally& agg, int from, int to, std::uint64_t messages,
+                std::uint64_t bytes) {
+  CommEdge& e = agg[{from, to}];
+  e.from = from;
+  e.to = to;
+  e.messages += messages;
+  e.bytes += bytes;
+}
+
+/// The \p n heaviest edges of \p agg: by bytes, then messages, then
+/// (from, to).
+std::vector<CommEdge> heaviest_edges(const EdgeTally& agg, std::size_t n) {
+  std::vector<CommEdge> edges;
+  edges.reserve(agg.size());
+  for (const auto& [key, e] : agg) edges.push_back(e);
+  std::sort(edges.begin(), edges.end(),
+            [](const CommEdge& a, const CommEdge& b) {
+              if (a.bytes != b.bytes) return a.bytes > b.bytes;
+              if (a.messages != b.messages) return a.messages > b.messages;
+              return std::tie(a.from, a.to) < std::tie(b.from, b.to);
+            });
+  if (edges.size() > n) edges.resize(n);
+  return edges;
+}
+
 }  // namespace
 
-const JsonValue* bench_report_section_named(const JsonValue& doc,
-                                            const std::string& bench,
-                                            std::string* err) {
+const JsonValue* bench_report_section(const JsonValue& doc, std::string* err,
+                                      const std::string& bench) {
   if (is_bench_report(doc)) return &doc;
   const JsonValue* first = nullptr;
   if (doc.is_object()) {
     for (const auto& [key, v] : doc.obj) {
       if (!is_bench_report(v)) continue;
-      if (v.string_or("bench", "") == bench) return &v;
+      if (!bench.empty() && v.string_or("bench", "") == bench) return &v;
       if (!first) first = &v;
     }
   }
   if (first) return first;
-  if (err) {
-    *err = "document is neither an octbal-bench-report-v* file nor a "
-           "baseline wrapper containing one";
-  }
-  return nullptr;
-}
-
-const JsonValue* bench_report_section(const JsonValue& doc,
-                                      std::string* err) {
-  if (is_bench_report(doc)) return &doc;
-  if (doc.is_object()) {
-    for (const auto& [key, v] : doc.obj) {
-      if (is_bench_report(v)) return &v;
-    }
-  }
   if (err) {
     *err = "document is neither an octbal-bench-report-v* file nor a "
            "baseline wrapper containing one";
@@ -436,7 +448,7 @@ const JsonValue* google_benchmark_section(const JsonValue& doc) {
 }
 
 std::vector<CommEdge> top_talkers(const JsonValue& run, std::size_t n) {
-  std::map<std::pair<int, int>, CommEdge> agg;
+  EdgeTally agg;
   const JsonValue* rounds = run.find("rounds");
   if (rounds && rounds->is_array()) {
     for (const JsonValue& round : rounds->arr) {
@@ -444,27 +456,13 @@ std::vector<CommEdge> top_talkers(const JsonValue& run, std::size_t n) {
       if (!edges || !edges->is_array()) continue;
       for (const JsonValue& e : edges->arr) {
         if (!e.is_array() || e.arr.size() != 4) continue;
-        const int from = static_cast<int>(e.arr[0].num);
-        const int to = static_cast<int>(e.arr[1].num);
-        CommEdge& out = agg[{from, to}];
-        out.from = from;
-        out.to = to;
-        out.messages += e.arr[2].as_uint();
-        out.bytes += e.arr[3].as_uint();
+        tally_edge(agg, static_cast<int>(e.arr[0].num),
+                   static_cast<int>(e.arr[1].num), e.arr[2].as_uint(),
+                   e.arr[3].as_uint());
       }
     }
   }
-  std::vector<CommEdge> edges;
-  edges.reserve(agg.size());
-  for (const auto& [key, e] : agg) edges.push_back(e);
-  std::sort(edges.begin(), edges.end(),
-            [](const CommEdge& a, const CommEdge& b) {
-              if (a.bytes != b.bytes) return a.bytes > b.bytes;
-              if (a.messages != b.messages) return a.messages > b.messages;
-              return std::tie(a.from, a.to) < std::tie(b.from, b.to);
-            });
-  if (edges.size() > n) edges.resize(n);
-  return edges;
+  return heaviest_edges(agg, n);
 }
 
 std::string render_report(const JsonValue& doc, std::string* err) {
@@ -702,7 +700,7 @@ bool diff_reports(const JsonValue& base, const JsonValue& fresh, double tol,
   const JsonValue* f = bench_report_section(fresh, err);
   if (!f) return false;
   const JsonValue* b =
-      bench_report_section_named(base, f->string_or("bench", ""), err);
+      bench_report_section(base, err, f->string_or("bench", ""));
   if (!b) return false;
   Differ d(out, tol);
   d.exact_member("", *b, *f, "bench");
@@ -1057,30 +1055,19 @@ std::string render_flight(const std::vector<FlightLog>& logs) {
       i = j;
     }
     // Heaviest edges over the whole log.
-    std::map<std::pair<int, int>, CommEdge> agg;
+    EdgeTally agg;
     for (const auto& r : log.rounds) {
       for (const auto& e : r.edges) {
-        CommEdge& ce = agg[{e.from, e.to}];
-        ce.from = e.from;
-        ce.to = e.to;
-        ce.messages += e.messages;
-        ce.bytes += e.bytes;
+        tally_edge(agg, e.from, e.to, e.messages, e.bytes);
       }
     }
-    std::vector<CommEdge> top;
-    top.reserve(agg.size());
-    for (const auto& [key, e] : agg) top.push_back(e);
-    std::sort(top.begin(), top.end(), [](const CommEdge& x, const CommEdge& y) {
-      if (x.bytes != y.bytes) return x.bytes > y.bytes;
-      if (x.messages != y.messages) return x.messages > y.messages;
-      return std::tie(x.from, x.to) < std::tie(y.from, y.to);
-    });
+    const std::vector<CommEdge> top = heaviest_edges(agg, 5);
     if (!top.empty()) {
       out += "  top edges:";
-      for (std::size_t i = 0; i < top.size() && i < 5; ++i) {
-        out += fmt(" %d->%d (%llu msgs, %llu B)", top[i].from, top[i].to,
-                   static_cast<unsigned long long>(top[i].messages),
-                   static_cast<unsigned long long>(top[i].bytes));
+      for (const CommEdge& e : top) {
+        out += fmt(" %d->%d (%llu msgs, %llu B)", e.from, e.to,
+                   static_cast<unsigned long long>(e.messages),
+                   static_cast<unsigned long long>(e.bytes));
       }
       out += "\n";
     }

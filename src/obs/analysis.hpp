@@ -20,18 +20,14 @@ namespace octbal::obs {
 /// schema `octbal-bench-report-v1`/`-v2`, or the (unique) member holding a
 /// bench report for the `octbal-bench-baseline-v1` wrapper that
 /// BENCH_baseline.json uses.  Returns nullptr (and sets \p err) when the
-/// document is neither.
-const JsonValue* bench_report_section(const JsonValue& doc, std::string* err);
-
-/// Like bench_report_section, but when \p doc is a baseline wrapper
-/// holding *several* bench reports (e.g. fig15_weak and repartition side
-/// by side), prefer the member whose "bench" field equals \p bench and
-/// fall back to the first report member otherwise.  diff_reports uses
-/// this so a fresh report is always paired against the matching baseline
-/// section, never whichever member happens to sort first.
-const JsonValue* bench_report_section_named(const JsonValue& doc,
-                                            const std::string& bench,
-                                            std::string* err);
+/// document is neither.  When the wrapper holds *several* bench reports
+/// (e.g. fig15_weak and repartition side by side) and \p bench is not
+/// empty, the member whose "bench" field equals \p bench wins; otherwise
+/// the first report member does.  diff_reports names the fresh report's
+/// bench so it is always paired against the matching baseline section,
+/// never whichever member happens to sort first.
+const JsonValue* bench_report_section(const JsonValue& doc, std::string* err,
+                                      const std::string& bench = "");
 
 /// Resolve a google-benchmark results object ("benchmarks" array), either
 /// the document itself or the baseline wrapper's `core_ops` member.

@@ -2,21 +2,20 @@
 /// \file core_reference.hpp
 /// \brief Test-only reference for the core kernels: std::sort by
 /// Octant::operator< for sort_octants, sort-then-drop-ancestors for
-/// linearize, the pairwise order-and-containment test for is_linear, a
-/// per-point find_containing_leaf loop for locate_points, and a std::set
-/// membership model for OctantHashSet.
+/// linearize, the pairwise order-and-containment test for is_linear, and a
+/// std::set membership model for OctantHashSet.
 ///
 /// These are the plain definitions the packed-key kernels in core/ must
 /// reproduce byte for byte.  They are slow — comparison sorting of 24-byte
-/// records, one binary search per point, a node-based set — and exist only
-/// so the differential tests in test_core_differential.cpp have an oracle
-/// that shares no code with the kernels under test.
+/// records, a node-based set — and exist only so the differential tests in
+/// test_core_differential.cpp have an oracle that shares no code with the
+/// kernels under test.
 
 #include <algorithm>
 #include <set>
 #include <vector>
 
-#include "core/search.hpp"
+#include "core/octant.hpp"
 
 namespace octbal::reference {
 
@@ -48,17 +47,6 @@ bool is_linear(const std::vector<Octant<D>>& a) {
     if (!(a[i] < a[i + 1]) || contains(a[i], a[i + 1])) return false;
   }
   return true;
-}
-
-/// Batch point location, one independent binary search per point.
-template <int D>
-std::vector<std::size_t> locate_points(
-    const std::vector<Octant<D>>& leaves,
-    const std::vector<std::array<coord_t, D>>& points) {
-  std::vector<std::size_t> out;
-  out.reserve(points.size());
-  for (const auto& p : points) out.push_back(find_containing_leaf<D>(leaves, p));
-  return out;
 }
 
 /// Membership model of OctantHashSet: the same insert/contains/tag

@@ -307,18 +307,18 @@ TEST(Audit, CaseStreamPinned) {
             "lmax=4 density=0.224695 workload=random partition=weighted "
             "scramble=0 repart=insulation repart_rounds=1 churn=3 "
             "churn_coarsen=1 subtree=new seed_response=1 grouped=1 "
-            "notify=notify carries=0");
+            "notify=notify");
   EXPECT_EQ(describe(random_case_config(1691, Tier::kFull)),
             "seed=1691 dim=2 ring=3 orient=0 ranks=8 threads=2 k=1 lmax=5 "
             "density=0.371543 workload=random partition=uniform scramble=0 "
             "repart=octants repart_rounds=2 churn=2 churn_coarsen=1 "
-            "subtree=new seed_response=0 grouped=1 notify=notify carries=1");
+            "subtree=new seed_response=0 grouped=1 notify=notify");
   EXPECT_EQ(describe(random_case_config(2, Tier::kLarge)),
             "seed=2 tier=large dim=2 brick=1x1 periodic=01 ranks=128 "
             "threads=2 k=1 lmax=10 density=0.694114 workload=random "
             "partition=even scramble=0 repart=octants repart_rounds=2 "
             "churn=2 churn_coarsen=1 subtree=old seed_response=1 grouped=1 "
-            "notify=notify carries=0");
+            "notify=notify");
 }
 
 TEST(Audit, CaseGenerationIsDeterministic) {

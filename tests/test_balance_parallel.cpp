@@ -81,9 +81,6 @@ std::vector<Config> all_configs() {
   d.seed_response = false;
   d.grouped_rebalance = true;  // raw octants, grouped reconstruction
   cfgs.push_back({d, "raw-response+grouped"});
-  BalanceOptions e = BalanceOptions::new_config();
-  e.notify_carries_queries = true;  // queries ride the notify rounds
-  cfgs.push_back({e, "new+fused-notify"});
   return cfgs;
 }
 

@@ -1,12 +1,11 @@
 /// \file test_core_differential.cpp
 /// \brief The core differential battery: every packed-key kernel is fed the
 /// same inputs as the plain test-only reference in core_reference.hpp
-/// (std::sort, sort-then-drop-ancestors, per-point binary search, a
-/// std::set membership model) and must produce byte-identical outputs.
-/// Where no reference exists the kernels are checked by their defining
-/// property (complete/reduce round trip, coarsest gap fill, search ranges)
-/// and the Octant<D> adapters against the key entry points, counters
-/// included.  Inputs cover random linear sets, random complete trees, and
+/// (std::sort, sort-then-drop-ancestors, a std::set membership model) and
+/// must produce byte-identical outputs.  Where no reference exists the
+/// kernels are checked by their defining property (complete/reduce round
+/// trip, coarsest gap fill) and the Octant<D> adapters against the key
+/// entry points, counters included.  Inputs cover random linear sets, random complete trees, and
 /// the two paper workloads (fractal, ice sheet); the forest-level pipeline
 /// is checked against the serial oracle at 1, 4 and 8 threads (ctest
 /// label: tsan).
@@ -23,7 +22,6 @@
 #include "core/linear.hpp"
 #include "core/octant_hash.hpp"
 #include "core/reduce.hpp"
-#include "core/search.hpp"
 #include "core/sort.hpp"
 #include "forest/balance.hpp"
 #include "util/parallel.hpp"
@@ -230,49 +228,6 @@ TYPED_TEST(CoreDifferentialTypedTest, LinearizeCompleteReduceAgree) {
     const auto red = reduce(comp);
     EXPECT_LE(red.size(), comp.size() / num_children<D> + 1);
     EXPECT_EQ(complete(red, root), comp);
-  }
-}
-
-TYPED_TEST(CoreDifferentialTypedTest, SearchAgrees) {
-  constexpr int D = TypeParam::d;
-  const auto root = root_octant<D>();
-  Rng rng(1004);
-  for (const auto& input : battery_inputs<D>(1005)) {
-    auto leaves = input;
-    reference::linearize(leaves);
-
-    // search_tree: every visited range holds exactly the leaves inside the
-    // visited octant, and every leaf is reported once, in order.
-    std::vector<std::pair<Octant<D>, std::size_t>> leaf_trace;
-    search_tree<D>(
-        leaves, root,
-        [&](const Octant<D>& o, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            EXPECT_TRUE(contains(o, leaves[i]));
-          }
-          if (lo > 0) {
-            EXPECT_FALSE(contains(o, leaves[lo - 1]));
-          }
-          if (hi < leaves.size()) {
-            EXPECT_FALSE(contains(o, leaves[hi]));
-          }
-          return true;
-        },
-        [&](const Octant<D>& o, std::size_t i) {
-          leaf_trace.emplace_back(o, i);
-        });
-    ASSERT_EQ(leaf_trace.size(), leaves.size());
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-      EXPECT_EQ(leaf_trace[i].first, leaves[i]);
-      EXPECT_EQ(leaf_trace[i].second, i);
-    }
-
-    std::vector<std::array<coord_t, D>> points;
-    for (int i = 0; i < 300; ++i) {
-      points.push_back(random_octant(rng, root, max_level<D>).x);
-    }
-    EXPECT_EQ(locate_points<D>(leaves, root, points),
-              reference::locate_points<D>(leaves, points));
   }
 }
 

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "comm/notify.hpp"
+#include "core/seeds.hpp"
 #include "forest/balance.hpp"
 #include "forest/ghost.hpp"
 #include "util/rng.hpp"
@@ -180,12 +181,6 @@ TEST(Preconditions, NotifyDcRejectsWrongListCount) {
                std::invalid_argument);
 }
 
-TEST(Preconditions, NotifyDcPayloadRejectsWrongListCount) {
-  SimComm c(4);
-  std::vector<std::vector<std::pair<int, std::vector<std::uint8_t>>>> out(2);
-  EXPECT_THROW(notify_dc_payload(c, out), std::invalid_argument);
-}
-
 TEST(Preconditions, CoarsenRejectsBalanceKOutOfRange) {
   // balance_k indexes the neighbor-offset table: past D it would read
   // beyond it in a release build.  Nothing is collapsed before the throw.
@@ -217,6 +212,45 @@ TEST(Preconditions, BalanceSubtreeNewRejectsNonLinearInput) {
   EXPECT_THROW(balance_subtree_new<3>({c0, c0}, 3, root),
                std::invalid_argument);
   EXPECT_EQ(balance_subtree_new<3>({c0, c7}, 3, root).size(), 8u);
+}
+
+TEST(Preconditions, BalanceSubtreeOldRejectsKOutOfRange) {
+  // k indexes the neighbor-offset table: 0 would read before it in a
+  // release build, and D + 1 names no boundary object.
+  const auto root = root_octant<2>();
+  const std::vector<Octant<2>> s{child(child(root, 0), 3)};
+  for (int k : {0, -1, 3}) {
+    EXPECT_THROW(balance_subtree_old<2>(s, k, root), std::invalid_argument)
+        << "k=" << k;
+  }
+  EXPECT_EQ(balance_subtree_old<2>(s, 2, root),
+            balance_subtree_new<2>(s, 2, root));
+}
+
+TEST(Preconditions, BalanceSubtreeNewRejectsKOutOfRange) {
+  const auto root = root_octant<3>();
+  const std::vector<Octant<3>> s{child(child(root, 0), 7)};
+  for (int k : {0, -2, 4}) {
+    EXPECT_THROW(balance_subtree_new<3>(s, k, root), std::invalid_argument)
+        << "k=" << k;
+  }
+  EXPECT_EQ(balance_subtree_new<3>(s, 3, root).size(), 15u);
+}
+
+TEST(Preconditions, BalanceSeedsRejectsKOutOfRangeAndOverlap) {
+  const auto root = root_octant<2>();
+  // o is a fine octant of child 0 touching r = child 1 across their face.
+  const Octant<2> o = child(child(child(child(root, 0), 1), 1), 1);
+  const Octant<2> r = child(root, 1);
+  for (int k : {0, -1, 3}) {
+    EXPECT_THROW(balance_seeds<2>(o, r, k), std::invalid_argument)
+        << "k=" << k;
+  }
+  // Overlapping o and r: equal, o inside r, r inside o.
+  EXPECT_THROW(balance_seeds<2>(r, r, 1), std::invalid_argument);
+  EXPECT_THROW(balance_seeds<2>(child(r, 2), r, 1), std::invalid_argument);
+  EXPECT_THROW(balance_seeds<2>(root, r, 1), std::invalid_argument);
+  EXPECT_FALSE(balance_seeds<2>(o, r, 1).empty());
 }
 
 TEST(Preconditions, BrickRejectsEmptyAxis) {

@@ -1,12 +1,11 @@
 /// \file test_extensions.cpp
-/// \brief Tests for the extension features: payload-carrying Notify,
-/// scrambled message delivery (failure injection for ordering
-/// assumptions), Morton key round-trips, linear curve indices, forest
-/// checksums/statistics, and the paper's insulation-layer theorem.
+/// \brief Tests for the extension features: scrambled message delivery
+/// (failure injection for ordering assumptions), Morton key round-trips,
+/// linear curve indices, forest checksums/statistics, and the paper's
+/// insulation-layer theorem.
 
 #include <gtest/gtest.h>
 
-#include <map>
 
 #include "comm/notify.hpp"
 #include "core/insulation.hpp"
@@ -17,49 +16,6 @@
 
 namespace octbal {
 namespace {
-
-TEST(NotifyPayload, DeliversEveryPayloadToItsReceiver) {
-  for (int p : {1, 2, 5, 8, 12, 31}) {
-    Rng rng(600 + p);
-    std::vector<std::vector<std::pair<int, std::vector<std::uint8_t>>>> out(p);
-    std::map<std::pair<int, int>, std::vector<std::uint8_t>> expect;
-    for (int q = 0; q < p; ++q) {
-      for (int r = 0; r < p; ++r) {
-        if (!rng.chance(0.3)) continue;
-        std::vector<std::uint8_t> payload(rng.below(20));
-        for (auto& b : payload) b = static_cast<std::uint8_t>(rng.below(256));
-        expect[{q, r}] = payload;
-        out[q].push_back({r, std::move(payload)});
-      }
-    }
-    SimComm comm(p);
-    const auto got = notify_dc_payload(comm, out);
-    std::size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      for (const auto& np : got[r]) {
-        const auto it = expect.find({np.sender, r});
-        ASSERT_NE(it, expect.end()) << "spurious payload";
-        EXPECT_EQ(np.data, it->second) << "p=" << p;
-        ++total;
-      }
-      // Sorted by sender.
-      for (std::size_t i = 0; i + 1 < got[r].size(); ++i) {
-        EXPECT_LE(got[r][i].sender, got[r][i + 1].sender);
-      }
-    }
-    EXPECT_EQ(total, expect.size());
-  }
-}
-
-TEST(NotifyPayload, EmptyPayloadsSurvive) {
-  SimComm comm(4);
-  std::vector<std::vector<std::pair<int, std::vector<std::uint8_t>>>> out(4);
-  out[2].push_back({1, {}});
-  const auto got = notify_dc_payload(comm, out);
-  ASSERT_EQ(got[1].size(), 1u);
-  EXPECT_EQ(got[1][0].sender, 2);
-  EXPECT_TRUE(got[1][0].data.empty());
-}
 
 TEST(FailureInjection, BalanceIsOrderIndependent) {
   // Scramble every inbox: the full distributed pipeline must still produce

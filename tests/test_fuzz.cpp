@@ -36,7 +36,7 @@ TEST(Fuzz, RandomConfigurations2D) {
                           ? NotifyAlgo::kNotify
                           : (rng.chance(0.5) ? NotifyAlgo::kRanges
                                              : NotifyAlgo::kNaive);
-    opt.notify_carries_queries = rng.chance(0.3);
+    (void)rng.chance(0.3);  // retired dimension; keeps the stream's draws
 
     Forest<2> f(Connectivity<2>::brick(dims, periodic), ranks, 1);
     f.refine(

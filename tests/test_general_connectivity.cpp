@@ -226,20 +226,5 @@ TEST(GeneralConnectivity, OldPipelineHandlesReflectedExteriorConstraints) {
   }
 }
 
-TEST(GeneralConnectivity, FusedNotifyOnMoebius) {
-  Rng rng(8001);
-  Forest<2> f(Connectivity<2>::moebius(3), 5, 1);
-  f.refine(
-      [&](const TreeOct<2>& to) { return to.oct.level < 4 && rng.chance(0.4); },
-      true);
-  f.partition_uniform();
-  const auto want = forest_balance_serial(f.gather(), f.connectivity(), 2);
-  SimComm comm(5);
-  BalanceOptions opt = BalanceOptions::new_config();
-  opt.notify_carries_queries = true;
-  balance(f, opt, comm);
-  EXPECT_EQ(f.gather(), want);
-}
-
 }  // namespace
 }  // namespace octbal

@@ -88,12 +88,9 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "_new" : "_old");
     });
 
-TEST(ParallelDeterminism, FusedNotifyAndGhostLayer) {
-  // The payload-carrying Notify path and the ghost layer also run rank
-  // bodies concurrently; pin them too.
+TEST(ParallelDeterminism, BalanceAndGhostLayer) {
+  // The ghost layer also runs rank bodies concurrently; pin it too.
   ThreadGuard guard;
-  BalanceOptions fused = BalanceOptions::new_config();
-  fused.notify_carries_queries = true;
 
   auto run = [&](int threads) {
     par::set_num_threads(threads);
@@ -101,7 +98,7 @@ TEST(ParallelDeterminism, FusedNotifyAndGhostLayer) {
     fractal_refine(f, 5);
     f.partition_uniform();
     SimComm comm(7);
-    balance(f, fused, comm);
+    balance(f, BalanceOptions::new_config(), comm);
     const GhostLayer<3> g = build_ghost_layer(f, 3, comm, NotifyAlgo::kNotify);
     std::uint64_t ghost_total = 0;
     for (const auto& pr : g.per_rank) ghost_total += pr.size();

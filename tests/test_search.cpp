@@ -1,6 +1,6 @@
 /// \file test_search.cpp
-/// \brief Tests for the top-down linear-octree search: point location
-/// against brute force, pruning behavior, batch coherence, gaps.
+/// \brief Tests for linear-octree point location: find_containing_leaf
+/// against brute force, on complete trees and on sets with gaps.
 
 #include <gtest/gtest.h>
 
@@ -61,72 +61,6 @@ TYPED_TEST(SearchTest, GapsReportNpos) {
     (idx == npos ? missing : found)++;
   }
   EXPECT_GT(missing, 0);  // an incomplete set has gaps
-}
-
-TYPED_TEST(SearchTest, LocatePointsMatchesSingleQueries) {
-  constexpr int D = TypeParam::d;
-  Rng rng(903);
-  const auto root = root_octant<D>();
-  const auto t = random_complete_tree(rng, root, 6, 200);
-  std::vector<std::array<coord_t, D>> pts;
-  for (int i = 0; i < 400; ++i) {
-    std::array<coord_t, D> pt{};
-    for (int d = 0; d < D; ++d) {
-      pt[d] = static_cast<coord_t>(rng.below(root_len<D>));
-    }
-    pts.push_back(pt);
-  }
-  const auto batch = locate_points<D>(t, root, pts);
-  ASSERT_EQ(batch.size(), pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(batch[i], find_containing_leaf<D>(t, pts[i]));
-  }
-}
-
-TYPED_TEST(SearchTest, SearchTreeVisitsEveryLeafWithoutPruning) {
-  constexpr int D = TypeParam::d;
-  Rng rng(904);
-  const auto root = root_octant<D>();
-  const auto t = random_complete_tree(rng, root, 5, 150);
-  std::vector<char> seen(t.size(), 0);
-  std::size_t ancestors = 0;
-  search_tree<D>(
-      t, root,
-      [&](const Octant<D>&, std::size_t, std::size_t) {
-        ++ancestors;
-        return true;
-      },
-      [&](const Octant<D>& o, std::size_t idx) {
-        EXPECT_EQ(t[idx], o);
-        seen[idx] = 1;
-      });
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_TRUE(seen[i]) << i;
-  }
-  EXPECT_GE(ancestors, t.size());  // every leaf's pre-callback fired too
-}
-
-TYPED_TEST(SearchTest, PruningSkipsSubtrees) {
-  constexpr int D = TypeParam::d;
-  Rng rng(905);
-  const auto root = root_octant<D>();
-  const auto t = random_complete_tree(rng, root, 5, 150);
-  // Prune everything outside the first child of the root.
-  const auto c0 = child(root, 0);
-  std::size_t visited = 0;
-  search_tree<D>(
-      t, root,
-      [&](const Octant<D>& node, std::size_t, std::size_t) {
-        return node.level == 0 || contains(c0, node) || contains(node, c0);
-      },
-      [&](const Octant<D>& o, std::size_t) {
-        EXPECT_TRUE(contains(c0, o)) << to_string(o);
-        ++visited;
-      });
-  // Exactly the leaves inside c0 were reported.
-  std::size_t expect = 0;
-  for (const auto& o : t) expect += contains(c0, o);
-  EXPECT_EQ(visited, expect);
 }
 
 }  // namespace
