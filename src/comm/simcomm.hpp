@@ -263,7 +263,6 @@ class SimComm {
   double modeled_time() const { return modeled_time_; }
 
   const CostModel& cost_model() const { return model_; }
-  void set_cost_model(const CostModel& m) { model_ = m; }
 
   /// Reset counters (not pending messages) between benchmark phases.
   void reset_stats();
@@ -280,9 +279,6 @@ class SimComm {
     scramble_seed_ = seed;
     scramble_state_ = seed | 1;
   }
-
-  /// Back to deterministic (sender, post order) delivery.
-  void clear_scramble() { scramble_ = false; }
 
   bool scrambled() const { return scramble_; }
 

@@ -51,6 +51,7 @@ bool scan_violation(const std::vector<Octant<D>>& t, int k,
 template <int D>
 bool is_balanced(const std::vector<Octant<D>>& t, int k,
                  const Octant<D>& domain) {
+  require_balance_k<D>(k, "is_balanced");
   return !scan_violation(t, k, domain, static_cast<Octant<D>*>(nullptr),
                          static_cast<Octant<D>*>(nullptr));
 }
@@ -58,6 +59,7 @@ bool is_balanced(const std::vector<Octant<D>>& t, int k,
 template <int D>
 bool find_violation(const std::vector<Octant<D>>& t, int k,
                     const Octant<D>& domain, Octant<D>* a, Octant<D>* b) {
+  require_balance_k<D>(k, "find_violation");
   return scan_violation(t, k, domain, a, b);
 }
 

@@ -18,7 +18,9 @@ int adjacency_codim(const Octant<D>& a, const Octant<D>& b);
 
 /// True iff every pair of leaves of the complete linear octree \p t inside
 /// \p domain that shares a boundary object of codimension <= k differs by at
-/// most one level.  O(n log n)-ish via neighborhood searches.
+/// most one level.  O(n log n)-ish via neighborhood searches.  Throws
+/// std::invalid_argument (as does find_violation) when k lies outside
+/// [1, D].
 template <int D>
 bool is_balanced(const std::vector<Octant<D>>& t, int k,
                  const Octant<D>& domain);

@@ -2,6 +2,12 @@
 
 namespace octbal {
 
+void throw_balance_k_out_of_range(int k, int dim, const char* who) {
+  throw std::invalid_argument(std::string(who) + ": k = " +
+                              std::to_string(k) + " is outside [1, " +
+                              std::to_string(dim) + "]");
+}
+
 namespace {
 
 template <int D>
@@ -58,6 +64,7 @@ bool neighbor_in(const Octant<D>& o, const std::array<int, D>& off,
 template <int D>
 void coarse_neighborhood(const Octant<D>& o, int k, const Octant<D>& domain,
                          std::vector<Octant<D>>& out) {
+  require_balance_k<D>(k, "coarse_neighborhood");
   // Parent-sized neighbors only exist inside the domain if the parent is a
   // strict descendant of it.
   if (o.level <= domain.level + 1) return;
@@ -71,6 +78,7 @@ void coarse_neighborhood(const Octant<D>& o, int k, const Octant<D>& domain,
 template <int D>
 void same_size_neighborhood(const Octant<D>& o, int k, const Octant<D>& domain,
                             std::vector<Octant<D>>& out) {
+  require_balance_k<D>(k, "same_size_neighborhood");
   Octant<D> n;
   for (const auto& off : balance_offsets<D>(k)) {
     if (neighbor_in<D>(o, off, domain, &n)) out.push_back(n);

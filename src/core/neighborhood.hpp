@@ -12,7 +12,10 @@
 ///
 /// All functions take a \p domain octant: the (sub)tree root being balanced.
 /// Neighbors outside the domain are dropped, which implements the paper's
-/// "treat the least common ancestor of the subtree as the root".
+/// "treat the least common ancestor of the subtree as the root".  Functions
+/// taking a balance condition k throw std::invalid_argument outside
+/// [1, D], except balance_offsets, the unchecked table their entry points
+/// index.
 
 #include <stdexcept>
 #include <string>
@@ -22,15 +25,19 @@
 
 namespace octbal {
 
+/// Throws std::invalid_argument naming \p who, \p k and \p dim.
+[[noreturn]] void throw_balance_k_out_of_range(int k, int dim,
+                                               const char* who);
+
 /// Throws std::invalid_argument, naming \p who, unless 1 <= k <= D.  Entry
 /// points that index balance_offsets with a caller's k check it first: the
-/// table has one entry per condition and no bounds check of its own.
+/// table has one entry per condition and no bounds check of its own.  One
+/// unsigned compare (k <= 0 wraps past D), so per-octant kernels can
+/// afford it.
 template <int D>
 void require_balance_k(int k, const char* who) {
-  if (k < 1 || k > D) {
-    throw std::invalid_argument(std::string(who) + ": k = " +
-                                std::to_string(k) + " is outside [1, " +
-                                std::to_string(D) + "]");
+  if (static_cast<unsigned>(k) - 1u >= static_cast<unsigned>(D)) {
+    throw_balance_k_out_of_range(k, D, who);
   }
 }
 

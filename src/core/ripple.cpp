@@ -1,6 +1,8 @@
 #include "core/ripple.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/balance_check.hpp"
 #include "core/linear.hpp"
@@ -11,6 +13,7 @@ namespace octbal {
 template <int D>
 std::vector<Octant<D>> ripple_balance(std::vector<Octant<D>> s, int k,
                                       const Octant<D>& domain) {
+  require_balance_k<D>(k, "ripple_balance");
   linearize(s);
   std::vector<Octant<D>> t = complete(s, domain);
   Octant<D> n;
@@ -58,13 +61,18 @@ std::vector<Octant<D>> ripple_balance(std::vector<Octant<D>> s, int k,
 template <int D>
 std::vector<Octant<D>> tk_of(const Octant<D>& o, int k,
                              const Octant<D>& domain) {
+  require_balance_k<D>(k, "tk_of");
   return ripple_balance(std::vector<Octant<D>>{o}, k, domain);
 }
 
 template <int D>
 bool balanced_pair_oracle(const Octant<D>& o, const Octant<D>& r, int k,
                           const Octant<D>& domain) {
-  assert(!overlaps(o, r));
+  require_balance_k<D>(k, "balanced_pair_oracle");
+  if (overlaps(o, r)) {
+    throw std::invalid_argument("balanced_pair_oracle: o = " + to_string(o) +
+                                " overlaps r = " + to_string(r));
+  }
   const std::vector<Octant<D>> t = tk_of(o, k, domain);
   const auto [lo, hi] = overlapping_range(t, r);
   for (std::size_t j = lo; j < hi; ++j) {

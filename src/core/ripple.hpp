@@ -14,6 +14,9 @@
 
 namespace octbal {
 
+// Every function here throws std::invalid_argument when k lies outside
+// [1, D].
+
 /// The coarsest complete k-balanced linear octree of \p domain that refines
 /// complete(linearize(S), domain).  Input octants remain leaves unless they
 /// themselves violate balance against a finer input.
@@ -28,7 +31,8 @@ std::vector<Octant<D>> tk_of(const Octant<D>& o, int k,
                              const Octant<D>& domain);
 
 /// Oracle for "o and r are balanced": no leaf of Tk(o) overlapping \p r is
-/// strictly finer than \p r.  Requires o and r disjoint, both in \p domain.
+/// strictly finer than \p r.  Requires both in \p domain; throws
+/// std::invalid_argument when o and r overlap.
 template <int D>
 bool balanced_pair_oracle(const Octant<D>& o, const Octant<D>& r, int k,
                           const Octant<D>& domain);

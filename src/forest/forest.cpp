@@ -320,6 +320,7 @@ template <int D>
 bool forest_find_violation(const std::vector<TreeOct<D>>& leaves,
                            const Connectivity<D>& conn, int k,
                            BalanceViolation<D>* out) {
+  require_balance_k<D>(k, "forest_find_violation");
   const auto per_tree = split_by_tree(leaves, conn.num_trees());
   for (const auto& to : leaves) {
     for (const auto& off : balance_offsets<D>(k)) {
@@ -356,6 +357,7 @@ template <int D>
 std::vector<TreeOct<D>> forest_balance_serial(std::vector<TreeOct<D>> leaves,
                                               const Connectivity<D>& conn,
                                               int k) {
+  require_balance_k<D>(k, "forest_balance_serial");
   const int nt = conn.num_trees();
   auto per_tree = split_by_tree(leaves, nt);
   const auto root = root_octant<D>();

@@ -320,6 +320,8 @@ std::uint64_t forest_checksum(const Forest<D>& f);
 /// Forest-level balance check across tree boundaries: every pair of leaves
 /// sharing a boundary object of codimension <= k — possibly in different
 /// trees — differs by at most one level.  O(N log N); a test oracle.
+/// Throws std::invalid_argument (as do forest_find_violation and
+/// forest_balance_serial) when k lies outside [1, D].
 template <int D>
 bool forest_is_balanced(const std::vector<TreeOct<D>>& leaves,
                         const Connectivity<D>& conn, int k);

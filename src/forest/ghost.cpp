@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "comm/notify.hpp"
 #include "core/balance_check.hpp"
 #include "core/neighborhood.hpp"
 #include "forest/halo.hpp"
@@ -38,8 +39,7 @@ bool adjacent_to_rank(const Connectivity<D>& conn, const TreeOct<D>& g, int k,
 }  // namespace
 
 template <int D>
-GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
-                                NotifyAlgo notify_algo) {
+GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm) {
   OBS_SPAN("ghost");
   require_balance_k<D>(k, "build_ghost_layer");
   const int P = f.num_ranks();
@@ -109,7 +109,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
   // ghost build instead of dropping them on the floor.
   comm.set_phase("ghost/notify");
   const CommStats notify0 = comm.stats();
-  (void)notify(notify_algo, comm, receivers);
+  (void)notify(NotifyAlgo::kNotify, comm, receivers);
   ghost.notify_traffic.messages = comm.stats().messages - notify0.messages;
   ghost.notify_traffic.bytes = comm.stats().bytes - notify0.bytes;
   met.scalar("ghost/notify_msgs").add(0, ghost.notify_traffic.messages);
@@ -157,7 +157,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
 
 #define OCTBAL_INSTANTIATE(D)                                                \
   template GhostLayer<D> build_ghost_layer<D>(const Forest<D>&, int,         \
-                                              SimComm&, NotifyAlgo);
+                                              SimComm&);
 OCTBAL_INSTANTIATE(1)
 OCTBAL_INSTANTIATE(2)
 OCTBAL_INSTANTIATE(3)

@@ -11,7 +11,6 @@
 /// kernel and owner walk of forest/halo.hpp, followed by a Notify-reversed
 /// exchange and an exact receiver check by key range (DESIGN.md §2.20).
 
-#include "comm/notify.hpp"
 #include "forest/forest.hpp"
 
 namespace octbal {
@@ -43,7 +42,6 @@ struct GhostLayer {
 /// Build the k-ghost layer of \p f.  Throws std::invalid_argument when
 /// \p k lies outside [1, D].
 template <int D>
-GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
-                                NotifyAlgo notify_algo = NotifyAlgo::kNotify);
+GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm);
 
 }  // namespace octbal

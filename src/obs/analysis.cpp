@@ -41,57 +41,129 @@ bool is_bench_report(const JsonValue& v) {
          v.string_or("schema", "").rfind("octbal-bench-report-", 0) == 0;
 }
 
-/// The canonical phase-column order of Figures 15/17 and Table III.
-constexpr const char* kPhaseKeys[] = {"local_balance", "notify",
-                                      "query_response", "local_rebalance",
-                                      "total", "barrier"};
+/// How the diff treats one field.
+enum class Rule : std::uint8_t { kExact, kSkip, kTiming, kSparse };
 
-/// Walks both trees field-by-field, recording mismatches.  Exact fields
-/// are the machine-independent contract; timing fields are tol-gated.
+/// The diff's whole contract, keyed by index-normalised path
+/// ("runs[3].phases.total" is looked up as "runs[].phases.total"; `*`
+/// matches any run of characters).  Every scalar the two reports share and
+/// no pattern names is machine-independent and compared exactly.
+constexpr struct {
+  const char* pattern;
+  Rule rule;
+} kRules[] = {
+    // Environment, not results: the schema tag, the pool size, and the
+    // whole-process, allocator-dependent RSS.
+    {"schema", Rule::kSkip},
+    {"threads", Rule::kSkip},
+    {"runs[].max_rss_kb", Rule::kSkip},
+    // Wall-clock and modeled seconds, and the ratios derived from them.
+    {"runs[].phases.*", Rule::kTiming},
+    {"runs[].modeled_time", Rule::kTiming},
+    {"runs[].critical_path[].time", Rule::kTiming},
+    {"runs[].critical_path[].mean_time", Rule::kTiming},
+    {"runs[].critical_path[].slack", Rule::kTiming},
+    {"runs[].repartition.slack_trajectory[]", Rule::kTiming},
+    {"runs[].repartition.slack_reduction", Rule::kTiming},
+    {"runs[].churn.steady_min_reduction", Rule::kTiming},
+    {"runs[].churn.steady_mean_reduction", Rule::kTiming},
+    {"runs[].churn.steps[].modeled_full", Rule::kTiming},
+    {"runs[].churn.steps[].modeled_delta", Rule::kTiming},
+    {"runs[].churn.steps[].reduction", Rule::kTiming},
+    // Sparse histograms: a bucket or rank missing on one side counts as 0.
+    {"runs[].metrics.histograms.*.log2_buckets", Rule::kSparse},
+    {"runs[].critical_path[].critical_by_rank", Rule::kSparse},
+};
+
+bool glob_match(const char* p, const char* s) {
+  if (*p == '*') return glob_match(p + 1, s) || (*s && glob_match(p, s + 1));
+  if (*p == '\0') return *s == '\0';
+  return *p == *s && glob_match(p + 1, s + 1);
+}
+
+Rule rule_for(const std::string& norm) {
+  for (const auto& r : kRules) {
+    if (glob_match(r.pattern, norm.c_str())) return r.rule;
+  }
+  return Rule::kExact;
+}
+
+std::string join(const std::string& path, const std::string& key) {
+  return path.empty() ? key : path + "." + key;
+}
+
+/// Walks both trees field by field, recording mismatches: the keys both
+/// objects share (a one-sided key is schema evolution and is ignored),
+/// array lengths then elements, and each scalar under its kRules rule.
 class Differ {
  public:
   Differ(DiffResult& out, double tol) : out_(out), tol_(tol) {}
 
-  void exact(const std::string& path, const JsonValue* a,
-             const JsonValue* b) {
-    if (!a || !b) return;  // schema evolution: one-sided fields are fine
+  /// \p path is the displayed path ("runs[2].comm.bytes"), \p norm the
+  /// same path with every index dropped ("runs[].comm.bytes").
+  void walk(const std::string& path, const std::string& norm,
+            const JsonValue& a, const JsonValue& b) {
+    const Rule rule = rule_for(norm);
+    if (rule == Rule::kSkip) return;
+    if (a.is_object() && b.is_object()) {
+      if (rule == Rule::kSparse) {
+        sparse(path, a, b);
+        return;
+      }
+      // Identity first: a run-pairing mismatch makes field diffs
+      // meaningless, so only the identity itself is reported.
+      const bool unpaired =
+          norm == "runs[]" &&
+          (a.string_or("algo", "") != b.string_or("algo", "") ||
+           a.uint_or("ranks", 0) != b.uint_or("ranks", 0));
+      for (const auto& [key, av] : a.obj) {
+        if (unpaired && key != "algo" && key != "ranks") continue;
+        if (const JsonValue* bv = b.find(key)) {
+          walk(join(path, key), join(norm, key), av, *bv);
+        }
+      }
+    } else if (a.is_array() && b.is_array()) {
+      if (a.arr.size() != b.arr.size()) {
+        out_.exact_checked += 1;
+        out_.mismatches.push_back({path + ".length",
+                                   std::to_string(a.arr.size()),
+                                   std::to_string(b.arr.size()), false});
+        return;
+      }
+      for (std::size_t i = 0; i < a.arr.size(); ++i) {
+        walk(path + "[" + std::to_string(i) + "]", norm + "[]", a.arr[i],
+             b.arr[i]);
+      }
+    } else if (rule == Rule::kTiming) {
+      timing(path, a, b);
+    } else {
+      exact(path, a, b);
+    }
+  }
+
+ private:
+  void exact(const std::string& path, const JsonValue& a,
+             const JsonValue& b) {
     out_.exact_checked += 1;
-    const bool same =
-        a->kind == b->kind &&
-        (!a->is_number() || a->num == b->num) &&
-        (!a->is_string() || a->str == b->str) &&
-        (!a->is_bool() || a->boolean == b->boolean);
+    const bool same = a.kind == b.kind &&
+                      (!a.is_number() || a.num == b.num) &&
+                      (!a.is_string() || a.str == b.str) &&
+                      (!a.is_bool() || a.boolean == b.boolean);
     if (!same) {
-      out_.mismatches.push_back(
-          {path, render_value(*a), render_value(*b), false});
+      out_.mismatches.push_back({path, render_value(a), render_value(b),
+                                 false});
     }
   }
 
-  void exact_member(const std::string& path, const JsonValue& a,
-                    const JsonValue& b, const char* key) {
-    exact(path + "." + key, a.find(key), b.find(key));
-  }
-
-  /// Every key the two objects share, compared exactly (scalar members).
-  void exact_intersection(const std::string& path, const JsonValue* a,
-                          const JsonValue* b) {
-    if (!a || !b || !a->is_object() || !b->is_object()) return;
-    for (const auto& [key, av] : a->obj) {
-      if (const JsonValue* bv = b->find(key)) exact(path + "." + key, &av, bv);
-    }
-  }
-
-  /// Union-of-keys compare where a missing member means 0 (sparse
-  /// histogram buckets, critical-rank histograms).
-  void exact_sparse_union(const std::string& path, const JsonValue* a,
-                          const JsonValue* b) {
-    if (!a || !b || !a->is_object() || !b->is_object()) return;
+  /// Union-of-keys compare where a missing member means 0.
+  void sparse(const std::string& path, const JsonValue& a,
+              const JsonValue& b) {
     std::set<std::string> keys;
-    for (const auto& [k, v] : a->obj) keys.insert(k);
-    for (const auto& [k, v] : b->obj) keys.insert(k);
+    for (const auto& [k, v] : a.obj) keys.insert(k);
+    for (const auto& [k, v] : b.obj) keys.insert(k);
     for (const std::string& k : keys) {
-      const JsonValue* av = a->find(k);
-      const JsonValue* bv = b->find(k);
+      const JsonValue* av = a.find(k);
+      const JsonValue* bv = b.find(k);
       out_.exact_checked += 1;
       const double x = av ? av->num : 0.0;
       const double y = bv ? bv->num : 0.0;
@@ -102,34 +174,14 @@ class Differ {
     }
   }
 
-  void exact_array(const std::string& path, const JsonValue* a,
-                   const JsonValue* b) {
-    if (!a || !b || !a->is_array() || !b->is_array()) return;
-    if (a->arr.size() != b->arr.size()) {
-      out_.exact_checked += 1;
-      out_.mismatches.push_back({path + ".length",
-                                 std::to_string(a->arr.size()),
-                                 std::to_string(b->arr.size()), false});
-      return;
-    }
-    for (std::size_t i = 0; i < a->arr.size(); ++i) {
-      const std::string p = path + "[" + std::to_string(i) + "]";
-      if (a->arr[i].is_array()) {
-        exact_array(p, &a->arr[i], &b->arr[i]);
-      } else {
-        exact(p, &a->arr[i], &b->arr[i]);
-      }
-    }
-  }
-
-  void timing(const std::string& path, const JsonValue* a,
-              const JsonValue* b) {
-    if (!a || !b || !a->is_number() || !b->is_number()) return;
+  void timing(const std::string& path, const JsonValue& a,
+              const JsonValue& b) {
+    if (!a.is_number() || !b.is_number()) return;
     if (tol_ < 0) {
       out_.timing_skipped += 1;
       return;
     }
-    const double x = a->num, y = b->num;
+    const double x = a.num, y = b.num;
     // Sub-0.1ms readings are dominated by scheduler jitter; comparing them
     // under any sane tolerance only produces noise.
     if (std::abs(x) < 1e-4 && std::abs(y) < 1e-4) {
@@ -145,246 +197,9 @@ class Differ {
     }
   }
 
-  void timing_member(const std::string& path, const JsonValue& a,
-                     const JsonValue& b, const char* key) {
-    timing(path + "." + key, a.find(key), b.find(key));
-  }
-
-  void mismatch(const std::string& path, std::string base,
-                std::string fresh) {
-    out_.exact_checked += 1;
-    out_.mismatches.push_back(
-        {path, std::move(base), std::move(fresh), false});
-  }
-
- private:
   DiffResult& out_;
   double tol_;
 };
-
-void diff_metrics(Differ& d, const std::string& path, const JsonValue* a,
-                  const JsonValue* b) {
-  if (!a || !b) return;
-  const JsonValue* ac = a->find("counters");
-  const JsonValue* bc = b->find("counters");
-  if (ac && bc && ac->is_object()) {
-    for (const auto& [name, av] : ac->obj) {
-      const JsonValue* bv = bc->find(name);
-      if (!bv) continue;
-      const std::string p = path + ".counters." + name;
-      d.exact(p + ".total", av.find("total"), bv->find("total"));
-      d.exact_array(p + ".per_rank", av.find("per_rank"),
-                    bv->find("per_rank"));
-    }
-  }
-  const JsonValue* ah = a->find("histograms");
-  const JsonValue* bh = b->find("histograms");
-  if (ah && bh && ah->is_object()) {
-    for (const auto& [name, av] : ah->obj) {
-      const JsonValue* bv = bh->find(name);
-      if (!bv) continue;
-      const std::string p = path + ".histograms." + name;
-      for (const char* key : {"count", "sum", "min", "max"}) {
-        d.exact(p + "." + key, av.find(key), bv->find(key));
-      }
-      d.exact_sparse_union(p + ".log2_buckets", av.find("log2_buckets"),
-                           bv->find("log2_buckets"));
-    }
-  }
-}
-
-void diff_rounds(Differ& d, const std::string& path, const JsonValue* a,
-                 const JsonValue* b) {
-  if (!a || !b || !a->is_array() || !b->is_array()) return;
-  if (a->arr.size() != b->arr.size()) {
-    d.mismatch(path + ".length", std::to_string(a->arr.size()),
-               std::to_string(b->arr.size()));
-    return;
-  }
-  for (std::size_t i = 0; i < a->arr.size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    d.exact_member(p, a->arr[i], b->arr[i], "messages");
-    d.exact_member(p, a->arr[i], b->arr[i], "bytes");
-    d.exact_array(p + ".edges", a->arr[i].find("edges"),
-                  b->arr[i].find("edges"));
-  }
-}
-
-void diff_critical_path(Differ& d, const std::string& path,
-                        const JsonValue* a, const JsonValue* b) {
-  if (!a || !b || !a->is_array() || !b->is_array()) return;
-  if (a->arr.size() != b->arr.size()) {
-    d.mismatch(path + ".length", std::to_string(a->arr.size()),
-               std::to_string(b->arr.size()));
-    return;
-  }
-  for (std::size_t i = 0; i < a->arr.size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    const JsonValue& av = a->arr[i];
-    const JsonValue& bv = b->arr[i];
-    d.exact_member(p, av, bv, "phase");
-    d.exact_member(p, av, bv, "rounds");
-    d.exact_member(p, av, bv, "collectives");
-    d.exact_sparse_union(p + ".critical_by_rank",
-                         av.find("critical_by_rank"),
-                         bv.find("critical_by_rank"));
-    d.timing_member(p, av, bv, "time");
-    d.timing_member(p, av, bv, "mean_time");
-    d.timing_member(p, av, bv, "slack");
-  }
-}
-
-/// The v3 memory section: every field is a deterministic peak counter (or
-/// an exact function of them), so everything here is compared exactly —
-/// there is no tol gate.  v2 reports have no section and are skipped by
-/// the one-sided rule; max_rss_kb is a timing-class field and is never
-/// compared at all.
-void diff_memory(Differ& d, const std::string& path, const JsonValue* a,
-                 const JsonValue* b) {
-  if (!a || !b) return;
-  for (const char* key : {"nranks", "peak_bytes", "bytes_per_leaf"}) {
-    d.exact(path + "." + key, a->find(key), b->find(key));
-  }
-  const JsonValue* at = a->find("tags");
-  const JsonValue* bt = b->find("tags");
-  if (at && bt && at->is_object() && bt->is_object()) {
-    for (const auto& [name, av] : at->obj) {
-      const JsonValue* bv = bt->find(name);
-      if (!bv) continue;
-      const std::string p = path + ".tags." + name;
-      for (const char* key :
-           {"total", "engine", "min", "max", "mean", "imbalance"}) {
-        d.exact(p + "." + key, av.find(key), bv->find(key));
-      }
-      d.exact_array(p + ".per_rank", av.find("per_rank"),
-                    bv->find("per_rank"));
-    }
-  }
-  const JsonValue* ap = a->find("phases");
-  const JsonValue* bp = b->find("phases");
-  if (ap && bp && ap->is_array() && bp->is_array()) {
-    if (ap->arr.size() != bp->arr.size()) {
-      d.mismatch(path + ".phases.length", std::to_string(ap->arr.size()),
-                 std::to_string(bp->arr.size()));
-      return;
-    }
-    for (std::size_t i = 0; i < ap->arr.size(); ++i) {
-      const std::string p = path + ".phases[" + std::to_string(i) + "]";
-      const JsonValue& av = ap->arr[i];
-      const JsonValue& bv = bp->arr[i];
-      d.exact_member(p, av, bv, "phase");
-      d.exact_member(p, av, bv, "engine");
-      d.exact_member(p, av, bv, "max");
-      d.exact_array(p + ".per_rank", av.find("per_rank"),
-                    bv.find("per_rank"));
-    }
-  }
-}
-
-void diff_run(Differ& d, const std::string& path, const JsonValue& a,
-              const JsonValue& b) {
-  // Identity first: a pairing mismatch makes field diffs meaningless.
-  if (a.string_or("algo", "") != b.string_or("algo", "") ||
-      a.uint_or("ranks", 0) != b.uint_or("ranks", 0)) {
-    d.exact_member(path, a, b, "algo");
-    d.exact_member(path, a, b, "ranks");
-    return;
-  }
-  d.exact_member(path, a, b, "ok");
-  d.exact_member(path, a, b, "norm");
-  for (const char* key : {"octants_before", "octants_after", "queries_sent",
-                          "response_items", "rounds_truncated"}) {
-    d.exact(path + "." + key, a.find(key), b.find(key));
-  }
-  d.exact_intersection(path + ".comm", a.find("comm"), b.find("comm"));
-  d.exact_intersection(path + ".subtree", a.find("subtree"),
-                       b.find("subtree"));
-  d.exact_intersection(path + ".owner_scan", a.find("owner_scan"),
-                       b.find("owner_scan"));
-  diff_metrics(d, path + ".metrics", a.find("metrics"), b.find("metrics"));
-  diff_rounds(d, path + ".rounds", a.find("rounds"), b.find("rounds"));
-  diff_critical_path(d, path + ".critical_path", a.find("critical_path"),
-                     b.find("critical_path"));
-  const JsonValue* ap = a.find("phases");
-  const JsonValue* bp = b.find("phases");
-  if (ap && bp) {
-    for (const char* key : kPhaseKeys) {
-      d.timing(path + ".phases." + key, ap->find(key), bp->find(key));
-    }
-  }
-  d.timing_member(path, a, b, "modeled_time");
-  diff_memory(d, path + ".memory", a.find("memory"), b.find("memory"));
-  // bench_repartition's per-run convergence section: the migration
-  // counters and rounds-to-converge are machine-independent goldens; the
-  // slack trajectory is modeled time and goes through the tol gate like
-  // every other modeled figure.
-  const JsonValue* ar = a.find("repartition");
-  const JsonValue* br = b.find("repartition");
-  if (ar && br) {
-    const std::string rp = path + ".repartition";
-    for (const char* key :
-         {"mode", "rounds", "rounds_to_converge", "octants_moved",
-          "migration_messages", "migration_bytes", "max_marker_shift",
-          "reverted_rounds"}) {
-      d.exact(rp + "." + key, ar->find(key), br->find(key));
-    }
-    const JsonValue* at = ar->find("slack_trajectory");
-    const JsonValue* bt = br->find("slack_trajectory");
-    if (at && bt && at->is_array() && bt->is_array()) {
-      if (at->arr.size() != bt->arr.size()) {
-        d.mismatch(rp + ".slack_trajectory.length",
-                   std::to_string(at->arr.size()),
-                   std::to_string(bt->arr.size()));
-      } else {
-        for (std::size_t i = 0; i < at->arr.size(); ++i) {
-          d.timing(rp + ".slack_trajectory[" + std::to_string(i) + "]",
-                   &at->arr[i], &bt->arr[i]);
-        }
-      }
-    }
-    d.timing(rp + ".slack_reduction", ar->find("slack_reduction"),
-             br->find("slack_reduction"));
-  }
-  // bench_churn's per-run lifecycle section: the per-step octant/dirty/
-  // constraint counters and the byte-identity verdicts are
-  // machine-independent goldens; the modeled full/delta times and the
-  // derived reductions are modeled figures behind the tol gate.
-  const JsonValue* ac = a.find("churn");
-  const JsonValue* bc = b.find("churn");
-  if (ac && bc) {
-    const std::string cp = path + ".churn";
-    d.exact(cp + ".identical_all", ac->find("identical_all"),
-            bc->find("identical_all"));
-    d.timing(cp + ".steady_min_reduction", ac->find("steady_min_reduction"),
-             bc->find("steady_min_reduction"));
-    d.timing(cp + ".steady_mean_reduction",
-             ac->find("steady_mean_reduction"),
-             bc->find("steady_mean_reduction"));
-    const JsonValue* as = ac->find("steps");
-    const JsonValue* bs = bc->find("steps");
-    if (as && bs && as->is_array() && bs->is_array()) {
-      if (as->arr.size() != bs->arr.size()) {
-        d.mismatch(cp + ".steps.length", std::to_string(as->arr.size()),
-                   std::to_string(bs->arr.size()));
-      } else {
-        for (std::size_t i = 0; i < as->arr.size(); ++i) {
-          const std::string sp = cp + ".steps[" + std::to_string(i) + "]";
-          const JsonValue& av = as->arr[i];
-          const JsonValue& bv = bs->arr[i];
-          for (const char* key :
-               {"step", "octants", "refined", "coarsened", "dirty", "region",
-                "constraints", "created", "rounds", "identical",
-                "full_peak_bytes", "delta_peak_bytes"}) {
-            d.exact(sp + "." + key, av.find(key), bv.find(key));
-          }
-          d.timing_member(sp, av, bv, "modeled_full");
-          d.timing_member(sp, av, bv, "modeled_delta");
-          d.timing_member(sp, av, bv, "reduction");
-        }
-      }
-    }
-  }
-}
 
 /// (from, to) edge sums, keyed so each edge is summed once.
 using EdgeTally = std::map<std::pair<int, int>, CommEdge>;
@@ -702,26 +517,13 @@ bool diff_reports(const JsonValue& base, const JsonValue& fresh, double tol,
   const JsonValue* b =
       bench_report_section(base, err, f->string_or("bench", ""));
   if (!b) return false;
-  Differ d(out, tol);
-  d.exact_member("", *b, *f, "bench");
-  d.exact_member("", *b, *f, "ok");
-  d.exact_intersection(".config", b->find("config"), f->find("config"));
-  d.exact_intersection(".cost_model", b->find("cost_model"),
-                       f->find("cost_model"));
   const JsonValue* br = b->find("runs");
   const JsonValue* fr = f->find("runs");
   if (!br || !fr || !br->is_array() || !fr->is_array()) {
     if (err) *err = "report has no runs array";
     return false;
   }
-  if (br->arr.size() != fr->arr.size()) {
-    out.mismatches.push_back({"runs.length", std::to_string(br->arr.size()),
-                              std::to_string(fr->arr.size()), false});
-    return true;
-  }
-  for (std::size_t i = 0; i < br->arr.size(); ++i) {
-    diff_run(d, "runs[" + std::to_string(i) + "]", br->arr[i], fr->arr[i]);
-  }
+  Differ(out, tol).walk("", "", *b, *f);
   return true;
 }
 

@@ -76,16 +76,21 @@ struct DiffResult {
   bool ok() const { return mismatches.empty(); }
 };
 
-/// Structured report diff.  Machine-independent fields (counters, traffic,
-/// octant/query totals, per-rank metric slots, round matrices, the
-/// critical-rank histogram) are compared exactly; timing fields (phase
-/// seconds, modeled times, slack) only when \p tol >= 0, with relative
-/// tolerance \p tol and an absolute jitter floor of 1e-4 s below which
-/// wall-clock noise dominates and the comparison is skipped.  Fields
-/// present on only one side (schema evolution) are ignored.  Also accepts
-/// two google-benchmark documents, in which case the ordered benchmark
-/// name lists must match.  Returns false and sets \p err when the inputs
-/// cannot be paired at all.
+/// Structured report diff: one walk over the two JSON trees.  Objects
+/// compare the keys both sides share (a field present on only one side is
+/// schema evolution and is ignored), arrays their lengths and then each
+/// element, and scalars exactly, unless the scalar's index-normalised path
+/// ("runs[].phases.total") is named in the rule table kRules
+/// (analysis.cpp): environment fields (`schema`, `threads`, `max_rss_kb`)
+/// are skipped; timing fields (phase seconds, modeled times, slack and the
+/// reductions derived from them) are compared only when \p tol >= 0, with
+/// relative tolerance \p tol and an absolute jitter floor of 1e-4 s below
+/// which wall-clock noise dominates; in the sparse `log2_buckets` and
+/// `critical_by_rank` maps a key missing on one side counts as 0.  A run
+/// whose (algo, ranks) differs from its partner's reports only that
+/// identity.  Also accepts two google-benchmark documents, in which case
+/// the ordered benchmark name lists must match.  Returns false and sets
+/// \p err when the inputs cannot be paired at all.
 bool diff_reports(const JsonValue& base, const JsonValue& fresh, double tol,
                   DiffResult& out, std::string* err);
 

@@ -9,6 +9,10 @@
 #include <stdexcept>
 
 #include "comm/notify.hpp"
+#include "core/balance_check.hpp"
+#include "core/linear.hpp"
+#include "core/neighborhood.hpp"
+#include "core/ripple.hpp"
 #include "core/seeds.hpp"
 #include "forest/balance.hpp"
 #include "forest/ghost.hpp"
@@ -251,6 +255,80 @@ TEST(Preconditions, BalanceSeedsRejectsKOutOfRangeAndOverlap) {
   EXPECT_THROW(balance_seeds<2>(child(r, 2), r, 1), std::invalid_argument);
   EXPECT_THROW(balance_seeds<2>(root, r, 1), std::invalid_argument);
   EXPECT_FALSE(balance_seeds<2>(o, r, 1).empty());
+}
+
+// The serial oracles index the same offset table as the kernels they
+// check; k = D + 1 comes first because it is the one value a release
+// build without the check answers silently instead of reading past it.
+
+TEST(Preconditions, BalanceCheckRejectsKOutOfRange) {
+  const auto root = root_octant<2>();
+  const std::vector<Octant<2>> t = complete<2>({child(root, 0)}, root);
+  Octant<2> a, b;
+  for (int k : {3, 0, -1}) {
+    EXPECT_THROW(is_balanced<2>(t, k, root), std::invalid_argument)
+        << "k=" << k;
+    EXPECT_THROW(find_violation<2>(t, k, root, &a, &b),
+                 std::invalid_argument)
+        << "k=" << k;
+  }
+  EXPECT_TRUE(is_balanced<2>(t, 2, root));
+}
+
+TEST(Preconditions, RippleOraclesRejectKOutOfRangeAndOverlap) {
+  const auto root = root_octant<2>();
+  const Octant<2> o = child(child(child(root, 0), 1), 1);
+  const Octant<2> r = child(root, 1);
+  for (int k : {3, 0, -1}) {
+    EXPECT_THROW(ripple_balance<2>({o}, k, root), std::invalid_argument)
+        << "k=" << k;
+    EXPECT_THROW(tk_of<2>(o, k, root), std::invalid_argument) << "k=" << k;
+    EXPECT_THROW(balanced_pair_oracle<2>(o, r, k, root),
+                 std::invalid_argument)
+        << "k=" << k;
+  }
+  // Overlapping o and r: equal, and o inside r.
+  EXPECT_THROW(balanced_pair_oracle<2>(r, r, 1, root), std::invalid_argument);
+  EXPECT_THROW(balanced_pair_oracle<2>(child(r, 2), r, 1, root),
+               std::invalid_argument);
+  EXPECT_EQ(ripple_balance<2>({o}, 2, root), tk_of<2>(o, 2, root));
+  EXPECT_FALSE(balanced_pair_oracle<2>(o, r, 1, root));
+}
+
+TEST(Preconditions, NeighborhoodsRejectKOutOfRange) {
+  const auto root = root_octant<2>();
+  const Octant<2> o = child(child(root, 0), 3);
+  std::vector<Octant<2>> out;
+  for (int k : {3, 0, -1}) {
+    EXPECT_THROW(coarse_neighborhood<2>(o, k, root, out),
+                 std::invalid_argument)
+        << "k=" << k;
+    EXPECT_THROW(same_size_neighborhood<2>(o, k, root, out),
+                 std::invalid_argument)
+        << "k=" << k;
+  }
+  EXPECT_TRUE(out.empty());
+  same_size_neighborhood<2>(o, 2, root, out);
+  EXPECT_EQ(out.size(), 8u);
+}
+
+TEST(Preconditions, ForestOraclesRejectKOutOfRange) {
+  const auto conn = Connectivity<2>::brick({2, 1});
+  const std::vector<TreeOct<2>> leaves = Forest<2>(conn, 1, 1).gather();
+  BalanceViolation<2> v;
+  for (int k : {3, 0, -1}) {
+    EXPECT_THROW(forest_find_violation<2>(leaves, conn, k, &v),
+                 std::invalid_argument)
+        << "k=" << k;
+    EXPECT_THROW(forest_is_balanced<2>(leaves, conn, k),
+                 std::invalid_argument)
+        << "k=" << k;
+    EXPECT_THROW(forest_balance_serial<2>(leaves, conn, k),
+                 std::invalid_argument)
+        << "k=" << k;
+  }
+  EXPECT_TRUE(forest_is_balanced<2>(leaves, conn, 2));
+  EXPECT_EQ(forest_balance_serial<2>(leaves, conn, 2), leaves);
 }
 
 TEST(Preconditions, BrickRejectsEmptyAxis) {

@@ -408,6 +408,84 @@ TEST(Inspect, DiffTimingIsToleranceGated) {
   EXPECT_TRUE(loose.ok()) << obs::render_diff(loose, 0.9);
 }
 
+TEST(Inspect, DiffClassifiesEveryField) {
+  // One planted change per rule class of the diff's table, on a fig15
+  // report given churn and repartition sections so every section's
+  // timing paths exist on both sides.
+  JsonValue base = parse_ok(fig15_report_json());
+  JsonValue& brun = base.obj["runs"].arr[0];
+  brun.obj["churn"] = parse_ok(
+      R"({"identical_all": true, "steady_min_reduction": 0.5,
+          "steady_mean_reduction": 0.5,
+          "steps": [{"step": 1, "octants": 64, "modeled_full": 1.0,
+                     "modeled_delta": 0.5, "reduction": 0.5}]})");
+  brun.obj["repartition"] = parse_ok(
+      R"({"octants_moved": 3, "slack_trajectory": [1.0, 2.0],
+          "slack_reduction": 0.5})");
+  brun.obj["critical_path"].arr[0].obj["time"].num = 1.0;
+  ASSERT_TRUE(brun.find("max_rss_kb") && base.find("threads"));
+  JsonValue& bhists = brun.obj["metrics"].obj["histograms"];
+  ASSERT_FALSE(bhists.obj.empty());
+  const std::string hist = bhists.obj.begin()->first;
+  // A bucket present as 0 on one side only is the same histogram.
+  bhists.obj[hist].obj["log2_buckets"].obj["60"] = parse_ok("0");
+
+  JsonValue fresh = base;
+  JsonValue& run = fresh.obj["runs"].arr[0];
+  // Exact: derived per-rank reductions, and a bucket present on one side.
+  run.obj["metrics"].obj["counters"].obj["comm/msgs_sent"].obj["median"]
+      .num += 1;
+  JsonValue& h = run.obj["metrics"].obj["histograms"].obj[hist];
+  h.obj["p90"].num += 1;
+  h.obj["log2_buckets"].obj.erase("60");
+  h.obj["log2_buckets"].obj["61"] = parse_ok("1");
+  // Timing fields, one per section, doubled.
+  run.obj["critical_path"].arr[0].obj["time"].num = 2.0;
+  run.obj["churn"].obj["steps"].arr[0].obj["modeled_full"].num = 2.0;
+  run.obj["repartition"].obj["slack_trajectory"].arr[0].num = 2.0;
+  // Skipped keys.
+  fresh.obj["schema"] = parse_ok(R"("octbal-bench-report-v9")");
+  fresh.obj["threads"].num += 3;
+  run.obj["max_rss_kb"].num += 1000;
+  // One-sided fields.
+  run.obj["added_in_v9"] = parse_ok("7");
+  fresh.obj["added_section"] = parse_ok(R"({"x": [1, 2]})");
+  brun.obj["dropped_in_v9"] = parse_ok("8");
+
+  const auto diff = [&](const JsonValue& b, const JsonValue& f, double tol) {
+    DiffResult d;
+    std::string err;
+    EXPECT_TRUE(obs::diff_reports(b, f, tol, d, &err)) << err;
+    std::set<std::string> exact, timing;
+    for (const auto& m : d.mismatches) {
+      (m.timing ? timing : exact).insert(m.path);
+    }
+    return std::make_pair(exact, timing);
+  };
+  const std::string h_path = "runs[0].metrics.histograms." + hist;
+  const std::set<std::string> want_exact = {
+      "runs[0].metrics.counters.comm/msgs_sent.median", h_path + ".p90",
+      h_path + ".log2_buckets.61"};
+  const std::set<std::string> want_timing = {
+      "runs[0].critical_path[0].time", "runs[0].churn.steps[0].modeled_full",
+      "runs[0].repartition.slack_trajectory[0]"};
+  const auto [exact_off, timing_off] = diff(base, fresh, -1.0);
+  EXPECT_EQ(exact_off, want_exact);
+  EXPECT_TRUE(timing_off.empty());
+  const auto [exact_on, timing_on] = diff(base, fresh, 0.1);
+  EXPECT_EQ(exact_on, want_exact);
+  EXPECT_EQ(timing_on, want_timing);
+
+  // A run paired against a different algorithm reports only its identity,
+  // not the field drift that follows from comparing unrelated runs.
+  JsonValue other = base;
+  other.obj["runs"].arr[0].obj["algo"] = parse_ok(R"("old")");
+  other.obj["runs"].arr[0].obj["comm"].obj["bytes"].num += 1;
+  const auto [exact_id, timing_id] = diff(base, other, 0.1);
+  EXPECT_EQ(exact_id, std::set<std::string>{"runs[0].algo"});
+  EXPECT_TRUE(timing_id.empty());
+}
+
 TEST(Inspect, DiffResolvesBaselineWrapperAndBenchmarkNames) {
   const std::string report = fig15_report_json();
   const JsonValue fresh = parse_ok(report);

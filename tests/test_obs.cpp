@@ -288,7 +288,7 @@ std::string instrumented_run(int threads) {
   f.partition_uniform();
   SimComm comm(kRanks);
   balance(f, BalanceOptions::new_config(), comm);
-  build_ghost_layer(f, 3, comm, NotifyAlgo::kNotify);
+  build_ghost_layer(f, 3, comm);
   const NodeNumbering nn = enumerate_nodes(f.gather(), f.connectivity());
   assign_node_owners(f, nn, comm);
   return comm.metrics().snapshot().serialize();

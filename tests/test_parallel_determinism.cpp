@@ -99,7 +99,7 @@ TEST(ParallelDeterminism, BalanceAndGhostLayer) {
     f.partition_uniform();
     SimComm comm(7);
     balance(f, BalanceOptions::new_config(), comm);
-    const GhostLayer<3> g = build_ghost_layer(f, 3, comm, NotifyAlgo::kNotify);
+    const GhostLayer<3> g = build_ghost_layer(f, 3, comm);
     std::uint64_t ghost_total = 0;
     for (const auto& pr : g.per_rank) ghost_total += pr.size();
     return std::tuple{forest_checksum(f), comm.stats().messages,
