@@ -5,13 +5,15 @@
 /// rebalance (Section IV), and the Notify pattern reversal (Section V) —
 /// and measure what each contributes on a graded mesh.  The four rows are
 /// the paper's whole ablation; the last is BalanceOptions::new_config().
-/// Each row is the median-TOTAL run of five; the speedup column divides
-/// the baseline row's median by the row's.
+/// Each row is the median-TOTAL run of five, the repeats taken round robin
+/// over the rows; the speedup column divides the baseline row's median by
+/// the row's.
 ///
 ///   ./bench_ablation [--ranks 16] [--lmax 6] [--threads N]
 ///                    [--json out.json] [--trace trace.json]
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "harness.hpp"
@@ -59,8 +61,9 @@ int main(int argc, char** argv) {
               "===\n",
               ranks);
   const int threads = configure_threads(cli);
-  std::printf("each row: the median-TOTAL run of %d at %d thread%s; the "
-              "speedup divides the baseline's median TOTAL by the row's\n\n",
+  std::printf("each row: the median-TOTAL run of %d, taken round robin over "
+              "the rows, at %d thread%s; the speedup divides the baseline's "
+              "median TOTAL by the row's\n\n",
               kRepeats, threads, threads == 1 ? "" : "s");
   std::printf("%-28s %9s %9s %9s %9s %9s %12s %12s\n", "configuration",
               "local", "notify", "qry+resp", "rebal", "TOTAL", "bytes",
@@ -68,30 +71,37 @@ int main(int argc, char** argv) {
   const auto bytes_of = [](const RunResult& r) {
     return r.rep.comm.bytes + r.rep.notify_comm.bytes;
   };
+  // Round robin: repeat i of every row runs before repeat i + 1 of any, so
+  // no row inherits the allocator and cache state of a fixed predecessor.
+  const int kRows = static_cast<int>(std::size(steps));
+  std::vector<std::vector<RunResult>> runs(kRows);
+  for (int i = 0; i < kRepeats; ++i) {
+    for (int s = 0; s < kRows; ++s) {
+      runs[s].push_back(run_balance<3>(build, ranks, steps[s].opt));
+    }
+  }
   double baseline = 0;
   bool same = true;
-  for (const Step& s : steps) {
-    std::vector<RunResult> runs;
-    for (int i = 0; i < kRepeats; ++i) {
-      runs.push_back(run_balance<3>(build, ranks, s.opt));
-      if (bytes_of(runs[i]) != bytes_of(runs[0]) ||
-          runs[i].rep.subtree.hash_queries !=
-              runs[0].rep.subtree.hash_queries) {
+  for (int s = 0; s < kRows; ++s) {
+    std::vector<RunResult>& row = runs[s];
+    for (int i = 1; i < kRepeats; ++i) {
+      if (bytes_of(row[i]) != bytes_of(row[0]) ||
+          row[i].rep.subtree.hash_queries != row[0].rep.subtree.hash_queries) {
         std::fprintf(stderr, "FAIL: %s: repeat %d differs in bytes or hash "
-                     "queries from repeat 0\n", s.name, i);
+                     "queries from repeat 0\n", steps[s].name, i);
         same = false;
       }
     }
-    std::sort(runs.begin(), runs.end(),
+    std::sort(row.begin(), row.end(),
               [](const RunResult& a, const RunResult& b) {
                 return a.rep.total() < b.rep.total();
               });
-    const RunResult& r = runs[kRepeats / 2];
-    report.add(s.name, r);
+    const RunResult& r = row[kRepeats / 2];
+    report.add(steps[s].name, r);
     if (baseline == 0) baseline = r.rep.total();
     std::printf("%-28s %9.4f %9.4f %9.4f %9.4f %9.4f %12llu %12llu   "
                 "(%.2fx)\n",
-                s.name, r.rep.t_local_balance, r.rep.t_notify,
+                steps[s].name, r.rep.t_local_balance, r.rep.t_notify,
                 r.rep.t_query_response, r.rep.t_local_rebalance,
                 r.rep.total(), static_cast<unsigned long long>(bytes_of(r)),
                 static_cast<unsigned long long>(r.rep.subtree.hash_queries),

@@ -1,6 +1,8 @@
 #include "core/linear.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/sort.hpp"
 #include "obs/mem.hpp"
@@ -152,14 +154,21 @@ void fill_gap(const Octant<D>& root, std::optional<Octant<D>> after,
 
 template <int D>
 std::vector<okey_t> complete_keys(KeySpan a, okey_t root) {
-  assert(is_linear_keys(a));
   const obs::MemScope fill(obs::MemTag::kLinearize,
                            (a.size() * 2 + 8) * sizeof(okey_t));
   std::vector<okey_t> out;
   out.reserve(a.size() * 2 + 8);
   okey_t prev = 0;  // 0 = no predecessor (never a real key)
   for (const okey_t o : a) {
-    assert(key_contains(root, o));
+    if (!key_contains(root, o)) {
+      throw std::invalid_argument("complete: " + to_string(key_oct<D>(o)) +
+                                  " lies outside the root " +
+                                  to_string(key_oct<D>(root)));
+    }
+    if (prev != 0 && (!key_less(prev, o) || key_contains(prev, o))) {
+      throw std::invalid_argument("complete: the input is not linear at " +
+                                  to_string(key_oct<D>(o)));
+    }
     fill_gap_keys<D>(root, prev, o, out);
     out.push_back(o);
     prev = o;
@@ -171,7 +180,6 @@ std::vector<okey_t> complete_keys(KeySpan a, okey_t root) {
 template <int D>
 std::vector<Octant<D>> complete(const std::vector<Octant<D>>& a,
                                 const Octant<D>& root) {
-  assert(is_linear(a));
   return keys_to_octants<D>(complete_keys<D>(octants_to_keys(a), key_of(root)));
 }
 

@@ -50,13 +50,15 @@ void fill_gap(const Octant<D>& root, std::optional<Octant<D>> after,
 
 /// The paper's Complete: given a linear (gap-ridden) array \p a inside
 /// \p root, return the coarsest complete linear octree of \p root that
-/// contains every element of \p a as a leaf.
+/// contains every element of \p a as a leaf.  Throws
+/// std::invalid_argument when \p a is not linear or has an element
+/// outside \p root (checked on the fly, O(1) per element).
 template <int D>
 std::vector<Octant<D>> complete(const std::vector<Octant<D>>& a,
                                 const Octant<D>& root);
 
 /// Key-native Complete: the same coarsest-tiling recursion with the Morton
-/// intervals and child descent computed by key shifts.
+/// intervals and child descent computed by key shifts.  The same checks.
 template <int D>
 std::vector<okey_t> complete_keys(KeySpan a, okey_t root);
 

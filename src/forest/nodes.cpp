@@ -1,5 +1,6 @@
 #include "forest/nodes.hpp"
 
+#include <atomic>
 #include <bit>
 #include <limits>
 #include <map>
@@ -30,37 +31,120 @@ GlobalCoord<D> domain_extent(const Connectivity<D>& conn) {
   return e;
 }
 
-/// Check enumerate_nodes' preconditions in one O(n) sweep and return the
-/// finest leaf level: every leaf is a valid octant of an existing tree,
-/// the leaves of each tree appear in increasing Morton order without
-/// overlap, and their volumes add up to the whole tree.
-template <int D>
-int check_leaf_set(const std::vector<TreeOct<D>>& leaves,
-                   const Connectivity<D>& conn) {
-  const int trees = conn.num_trees();
-  // Per tree, the end of the Morton interval covered so far.  A leaf whose
-  // interval starts before it is out of order or overlaps its predecessor.
-  std::vector<morton_t> covered_to(trees, 0);
-  std::vector<std::uint64_t> volume(trees, 0);
+/// The leaves of one tree inside one chunk of the leaf list.  They are a
+/// contiguous stretch of the tree's sorted, tiling leaves, so they cover
+/// one Morton interval [begin, end) of finest cells.  first == npos when
+/// the chunk holds no leaf of the tree.
+struct TreeRun {
+  std::size_t first = npos;
+  morton_t begin = 0;
+  morton_t end = 0;
+  std::uint64_t volume = 0;
+};
+
+/// One chunk's share of the precondition sweep: its run of every tree, its
+/// finest level, and the first leaf failing a check that the chunk can
+/// decide alone (bad == npos when none does).
+struct ChunkSweep {
+  std::vector<TreeRun> runs;  ///< per tree
   int finest = 0;
-  for (const auto& to : leaves) {
+  std::size_t bad = npos;
+  bool bad_is_outside = false;  ///< else the leaf is unsorted or overlaps
+};
+
+std::size_t num_chunks(std::size_t leaves) {
+  return (leaves + kNodeChunkLeaves - 1) / kNodeChunkLeaves;
+}
+
+/// The leaves [first, second) of chunk \p c of a list of \p n leaves.
+std::pair<std::size_t, std::size_t> chunk_leaves(int c, std::size_t n) {
+  const std::size_t lo = c * kNodeChunkLeaves;
+  return {lo, std::min(lo + kNodeChunkLeaves, n)};
+}
+
+template <int D>
+std::invalid_argument leaf_outside(const TreeOct<D>& to) {
+  return std::invalid_argument("enumerate_nodes: leaf " + to_string(to.oct) +
+                               " in tree " + std::to_string(to.tree) +
+                               " lies outside the domain");
+}
+
+template <int D>
+std::invalid_argument leaf_unsorted(const TreeOct<D>& to) {
+  return std::invalid_argument(
+      "enumerate_nodes: leaves of tree " + std::to_string(to.tree) +
+      " are not sorted and disjoint at " + to_string(to.oct));
+}
+
+template <int D>
+ChunkSweep sweep_chunk(const std::vector<TreeOct<D>>& leaves, std::size_t lo,
+                       std::size_t hi, int trees) {
+  ChunkSweep s;
+  s.runs.resize(trees);
+  for (std::size_t e = lo; e < hi; ++e) {
+    const TreeOct<D>& to = leaves[e];
     if (to.tree < 0 || to.tree >= trees || !is_valid(to.oct)) {
-      throw std::invalid_argument("enumerate_nodes: leaf " +
-                                  to_string(to.oct) + " in tree " +
-                                  std::to_string(to.tree) +
-                                  " lies outside the domain");
+      s.bad = e;
+      s.bad_is_outside = true;
+      return s;
     }
+    TreeRun& run = s.runs[to.tree];
     const morton_t key = morton_key(to.oct);
-    if (key < covered_to[to.tree]) {
-      throw std::invalid_argument(
-          "enumerate_nodes: leaves of tree " + std::to_string(to.tree) +
-          " are not sorted and disjoint at " + to_string(to.oct));
+    if (run.first == npos) {
+      run.first = e;
+      run.begin = key;
+    } else if (key < run.end) {
+      s.bad = e;
+      return s;
     }
     const std::uint64_t cells = std::uint64_t{1} << (D * size_exp(to.oct));
-    covered_to[to.tree] = key + cells;
-    // Sorted and disjoint, so a tree's sum never exceeds its volume.
-    volume[to.tree] += cells;
-    finest = std::max<int>(finest, to.oct.level);
+    run.end = key + cells;
+    run.volume += cells;
+    s.finest = std::max<int>(s.finest, to.oct.level);
+  }
+  return s;
+}
+
+/// Check enumerate_nodes' preconditions and return each chunk's sweep:
+/// every leaf is a valid octant of an existing tree, the leaves of each
+/// tree appear in increasing Morton order without overlap, and their
+/// volumes add up to the whole tree.  The chunks sweep in parallel; the
+/// serial stitch, O(chunks x trees), checks each chunk's first leaf of a
+/// tree against the tree's end in the chunks before it, and throws the
+/// violation a serial sweep would meet first.
+template <int D>
+std::vector<ChunkSweep> check_leaf_set(const std::vector<TreeOct<D>>& leaves,
+                                       const Connectivity<D>& conn) {
+  const int trees = conn.num_trees();
+  std::vector<ChunkSweep> sweeps(num_chunks(leaves.size()));
+  par::parallel_for_ranks(static_cast<int>(sweeps.size()), [&](int c) {
+    const auto [lo, hi] = chunk_leaves(c, leaves.size());
+    sweeps[c] = sweep_chunk(leaves, lo, hi, trees);
+  });
+  // Per tree, the end of the Morton interval covered so far.
+  std::vector<morton_t> covered_to(trees, 0);
+  std::vector<std::uint64_t> volume(trees, 0);
+  for (const ChunkSweep& s : sweeps) {
+    // Every run starts before the chunk's own flaw, so the earliest seam
+    // flaw comes first.
+    std::size_t seam = npos;
+    for (int t = 0; t < trees; ++t) {
+      const TreeRun& run = s.runs[t];
+      if (run.first != npos && run.begin < covered_to[t]) {
+        seam = std::min(seam, run.first);
+      }
+    }
+    if (seam != npos) throw leaf_unsorted(leaves[seam]);
+    if (s.bad != npos) {
+      throw s.bad_is_outside ? leaf_outside(leaves[s.bad])
+                             : leaf_unsorted(leaves[s.bad]);
+    }
+    for (int t = 0; t < trees; ++t) {
+      if (s.runs[t].first == npos) continue;
+      covered_to[t] = s.runs[t].end;
+      // Sorted and disjoint, so a tree's sum never exceeds its volume.
+      volume[t] += s.runs[t].volume;
+    }
   }
   for (int t = 0; t < trees; ++t) {
     if (volume[t] != std::uint64_t{1} << (D * max_level<D>)) {
@@ -68,7 +152,7 @@ int check_leaf_set(const std::vector<TreeOct<D>>& leaves,
                                   std::to_string(t));
     }
   }
-  return finest;
+  return sweeps;
 }
 
 std::uint64_t corner_hash(std::uint64_t key) { return detail::hash_mix(key); }
@@ -140,17 +224,63 @@ class CornerTable {
   std::vector<Key> keys_;  ///< indexed by node id
 };
 
-/// The single pass of lattice node enumeration (DESIGN.md §2.19): number
-/// each leaf's canonical corners by first appearance through the table,
-/// and count per node the leaves that have it as a corner.  Each such
-/// leaf fills one of the 2^open orthants around the node, where open
-/// counts the axes on which the node is periodic or strictly interior; a
-/// node hangs exactly when some orthant is filled by a leaf it is not a
-/// corner of.  \p pack maps a canonical corner to its table key.
+/// A node of a chunk that may also be a corner in other chunks.
+template <class Key>
+struct SeamNode {
+  Key key;
+  std::uint32_t local;       ///< the node's id in its chunk
+  std::uint32_t merged = 0;  ///< the node's id in the seam table
+  std::uint8_t orthants;     ///< 2^open (see number_lattice_corners)
+  std::uint8_t incidences;   ///< (leaf, corner) pairs of the chunk at it
+};
+
+/// One chunk's numbering, from the chunk pass to the remap.
+template <class Key>
+struct ChunkNodes {
+  /// Per local id: the orthants around the node not filled by a leaf of
+  /// the chunk that has the node as a corner.
+  std::vector<std::uint8_t> missing;
+  std::vector<SeamNode<Key>> seam;  ///< in local id order
+  std::int64_t offset = 0;  ///< global id of the chunk's first fresh node
+  std::uint64_t independent = 0;
+};
+
+/// True when every leaf touching the node at tree-local \p x lies in the
+/// chunk whose leaves of that tree form \p run.  The node must be strictly
+/// inside its tree.  Then the leaves touching it are the leaves holding
+/// the 2^D finest cells around it, and Morton order is monotone on every
+/// axis, so those cells lie between the lowest (x - 1) and the highest (x).
+template <int D>
+bool inside_chunk(const std::array<std::int64_t, D>& x, const TreeRun& run) {
+  Octant<D> low, high;
+  low.level = high.level = max_level<D>;
+  for (int i = 0; i < D; ++i) {
+    if (x[i] <= 0 || x[i] >= root_len<D>) return false;
+    low.x[i] = static_cast<coord_t>(x[i] - 1);
+    high.x[i] = static_cast<coord_t>(x[i]);
+  }
+  return run.begin <= morton_key(low) && morton_key(high) < run.end;
+}
+
+/// Lattice node enumeration (DESIGN.md §2.19).  Ids follow first
+/// appearance in leaf order, and a node hangs when fewer leaves have it as
+/// a corner than it has orthants: each such leaf fills one of the 2^open
+/// orthants around the node, where open counts the axes on which the node
+/// is periodic or strictly inside the domain.  \p pack maps a canonical
+/// corner to its table key.
+///
+/// Three passes.  Each chunk of the leaf list numbers its corners through
+/// its own table, by first appearance, and counts the incidences per node.
+/// A node inside the chunk (inside_chunk) is a corner in no other chunk,
+/// so its count is final.  The other, seam, nodes go through one serial
+/// merge in chunk order, which sums their counts and gives each chunk the
+/// global id of its first fresh node.  A parallel remap then replaces
+/// local ids by global ones.
 template <int D, class Key, class Pack>
 void number_lattice_corners(const std::vector<TreeOct<D>>& leaves,
-                            const Connectivity<D>& conn, NodeNumbering& nn,
-                            const Pack& pack) {
+                            const Connectivity<D>& conn,
+                            const std::vector<ChunkSweep>& sweeps,
+                            NodeNumbering& nn, const Pack& pack) {
   const GlobalCoord<D> ext = domain_extent(conn);
   const auto& periodic = conn.periodic();
   std::vector<GlobalCoord<D>> origin(conn.num_trees());
@@ -160,37 +290,116 @@ void number_lattice_corners(const std::vector<TreeOct<D>>& leaves,
       origin[t][i] = static_cast<std::int64_t>(tc[i]) * root_len<D>;
     }
   }
-  CornerTable<Key> table(leaves.size());
+  const int chunks = static_cast<int>(sweeps.size());
+  std::vector<ChunkNodes<Key>> local(chunks);
   nn.element_nodes.resize(leaves.size());
-  // nn.hanging first holds, per node, the orthants not yet filled by a
-  // leaf cornered at the node.
-  for (std::size_t e = 0; e < leaves.size(); ++e) {
-    const TreeOct<D>& to = leaves[e];
-    const std::int64_t h = side_len(to.oct);
-    for (int c = 0; c < num_children<D>; ++c) {
-      GlobalCoord<D> g;
-      for (int i = 0; i < D; ++i) {
-        g[i] = origin[to.tree][i] + to.oct.x[i] + (((c >> i) & 1) ? h : 0);
-        if (periodic[i] && g[i] == ext[i]) g[i] = 0;
-      }
-      bool fresh = false;
-      const std::int64_t id = table.find_or_insert(pack(g), fresh);
-      if (fresh) {
-        int open = 0;
+  // element_nodes holds chunk-local ids until the remap.
+  par::parallel_for_ranks(chunks, [&](int ci) {
+    const auto [lo, hi] = chunk_leaves(ci, leaves.size());
+    ChunkNodes<Key>& ch = local[ci];
+    CornerTable<Key> table(2 * (hi - lo));
+    for (std::size_t e = lo; e < hi; ++e) {
+      const TreeOct<D>& to = leaves[e];
+      const std::int64_t h = side_len(to.oct);
+      for (int c = 0; c < num_children<D>; ++c) {
+        std::array<std::int64_t, D> x;
+        GlobalCoord<D> g;
         for (int i = 0; i < D; ++i) {
-          open += periodic[i] || (0 < g[i] && g[i] < ext[i]);
+          x[i] = to.oct.x[i] + (((c >> i) & 1) ? h : 0);
+          g[i] = origin[to.tree][i] + x[i];
+          if (periodic[i] && g[i] == ext[i]) g[i] = 0;
         }
-        nn.hanging.push_back(static_cast<std::uint8_t>(1 << open));
+        const Key key = pack(g);
+        bool fresh = false;
+        const std::int64_t id = table.find_or_insert(key, fresh);
+        if (fresh) {
+          int open = 0;
+          for (int i = 0; i < D; ++i) {
+            open += periodic[i] || (0 < g[i] && g[i] < ext[i]);
+          }
+          const auto orthants = static_cast<std::uint8_t>(1 << open);
+          ch.missing.push_back(orthants);
+          if (!inside_chunk<D>(x, sweeps[ci].runs[to.tree])) {
+            ch.seam.push_back(
+                {key, static_cast<std::uint32_t>(id), 0, orthants, 0});
+          }
+        }
+        --ch.missing[id];
+        nn.element_nodes[e][c] = id;
       }
-      --nn.hanging[id];
-      nn.element_nodes[e][c] = id;
     }
+    for (SeamNode<Key>& s : ch.seam) {
+      s.incidences =
+          static_cast<std::uint8_t>(s.orthants - ch.missing[s.local]);
+    }
+  });
+
+  // The merge.  A node's first appearance is in the first chunk holding
+  // it, at its local position there, so the chunks' fresh nodes follow
+  // each other in chunk order, and inside a chunk in local id order.  A
+  // seam node fresh in chunk c thus gets c's offset plus the count of the
+  // chunk's fresh nodes before it: the inside nodes (local - j, for the
+  // j-th seam node) and the seam nodes fresh in c before it.
+  std::size_t seam_nodes = 0;
+  for (const ChunkNodes<Key>& ch : local) seam_nodes += ch.seam.size();
+  CornerTable<Key> seam_table(seam_nodes);
+  std::vector<std::int64_t> seam_id;
+  std::vector<std::uint8_t> seam_missing;
+  std::int64_t next = 0;
+  for (ChunkNodes<Key>& ch : local) {
+    ch.offset = next;
+    std::int64_t fresh = 0;
+    for (std::size_t j = 0; j < ch.seam.size(); ++j) {
+      SeamNode<Key>& s = ch.seam[j];
+      bool is_new = false;
+      s.merged =
+          static_cast<std::uint32_t>(seam_table.find_or_insert(s.key, is_new));
+      if (is_new) {
+        seam_id.push_back(ch.offset + static_cast<std::int64_t>(s.local - j) +
+                          fresh++);
+        seam_missing.push_back(s.orthants);
+      }
+      seam_missing[s.merged] -= s.incidences;
+    }
+    next = ch.offset +
+           static_cast<std::int64_t>(ch.missing.size() - ch.seam.size()) +
+           fresh;
   }
-  nn.num_nodes = table.size();
-  for (std::uint8_t& missing : nn.hanging) {
-    missing = missing != 0;
-    nn.num_independent += !missing;
-  }
+  nn.num_nodes = static_cast<std::uint64_t>(next);
+  nn.hanging.resize(nn.num_nodes);
+
+  // The remap: each chunk sets the flags of its fresh nodes (no other
+  // chunk writes them) and rewrites its leaves' ids.
+  par::parallel_for_ranks(chunks, [&](int ci) {
+    const auto [lo, hi] = chunk_leaves(ci, leaves.size());
+    ChunkNodes<Key>& ch = local[ci];
+    std::vector<std::int64_t> ids(ch.missing.size());
+    std::int64_t id = ch.offset;
+    std::size_t j = 0;
+    for (std::size_t l = 0; l < ids.size(); ++l) {
+      std::uint8_t missing = ch.missing[l];
+      if (j < ch.seam.size() && ch.seam[j].local == l) {
+        const std::uint32_t m = ch.seam[j++].merged;
+        if (seam_id[m] < ch.offset) {  // numbered in an earlier chunk
+          ids[l] = seam_id[m];
+          continue;
+        }
+        assert(seam_id[m] == id);
+        missing = seam_missing[m];
+      }
+      ids[l] = id;
+      nn.hanging[id++] = missing != 0;
+      ch.independent += missing == 0;
+    }
+    for (std::size_t e = lo; e < hi; ++e) {
+      for (int c = 0; c < num_children<D>; ++c) {
+        nn.element_nodes[e][c] = ids[nn.element_nodes[e][c]];
+      }
+    }
+    ch.missing = {};
+    ch.seam = {};
+  });
+  for (const ChunkNodes<Key>& ch : local) nn.num_independent += ch.independent;
 }
 
 }  // namespace
@@ -345,13 +554,15 @@ NodeNumbering enumerate_nodes_general(const std::vector<TreeOct<D>>& leaves,
 template <int D>
 NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
                               const Connectivity<D>& conn) {
-  const int finest = check_leaf_set(leaves, conn);
+  const std::vector<ChunkSweep> sweeps = check_leaf_set(leaves, conn);
   if (!conn.is_lattice()) return enumerate_nodes_general(leaves, conn);
   OBS_SPAN("enumerate_nodes");
   NodeNumbering nn;
   // Every corner is a multiple of the finest leaf's side, so the key drops
   // those low zero bits; each axis then needs bit_width(extent >> shift)
   // bits for node coordinates on the closed range [0, extent].
+  int finest = 0;
+  for (const ChunkSweep& s : sweeps) finest = std::max(finest, s.finest);
   const GlobalCoord<D> ext = domain_extent(conn);
   const int shift = max_level<D> - finest;
   std::array<int, D> offset{};
@@ -362,7 +573,7 @@ NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
   }
   if (bits <= 64) {
     number_lattice_corners<D, std::uint64_t>(
-        leaves, conn, nn, [&](const GlobalCoord<D>& g) {
+        leaves, conn, sweeps, nn, [&](const GlobalCoord<D>& g) {
           std::uint64_t key = 0;
           for (int i = 0; i < D; ++i) {
             key |= (static_cast<std::uint64_t>(g[i]) >> shift) << offset[i];
@@ -371,30 +582,73 @@ NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
         });
   } else {
     number_lattice_corners<D, GlobalCoord<D>>(
-        leaves, conn, nn, [](const GlobalCoord<D>& g) { return g; });
+        leaves, conn, sweeps, nn, [](const GlobalCoord<D>& g) { return g; });
   }
   return nn;
 }
 
+namespace {
+
+/// Each rank's first element in nn.element_nodes, whose order is the
+/// gather order (rank-major), plus the total.  Throws when the numbering
+/// has another element count than \p f has leaves.
+template <int D>
+std::vector<std::size_t> rank_elements(const Forest<D>& f,
+                                       const NodeNumbering& nn) {
+  std::vector<std::size_t> first(f.num_ranks() + 1, 0);
+  for (int r = 0; r < f.num_ranks(); ++r) {
+    first[r + 1] = first[r] + f.local(r).size();
+  }
+  if (first.back() != nn.element_nodes.size()) {
+    throw std::invalid_argument(
+        "assign_node_owners: the numbering has " +
+        std::to_string(nn.element_nodes.size()) + " elements, the forest " +
+        std::to_string(first.back()) + " leaves");
+  }
+  return first;
+}
+
+}  // namespace
+
 template <int D>
 NodeOwnership assign_node_owners(const Forest<D>& f, const NodeNumbering& nn) {
   OBS_SPAN("assign_node_owners");
+  const int P = f.num_ranks();
+  const std::vector<std::size_t> first = rank_elements(f, nn);
   NodeOwnership no;
-  no.owner.assign(nn.num_nodes, f.num_ranks());
-  no.nodes_per_rank.assign(f.num_ranks(), 0);
-  // Element order in nn.element_nodes is the gather order: rank-major.
-  std::size_t e = 0;
-  for (int r = 0; r < f.num_ranks(); ++r) {
-    for (std::size_t i = 0; i < f.local(r).size(); ++i, ++e) {
+  no.owner.assign(nn.num_nodes, P);
+  no.nodes_per_rank.assign(P, 0);
+  // Every rank lowers the owner of each node it touches to itself; the
+  // minimum does not depend on the order the ranks run in.
+  std::vector<std::uint8_t> bad_id(P, 0);
+  par::parallel_for_ranks(P, [&](int r) {
+    for (std::size_t e = first[r]; e < first[r + 1]; ++e) {
       for (int c = 0; c < num_children<D>; ++c) {
         const std::int64_t id = nn.element_nodes[e][c];
-        no.owner[id] = std::min(no.owner[id], r);
+        if (static_cast<std::uint64_t>(id) >= nn.num_nodes) {
+          bad_id[r] = 1;
+          return;
+        }
+        std::atomic_ref<int> owner(no.owner[id]);
+        int cur = owner.load(std::memory_order_relaxed);
+        while (r < cur && !owner.compare_exchange_weak(
+                              cur, r, std::memory_order_relaxed)) {
+        }
       }
     }
+  });
+  for (int r = 0; r < P; ++r) {
+    if (bad_id[r]) {
+      throw std::invalid_argument(
+          "assign_node_owners: a leaf of rank " + std::to_string(r) +
+          " has a node id outside [0, " + std::to_string(nn.num_nodes) + ")");
+    }
   }
-  assert(e == nn.element_nodes.size());
   for (const int r : no.owner) {
-    assert(r < f.num_ranks());
+    if (r == P) {
+      throw std::invalid_argument(
+          "assign_node_owners: a node id is a corner of no leaf");
+    }
     ++no.nodes_per_rank[r];
   }
   return no;
@@ -406,23 +660,33 @@ NodeOwnership assign_node_owners(const Forest<D>& f, const NodeNumbering& nn,
   OBS_SPAN("node_owner_sync");
   NodeOwnership no = assign_node_owners(f, nn);
   const int P = f.num_ranks();
+  const std::vector<std::size_t> first = rank_elements(f, nn);
 
-  // Which ranks touch each node, deduplicated with a per-rank stamp pass
-  // (element order is rank-major, so one sweep per rank suffices).
-  std::vector<int> stamp(nn.num_nodes, -1);
+  // share[o][r]: the nodes owned by o that rank r touches, in order of
+  // first appearance among r's leaves.  Each rank fills its own column,
+  // skipping repeats through a set of the foreign nodes it has met, and
+  // counts the nodes it is the first to find shared.
   std::vector<std::vector<std::vector<std::int64_t>>> share(P);
   for (auto& s : share) s.assign(P, {});
-  std::size_t e = 0;
-  for (int r = 0; r < P; ++r) {
-    for (std::size_t i = 0; i < f.local(r).size(); ++i, ++e) {
+  std::vector<std::uint8_t> shared(nn.num_nodes, 0);
+  std::vector<std::uint64_t> found_shared(P, 0);
+  par::parallel_for_ranks(P, [&](int r) {
+    CornerTable<std::uint64_t> met(0);
+    for (std::size_t e = first[r]; e < first[r + 1]; ++e) {
       for (int c = 0; c < num_children<D>; ++c) {
         const std::int64_t id = nn.element_nodes[e][c];
-        if (stamp[id] == r) continue;
-        stamp[id] = r;
-        if (no.owner[id] != r) share[no.owner[id]][r].push_back(id);
+        const int o = no.owner[id];
+        if (o == r) continue;
+        bool fresh = false;
+        met.find_or_insert(static_cast<std::uint64_t>(id), fresh);
+        if (!fresh) continue;
+        share[o][r].push_back(id);
+        found_shared[r] += std::atomic_ref<std::uint8_t>(shared[id]).exchange(
+                               1, std::memory_order_relaxed) == 0;
       }
     }
-  }
+  });
+  for (const std::uint64_t n : found_shared) no.shared_nodes += n;
 
   // The sync: each owner ships the sorted shared-node id list to every
   // co-touching rank (how a distributed DOF numbering distributes the
@@ -450,12 +714,6 @@ NodeOwnership assign_node_owners(const Forest<D>& f, const NodeNumbering& nn,
   });
   no.traffic.messages = comm.stats().messages - pre.messages;
   no.traffic.bytes = comm.stats().bytes - pre.bytes;
-  for (std::int64_t id = 0; id < static_cast<std::int64_t>(nn.num_nodes);
-       ++id) {
-    // stamp holds the highest touching rank; a node is shared when any
-    // rank other than the owner touches it.
-    no.shared_nodes += stamp[id] >= 0 && stamp[id] != no.owner[id];
-  }
   obs::Counter& c_recv = comm.metrics().counter("nodes/shared_ids_recv");
   for (int r = 0; r < P; ++r) c_recv.add(r, shared_per_rank[r]);
   comm.set_phase(phase0);

@@ -13,15 +13,16 @@
 /// coarser face (or edge in 3D), which is what makes a single set of
 /// interpolation operators sufficient (Figure 1).
 ///
-/// This is the serial (gathered) version: deterministic global numbering
-/// in the order node coordinates first appear along the space-filling
-/// curve.  On lattice connectivities (bricks, periodic or not) one pass
-/// over the leaves numbers the corners through a hash table of packed
-/// coordinate keys and derives the hanging flags by counting, per node,
-/// the leaves that have it as a corner (DESIGN.md §2.19).  That count rule
-/// is exact on any complete, disjoint leaf set, balanced or not and for
-/// every k, so enumerate_nodes checks those preconditions instead of
-/// assuming them.
+/// Ids follow the order in which node coordinates first appear along the
+/// leaf list, so they do not depend on the thread count.  On lattice
+/// connectivities (bricks, periodic or not) the leaf list is cut into
+/// chunks of kNodeChunkLeaves leaves.  The chunks number their corners in
+/// parallel, each through its own hash table of packed coordinate keys,
+/// and derive the hanging flags by counting, per node, the leaves that
+/// have it as a corner (DESIGN.md §2.19).  Only the nodes on chunk seams
+/// go through one serial merge.  That count rule is exact on any complete,
+/// disjoint leaf set, balanced or not and for every k, so enumerate_nodes
+/// checks those preconditions instead of assuming them.
 ///
 /// Preconditions (checked in O(n); each violation throws
 /// std::invalid_argument):
@@ -32,7 +33,8 @@
 ///   - the leaves of each tree cover it (their volumes sum to the tree's).
 /// Leaves of different trees may interleave; element order is the order
 /// given, which is what assign_node_owners relies on (rank-major).  More
-/// than 2^32 - 2 distinct nodes throws std::length_error.
+/// than 2^32 - 2 distinct nodes in one chunk or on the chunk seams throws
+/// std::length_error.
 
 #include <cstdint>
 #include <vector>
@@ -41,6 +43,10 @@
 #include "forest/forest.hpp"
 
 namespace octbal {
+
+/// Leaves per chunk of the lattice pass.  A constant, not a tuning knob:
+/// the numbering does not depend on it.
+inline constexpr std::size_t kNodeChunkLeaves = 16384;
 
 struct NodeNumbering {
   /// Global number of distinct node coordinates.
@@ -51,8 +57,7 @@ struct NodeNumbering {
   /// z-order.
   std::vector<std::array<std::int64_t, 8>> element_nodes;
   /// Per node id: 1 if the node hangs on a coarser neighbor, else 0.  (A
-  /// byte, not a bit: the general-connectivity pass sets flags per id from
-  /// the thread pool.)
+  /// byte, not a bit: the flags are set per id from the thread pool.)
   std::vector<std::uint8_t> hanging;
 };
 
@@ -80,7 +85,11 @@ struct NodeOwnership {
   CommStats traffic;
 };
 
-/// Serial convention only: each node is owned by the lowest touching rank.
+/// Each node is owned by the lowest touching rank.  \p nn must number the
+/// leaves of \p f in gather order (f.gather()).  Throws
+/// std::invalid_argument when its element count differs from f's leaf
+/// count, when an element names an id outside [0, nn.num_nodes), or when
+/// an id is the corner of no element.
 template <int D>
 NodeOwnership assign_node_owners(const Forest<D>& f, const NodeNumbering& nn);
 
@@ -89,7 +98,8 @@ NodeOwnership assign_node_owners(const Forest<D>& f, const NodeNumbering& nn);
 /// shared nodes to every other rank that touches them, through \p comm,
 /// so the exchange's messages/bytes are measured and attributed (they
 /// were previously invisible in every report).  Feeds the registry under
-/// "nodes/*" and fills NodeOwnership::traffic / shared_nodes.
+/// "nodes/*" and fills NodeOwnership::traffic / shared_nodes.  The same
+/// preconditions as above.
 template <int D>
 NodeOwnership assign_node_owners(const Forest<D>& f, const NodeNumbering& nn,
                                  SimComm& comm);

@@ -1,17 +1,25 @@
 #pragma once
 /// \file nodes_reference.hpp
-/// \brief Test-only reference for lattice node enumeration: an ordered map
-/// of global corner coordinates for the ids, and per-node point location
-/// of the 2^D surrounding finest cells for the hanging flags.
+/// \brief Test-only references for lattice node enumeration and node
+/// ownership.
 ///
-/// This is the straightforward two-pass algorithm the hashed single pass
-/// in forest/nodes.cpp must reproduce byte for byte (ids in order of first
-/// appearance, identical hanging flags).  It is slow — O(n log n) map
-/// inserts plus 2^D binary searches per node — and exists only so the
-/// differential tests in test_nodes.cpp have an independent oracle.
+/// enumerate_nodes is the straightforward two-pass algorithm: an ordered
+/// map of global corner coordinates for the ids, and per-node point
+/// location of the 2^D surrounding finest cells for the hanging flags.
+/// The chunked hashed pass in forest/nodes.cpp must reproduce it byte for
+/// byte (ids in order of first appearance, identical hanging flags).  It
+/// is slow — O(n log n) map inserts plus 2^D binary searches per node.
+///
+/// assign_node_owners is the serial rank-major walk: a running minimum
+/// per node for the owner, then a per-rank stamp pass for the share
+/// lists, sent through the communicator like the library's sync.
+///
+/// Both exist only so the differential tests in test_nodes.cpp have an
+/// independent oracle.
 
 #include <cassert>
 #include <map>
+#include <span>
 
 #include "core/search.hpp"
 #include "forest/nodes.hpp"
@@ -131,6 +139,58 @@ NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
     nn.num_independent += !nn.hanging[i];
   }
   return nn;
+}
+
+/// Owners, per-rank counts, the shared-node count and the sync traffic,
+/// by the serial definition.  \p nn must number f.gather().
+template <int D>
+NodeOwnership assign_node_owners(const Forest<D>& f, const NodeNumbering& nn,
+                                 SimComm& comm) {
+  const int P = f.num_ranks();
+  NodeOwnership no;
+  no.owner.assign(nn.num_nodes, P);
+  no.nodes_per_rank.assign(P, 0);
+  std::size_t e = 0;
+  for (int r = 0; r < P; ++r) {
+    for (std::size_t i = 0; i < f.local(r).size(); ++i, ++e) {
+      for (int c = 0; c < num_children<D>; ++c) {
+        const std::int64_t id = nn.element_nodes[e][c];
+        no.owner[id] = std::min(no.owner[id], r);
+      }
+    }
+  }
+  for (const int r : no.owner) ++no.nodes_per_rank[r];
+
+  std::vector<int> stamp(nn.num_nodes, -1);
+  std::vector<std::vector<std::vector<std::int64_t>>> share(
+      P, std::vector<std::vector<std::int64_t>>(P));
+  e = 0;
+  for (int r = 0; r < P; ++r) {
+    for (std::size_t i = 0; i < f.local(r).size(); ++i, ++e) {
+      for (int c = 0; c < num_children<D>; ++c) {
+        const std::int64_t id = nn.element_nodes[e][c];
+        if (stamp[id] == r) continue;
+        stamp[id] = r;
+        if (no.owner[id] != r) share[no.owner[id]][r].push_back(id);
+      }
+    }
+  }
+  for (std::uint64_t id = 0; id < nn.num_nodes; ++id) {
+    // stamp holds the highest touching rank.
+    no.shared_nodes += stamp[id] != no.owner[id];
+  }
+  const CommStats pre = comm.stats();
+  for (int r = 0; r < P; ++r) {
+    for (int q = 0; q < P; ++q) {
+      if (share[r][q].empty()) continue;
+      comm.send_items<std::int64_t>(
+          r, q, std::span<const std::int64_t>(share[r][q]));
+    }
+  }
+  comm.deliver();
+  no.traffic.messages = comm.stats().messages - pre.messages;
+  no.traffic.bytes = comm.stats().bytes - pre.bytes;
+  return no;
 }
 
 }  // namespace octbal::reference

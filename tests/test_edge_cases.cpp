@@ -1,8 +1,8 @@
 /// \file test_edge_cases.cpp
 /// \brief Edge cases of the distributed layer: more ranks than octants
 /// (empty ranks), coarsening across partition boundaries, minimal forests,
-/// degenerate balance inputs, and the checked constructor preconditions
-/// (which throw in every build, NDEBUG included).
+/// degenerate balance inputs, and the checked preconditions of the
+/// constructors and kernels (which throw in every build, NDEBUG included).
 
 #include <gtest/gtest.h>
 
@@ -329,6 +329,37 @@ TEST(Preconditions, ForestOraclesRejectKOutOfRange) {
   }
   EXPECT_TRUE(forest_is_balanced<2>(leaves, conn, 2));
   EXPECT_EQ(forest_balance_serial<2>(leaves, conn, 2), leaves);
+}
+
+/// Inputs complete() and complete_keys() must reject: unsorted, a
+/// duplicate, an ancestor before its descendant, and an element outside
+/// the root.  Each pair is (input, root).
+std::vector<std::pair<std::vector<Oct2>, Oct2>> bad_complete_inputs() {
+  const Oct2 root = root_octant<2>();
+  const Oct2 a = child(root, 0), b = child(root, 3);
+  return {{{b, a}, root},
+          {{a, a}, root},
+          {{a, child(a, 2)}, root},
+          {{child(a, 1), child(b, 0)}, a}};
+}
+
+TEST(Preconditions, CompleteRejectsNonLinearOrOutsideRoot) {
+  for (const auto& [in, root] : bad_complete_inputs()) {
+    EXPECT_THROW(complete(in, root), std::invalid_argument)
+        << to_string(in.front()) << " in " << to_string(root);
+  }
+  const Oct2 root = root_octant<2>();
+  EXPECT_EQ(complete(std::vector<Oct2>{child(root, 1)}, root).size(), 4u);
+}
+
+TEST(Preconditions, CompleteKeysRejectsNonLinearOrOutsideRoot) {
+  for (const auto& [in, root] : bad_complete_inputs()) {
+    const std::vector<okey_t> keys = octants_to_keys(in);
+    EXPECT_THROW(complete_keys<2>(keys, key_of(root)), std::invalid_argument)
+        << to_string(in.front()) << " in " << to_string(root);
+  }
+  const std::vector<okey_t> one{key_of(child(root_octant<2>(), 1))};
+  EXPECT_EQ(complete_keys<2>(one, key_of(root_octant<2>())).size(), 4u);
 }
 
 TEST(Preconditions, BrickRejectsEmptyAxis) {

@@ -2,8 +2,9 @@
 /// \brief Tests for corner-node enumeration: exact counts on known meshes,
 /// uniform-grid formulas, periodic identification, the hanging-node
 /// guarantee on balanced meshes, element-connectivity consistency, the
-/// checked preconditions, and a differential battery against the
-/// map-plus-point-location reference (nodes_reference.hpp).
+/// checked preconditions of the numbering and of node ownership, and a
+/// differential battery against the references (nodes_reference.hpp),
+/// on forests of one chunk and of several.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,9 @@
 #include "core/balance_check.hpp"
 #include "forest/nodes.hpp"
 #include "nodes_reference.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
@@ -294,23 +297,55 @@ TEST(NodeOwnership, SharedInterfaceNodesGoToLowerRank) {
 namespace octbal {
 namespace {
 
-/// Numbering and ownership must match the reference byte for byte: ids,
-/// hanging flags, counts, owners and the shared-node count.
+/// Ownership and its sync traffic must match the serial reference: owners,
+/// per-rank counts, the shared-node count, and every message's content
+/// (the flight digest of the sync round).
 template <int D>
-void expect_matches_reference(const Forest<D>& f, const std::string& what) {
-  const auto leaves = f.gather();
-  const NodeNumbering got = enumerate_nodes(leaves, f.connectivity());
-  const NodeNumbering want = reference::enumerate_nodes(leaves, f.connectivity());
-  ASSERT_EQ(got.num_nodes, want.num_nodes) << what;
+void expect_ownership_matches_reference(const Forest<D>& f,
+                                        const NodeNumbering& nn,
+                                        const std::string& what) {
+  SimComm comm_got(f.num_ranks()), comm_want(f.num_ranks());
+  comm_got.set_flight_recording(true);
+  comm_want.set_flight_recording(true);
+  const NodeOwnership got = assign_node_owners(f, nn, comm_got);
+  const NodeOwnership want = reference::assign_node_owners(f, nn, comm_want);
+  EXPECT_TRUE(got.owner == want.owner) << what;
+  EXPECT_TRUE(got.nodes_per_rank == want.nodes_per_rank) << what;
+  EXPECT_EQ(got.shared_nodes, want.shared_nodes) << what;
+  EXPECT_EQ(got.traffic.messages, want.traffic.messages) << what;
+  EXPECT_EQ(got.traffic.bytes, want.traffic.bytes) << what;
+  ASSERT_FALSE(comm_got.rounds().empty()) << what;
+  ASSERT_FALSE(comm_want.rounds().empty()) << what;
+  EXPECT_EQ(comm_got.rounds().back().digest, comm_want.rounds().back().digest)
+      << what;
+  EXPECT_TRUE(comm_got.rounds().back().edges == comm_want.rounds().back().edges)
+      << what;
+  const NodeOwnership plain = assign_node_owners(f, nn);
+  EXPECT_TRUE(plain.owner == want.owner) << what;
+  EXPECT_TRUE(plain.nodes_per_rank == want.nodes_per_rank) << what;
+}
+
+/// The numbering of \p leaves must match the reference byte for byte: ids,
+/// hanging flags and counts.
+template <int D>
+NodeNumbering expect_numbering_matches_reference(
+    const std::vector<TreeOct<D>>& leaves, const Connectivity<D>& conn,
+    const std::string& what) {
+  NodeNumbering got = enumerate_nodes(leaves, conn);
+  const NodeNumbering want = reference::enumerate_nodes(leaves, conn);
+  EXPECT_EQ(got.num_nodes, want.num_nodes) << what;
   EXPECT_EQ(got.num_independent, want.num_independent) << what;
   EXPECT_TRUE(got.element_nodes == want.element_nodes) << what;
   EXPECT_TRUE(got.hanging == want.hanging) << what;
-  SimComm comm_got(f.num_ranks()), comm_want(f.num_ranks());
-  const NodeOwnership own_got = assign_node_owners(f, got, comm_got);
-  const NodeOwnership own_want = assign_node_owners(f, want, comm_want);
-  EXPECT_TRUE(own_got.owner == own_want.owner) << what;
-  EXPECT_EQ(own_got.shared_nodes, own_want.shared_nodes) << what;
-  EXPECT_EQ(own_got.traffic.bytes, own_want.traffic.bytes) << what;
+  return got;
+}
+
+/// Numbering and ownership must match the references byte for byte.
+template <int D>
+void expect_matches_reference(const Forest<D>& f, const std::string& what) {
+  const NodeNumbering nn =
+      expect_numbering_matches_reference(f.gather(), f.connectivity(), what);
+  expect_ownership_matches_reference(f, nn, what);
 }
 
 /// A random brick forest: dims 1..3 per axis, random periodicity, 1..4
@@ -430,6 +465,159 @@ TEST(NodesPreconditions, IncompleteLeafSetThrows) {
   std::vector<TreeOct<3>> one_tree{g.gather().front()};
   EXPECT_THROW(enumerate_nodes(one_tree, g.connectivity()),
                std::invalid_argument);
+}
+
+TEST(NodesPreconditions, UnsortedAcrossAChunkSeamThrows) {
+  // The two leaves around the first chunk seam swapped: each chunk is
+  // sorted on its own, only the stitch sees the step back.
+  Forest<2> f(Connectivity<2>::unitcube(), 1, 8);
+  auto leaves = f.gather();
+  ASSERT_GT(leaves.size(), 2 * kNodeChunkLeaves);
+  std::swap(leaves[kNodeChunkLeaves - 1], leaves[kNodeChunkLeaves]);
+  EXPECT_THROW(enumerate_nodes(leaves, f.connectivity()),
+               std::invalid_argument);
+  // A leaf missing at the seam leaves a gap no single chunk sees.
+  auto gap = f.gather();
+  gap.erase(gap.begin() + kNodeChunkLeaves);
+  EXPECT_THROW(enumerate_nodes(gap, f.connectivity()), std::invalid_argument);
+}
+
+TEST(NodesPreconditions, OwnersRejectANumberingOfAnotherForest) {
+  // Both overloads: a numbering with more or fewer elements than the
+  // forest has leaves used to read past element_nodes under NDEBUG.
+  Forest<2> f(Connectivity<2>::unitcube(), 2, 2);
+  Forest<2> g(Connectivity<2>::unitcube(), 2, 3);
+  const NodeNumbering finer = enumerate_nodes(g.gather(), g.connectivity());
+  SimComm comm(2);
+  EXPECT_THROW(assign_node_owners(f, finer), std::invalid_argument);
+  EXPECT_THROW(assign_node_owners(f, finer, comm), std::invalid_argument);
+  NodeNumbering fewer = enumerate_nodes(f.gather(), f.connectivity());
+  fewer.element_nodes.pop_back();
+  EXPECT_THROW(assign_node_owners(f, fewer), std::invalid_argument);
+  EXPECT_THROW(assign_node_owners(f, fewer, comm), std::invalid_argument);
+}
+
+TEST(NodesPreconditions, OwnersRejectIdsOutOfRange) {
+  Forest<2> f(Connectivity<2>::unitcube(), 2, 2);
+  const NodeNumbering nn = enumerate_nodes(f.gather(), f.connectivity());
+  SimComm comm(2);
+  for (const std::int64_t bad :
+       {static_cast<std::int64_t>(nn.num_nodes), std::int64_t{-1}}) {
+    NodeNumbering broken = nn;
+    broken.element_nodes.back()[3] = bad;
+    EXPECT_THROW(assign_node_owners(f, broken), std::invalid_argument);
+    EXPECT_THROW(assign_node_owners(f, broken, comm), std::invalid_argument);
+  }
+  // An id no element names has no owner.
+  NodeNumbering unused = nn;
+  ++unused.num_nodes;
+  EXPECT_THROW(assign_node_owners(f, unused), std::invalid_argument);
+  EXPECT_THROW(assign_node_owners(f, unused, comm), std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace octbal
+
+namespace octbal {
+namespace {
+
+/// Forests of more than three chunks of the lattice pass, so that chunk
+/// seams, nodes numbered across them and every merge path are exercised.
+void expect_multi_chunk(std::size_t leaves) {
+  ASSERT_GT(leaves, 3 * kNodeChunkLeaves) << "fewer than 4 chunks";
+}
+
+/// The graded ice-sheet mesh on a 3x2x1 brick, periodic in y, at lmax 7.
+Forest<3> graded_brick_3d(bool balanced) {
+  Forest<3> f(Connectivity<3>::brick({3, 2, 1}, {false, true, false}), 6, 1);
+  icesheet_refine(f, 7);
+  f.partition_uniform();
+  if (balanced) {
+    SimComm comm(6);
+    balance(f, BalanceOptions::new_config(), comm);
+  }
+  return f;
+}
+
+TEST(NodesMultiChunk, GradedPeriodicBrick3DUnbalanced) {
+  const Forest<3> f = graded_brick_3d(false);
+  expect_multi_chunk(f.global_num_octants());
+  expect_matches_reference(f, "3D graded periodic-y brick, unbalanced");
+}
+
+TEST(NodesMultiChunk, GradedPeriodicBrick3DBalanced) {
+  const Forest<3> f = graded_brick_3d(true);
+  expect_multi_chunk(f.global_num_octants());
+  expect_matches_reference(f, "3D graded periodic-y brick, k=3");
+}
+
+TEST(NodesMultiChunk, GradedBrick2D) {
+  Forest<2> f(Connectivity<2>::brick({3, 2}), 5, 1);
+  icesheet_refine(f, 11);
+  f.partition_uniform();
+  SimComm comm(5);
+  BalanceOptions opt = BalanceOptions::new_config();
+  opt.k = 1;
+  balance(f, opt, comm);
+  expect_multi_chunk(f.global_num_octants());
+  expect_matches_reference(f, "2D graded brick, k=1");
+}
+
+TEST(NodesMultiChunk, InterleavedTrees) {
+  // The precondition orders leaves within a tree only.  Deal the trees'
+  // runs out round robin in random-length blocks, so chunks hold several
+  // trees and a tree's runs cross many seams.
+  const Forest<3> f = graded_brick_3d(true);
+  const auto gathered = f.gather();
+  std::vector<std::vector<TreeOct<3>>> per_tree(f.connectivity().num_trees());
+  for (const auto& to : gathered) per_tree[to.tree].push_back(to);
+  std::vector<std::size_t> next(per_tree.size(), 0);
+  std::vector<TreeOct<3>> leaves;
+  Rng rng(2012);
+  while (leaves.size() < gathered.size()) {
+    for (std::size_t t = 0; t < per_tree.size(); ++t) {
+      const std::size_t take = std::min<std::size_t>(
+          1 + rng.below(3000), per_tree[t].size() - next[t]);
+      leaves.insert(leaves.end(), per_tree[t].begin() + next[t],
+                    per_tree[t].begin() + next[t] + take);
+      next[t] += take;
+    }
+  }
+  ASSERT_FALSE(leaves == gathered);
+  expect_multi_chunk(leaves.size());
+  expect_numbering_matches_reference(leaves, f.connectivity(),
+                                     "interleaved trees");
+}
+
+TEST(NodesMultiChunk, SameOutputAtEveryThreadCount) {
+  const int saved = par::num_threads();
+  Forest<3> f(Connectivity<3>::brick({3, 2, 1}), 16, 2);
+  fractal_refine(f, 6);
+  f.partition_uniform();
+  {
+    SimComm comm(16);
+    balance(f, BalanceOptions::new_config(), comm);
+  }
+  expect_multi_chunk(f.global_num_octants());
+  std::vector<NodeNumbering> nns;
+  std::vector<NodeOwnership> owns;
+  for (const int threads : {1, 2, 8}) {
+    par::set_num_threads(threads);
+    nns.push_back(enumerate_nodes(f.gather(), f.connectivity()));
+    SimComm comm(16);
+    owns.push_back(assign_node_owners(f, nns.back(), comm));
+  }
+  par::set_num_threads(saved);
+  for (std::size_t i = 1; i < nns.size(); ++i) {
+    EXPECT_TRUE(nns[i].element_nodes == nns[0].element_nodes) << i;
+    EXPECT_TRUE(nns[i].hanging == nns[0].hanging) << i;
+    EXPECT_EQ(nns[i].num_independent, nns[0].num_independent) << i;
+    EXPECT_TRUE(owns[i].owner == owns[0].owner) << i;
+    EXPECT_TRUE(owns[i].nodes_per_rank == owns[0].nodes_per_rank) << i;
+    EXPECT_EQ(owns[i].shared_nodes, owns[0].shared_nodes) << i;
+    EXPECT_EQ(owns[i].traffic.bytes, owns[0].traffic.bytes) << i;
+  }
+  expect_matches_reference(f, "fig15 forest");
 }
 
 }  // namespace
