@@ -21,16 +21,12 @@ int main(int argc, char** argv) {
   const int k = static_cast<int>(cli.get_int("k", 2));
 
   // A 2D forest of two quadtrees glued side by side, uniformly refined to
-  // level 2, distributed over `ranks` simulated ranks.
-  Forest<2> forest(Connectivity<2>::brick({2, 1}), ranks, 2);
-
-  // Adaptive refinement: randomly split octants, recursively, to `level`.
+  // level 2, then adaptively refined: octants split at random, recursively,
+  // to `level`.  The random draws are made on one rank, and the leaves are
+  // then distributed over `ranks` simulated ranks.
   Rng rng(42);
-  forest.refine(
-      [&](const TreeOct<2>& to) {
-        return to.oct.level < level && rng.chance(0.3);
-      },
-      true);
+  Forest<2> forest =
+      random_forest(Connectivity<2>::brick({2, 1}), ranks, 2, rng, level, 0.3);
   forest.partition_uniform();
   std::printf("refined mesh:   %8llu octants on %d ranks\n",
               static_cast<unsigned long long>(forest.global_num_octants()),

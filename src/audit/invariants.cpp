@@ -1,5 +1,6 @@
 #include "audit/invariants.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -229,6 +230,52 @@ bool seed_pair_ok(const Octant<D>& o, const Octant<D>& r, int k,
   return true;
 }
 
+/// The churn block's refine decisions: one draw per leaf below \p lmax, in
+/// rank-major SFC order, for the leaves that split.  A split leaf's
+/// children below \p lmax draw too, unused, so that every case keeps the
+/// draw stream its seed-pinned tests were recorded with.  Sorted, as
+/// rank-major order is global SFC order.
+template <int D>
+std::vector<TreeOct<D>> churn_refine_draws(const Forest<D>& f, Rng& rng,
+                                           int lmax) {
+  const int below = std::min(lmax, max_level<D>);
+  std::vector<TreeOct<D>> splits;
+  for (int r = 0; r < f.num_ranks(); ++r) {
+    for (const auto& to : f.local(r)) {
+      if (to.oct.level >= below || !rng.chance(0.15)) continue;
+      splits.push_back(to);
+      if (to.oct.level + 1 < below) {
+        for (int c = 0; c < num_children<D>; ++c) (void)rng.chance(0.15);
+      }
+    }
+  }
+  return splits;
+}
+
+/// The churn block's coarsen decisions: the first members of the families
+/// whose members all draw true, drawn in the family scan's order — rank by
+/// rank, member by member, stopping at the first false or non-member (the
+/// 2:1 veto comes after the draws and changes none of them).  Sorted.
+template <int D>
+std::vector<TreeOct<D>> churn_coarsen_draws(const Forest<D>& f, Rng& rng) {
+  constexpr int nc = num_children<D>;
+  std::vector<TreeOct<D>> families;
+  for (int r = 0; r < f.num_ranks(); ++r) {
+    const auto& mine = f.local(r);
+    for (std::size_t i = 0; i < mine.size();) {
+      bool all = mine[i].oct.level > 0 && child_id(mine[i].oct) == 0 &&
+                 i + nc <= mine.size();
+      for (int c = 0; all && c < nc; ++c) {
+        all = mine[i + c].tree == mine[i].tree &&
+              mine[i + c].oct == sibling(mine[i].oct, c) && rng.chance(0.35);
+      }
+      if (all) families.push_back(mine[i]);
+      i += all ? nc : 1;
+    }
+  }
+  return families;
+}
+
 }  // namespace
 
 template <int D>
@@ -324,6 +371,7 @@ InvariantReport Invariants::check(const CaseConfig& cfg,
   // the delta scheme against the pipeline, not the injection machinery,
   // and an injected main balance could break delta_balance's balanced-
   // precondition.
+  std::uint64_t churn_sum = 0;
   if (cfg.churn_steps > 0) {
     BalanceOptions copt = cfg.opt;
     copt.inject = FaultInjection::kNone;
@@ -336,15 +384,25 @@ InvariantReport Invariants::check(const CaseConfig& cfg,
     f.clear_dirty();
     Rng crng(cfg.seed ^ 0x5EED0FDE17AC4B05ull);
     for (int s = 0; s < cfg.churn_steps; ++s) {
+      // The draws are made serially, in rank-major SFC order, and the
+      // rank workers only look the decisions up (Forest::RefinePred).
       if (cfg.churn_coarsen) {
-        f.coarsen([&](const TreeOct<D>&) { return crng.chance(0.35); },
-                  cfg.k);
+        const auto families = churn_coarsen_draws(f, crng);
+        f.coarsen(
+            [&](const TreeOct<D>& to) {
+              return std::binary_search(
+                  families.begin(), families.end(),
+                  TreeOct<D>{to.tree, sibling(to.oct, 0)});
+            },
+            cfg.k);
       }
+      const auto splits = churn_refine_draws(f, crng, cfg.lmax);
       f.refine(
           [&](const TreeOct<D>& to) {
-            return to.oct.level < cfg.lmax && crng.chance(0.15);
+            return std::binary_search(splits.begin(), splits.end(), to);
           },
           false);
+      churn_sum = churn_sum * 0x100000001B3ull ^ forest_checksum(f);
       Forest<D> ref = f;
       ref.clear_dirty();
       SimComm fc(cfg.ranks);
@@ -483,6 +541,7 @@ InvariantReport Invariants::check(const CaseConfig& cfg,
 
   InvariantReport rep = InvariantReport::pass();
   rep.octants_after = main.got.size();
+  rep.churn_checksum = churn_sum;
   return rep;
 }
 

@@ -61,6 +61,9 @@ struct InvariantReport {
   std::string invariant;  ///< failing invariant id ("" when ok)
   std::string detail;     ///< human-readable specifics
   std::uint64_t octants_after = 0;  ///< balanced-forest size of the main run
+  /// Chained forest_checksum of the churned forest after each churn step's
+  /// refine (0 when the case has no churn block): pins the churn draws.
+  std::uint64_t churn_checksum = 0;
 
   /// Comm-divergence attribution, filled on failure when
   /// cfg.attribute_divergence and the invariant has a natural A/B pair

@@ -263,23 +263,31 @@ class Connectivity {
   bool is_lattice() const { return !general_; }
 
   /// Lattice coordinates of tree \p t (x fastest, matching tree numbering).
+  /// Throws std::invalid_argument on a general connectivity or when \p t
+  /// is not a tree.
   std::array<int, D> tree_coords(int t) const {
-    assert(is_lattice());
-    std::array<int, D> c{};
-    for (int i = 0; i < D; ++i) {
-      c[i] = t % dims_[i];
-      t /= dims_[i];
+    if (general_ || t < 0 || t >= ntrees_) {
+      throw std::invalid_argument(
+          "Connectivity::tree_coords: tree " + std::to_string(t) +
+          (general_ ? " of a general connectivity, which has no lattice"
+                    : " outside [0, " + std::to_string(ntrees_) + ")"));
     }
-    return c;
+    return lattice_coords(t);
   }
 
+  /// The tree at lattice coordinates \p c.  Throws std::invalid_argument
+  /// when some c[i] lies outside [0, dims[i]), which includes every
+  /// coordinate of a general connectivity.
   int tree_index(const std::array<int, D>& c) const {
-    int t = 0;
-    for (int i = D - 1; i >= 0; --i) {
-      assert(0 <= c[i] && c[i] < dims_[i]);
-      t = t * dims_[i] + c[i];
+    for (int i = 0; i < D; ++i) {
+      if (c[i] < 0 || c[i] >= dims_[i]) {
+        throw std::invalid_argument(
+            "Connectivity::tree_index: c[" + std::to_string(i) + "] = " +
+            std::to_string(c[i]) + " outside [0, " +
+            std::to_string(dims_[i]) + ")");
+      }
     }
-    return t;
+    return lattice_index(c);
   }
 
   /// The same-size neighbor of octant \p o in tree \p t, offset by \p off
@@ -294,7 +302,7 @@ class Connectivity {
       return std::nullopt;  // unreachable: general_ implies D >= 2
     }
     TreeNeighbor<D> nb;
-    std::array<int, D> tc = tree_coords(t);
+    std::array<int, D> tc = lattice_coords(t);
     nb.oct.level = o.level;
     const scoord_t h = side_len(o);
     for (int i = 0; i < D; ++i) {
@@ -316,7 +324,7 @@ class Connectivity {
       nb.oct.x[i] = static_cast<coord_t>(c);
       nb.step[i] = static_cast<coord_t>(step);
     }
-    nb.tree = static_cast<std::int32_t>(tree_index(tc));
+    nb.tree = static_cast<std::int32_t>(lattice_index(tc));
     nb.xform = FrameTransform<D>::translation(nb.step);
     return nb;
   }
@@ -344,6 +352,22 @@ class Connectivity {
     std::array<int, D> a{};
     a.fill(v);
     return a;
+  }
+
+  /// tree_coords and tree_index unchecked, for neighbor()'s lattice
+  /// branch, whose tree and stepped coordinates are in range.
+  std::array<int, D> lattice_coords(int t) const {
+    std::array<int, D> c{};
+    for (int i = 0; i < D; ++i) {
+      c[i] = t % dims_[i];
+      t /= dims_[i];
+    }
+    return c;
+  }
+  int lattice_index(const std::array<int, D>& c) const {
+    int t = 0;
+    for (int i = D - 1; i >= 0; --i) t = t * dims_[i] + c[i];
+    return t;
   }
 
   /// Cross one face of \p tree with an octant whose coordinate along axis

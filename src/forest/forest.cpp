@@ -9,6 +9,7 @@
 #include "core/balance_subtree.hpp"
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
+#include "util/parallel.hpp"
 
 namespace octbal {
 namespace {
@@ -125,10 +126,25 @@ std::pair<int, int> Forest<D>::owners_of(const GlobalPos& lo,
 }
 
 template <int D>
+void Forest<D>::install(std::vector<std::vector<TreeOct<D>>>& next,
+                        const std::vector<std::vector<TreeOct<D>>>& created) {
+  std::size_t n = dirty_.size();
+  for (const auto& c : created) n += c.size();
+  dirty_.reserve(n);
+  for (std::size_t r = 0; r < local_.size(); ++r) {
+    local_[r].swap(next[r]);
+    dirty_.insert(dirty_.end(), created[r].begin(), created[r].end());
+  }
+  refresh_markers();
+}
+
+template <int D>
 void Forest<D>::refine(const RefinePred& pred, bool recursive) {
-  for (auto& mine : local_) {
-    std::vector<TreeOct<D>> next;
-    next.reserve(mine.size());
+  const int p = num_ranks();
+  std::vector<std::vector<TreeOct<D>>> next(p), created(p);
+  par::parallel_for_ranks(p, [&](int r) {
+    const auto& mine = local_[r];
+    next[r].reserve(mine.size());
     // Depth-first replacement keeps the array sorted.
     std::vector<TreeOct<D>> stack;
     for (const auto& to : mine) {
@@ -136,12 +152,13 @@ void Forest<D>::refine(const RefinePred& pred, bool recursive) {
       while (!stack.empty()) {
         TreeOct<D> cur = stack.back();
         stack.pop_back();
-        const bool split = cur.oct.level < max_level<D> && pred(cur) &&
-                           (recursive || cur.oct.level == to.oct.level);
+        const bool split = cur.oct.level < max_level<D> &&
+                           (recursive || cur.oct.level == to.oct.level) &&
+                           pred(cur);
         if (!split) {
-          next.push_back(cur);
+          next[r].push_back(cur);
           // Dirty log: every leaf this sweep created (not the survivors).
-          if (cur.oct.level > to.oct.level) dirty_.push_back(cur);
+          if (cur.oct.level > to.oct.level) created[r].push_back(cur);
           continue;
         }
         for (int c = num_children<D> - 1; c >= 0; --c) {
@@ -149,9 +166,8 @@ void Forest<D>::refine(const RefinePred& pred, bool recursive) {
         }
       }
     }
-    mine.swap(next);
-  }
-  refresh_markers();
+  });
+  install(next, created);
 }
 
 template <int D>
@@ -161,37 +177,46 @@ void Forest<D>::coarsen(const RefinePred& pred, int balance_k) {
                                 std::to_string(balance_k) +
                                 " is outside [0, " + std::to_string(D) + "]");
   }
-  // 2:1-safety veto context: the *pre-sweep* global leaf set, split by
-  // tree.  Judging every candidate family against this snapshot (rather
-  // than the evolving arrays) makes the veto order-independent: two
-  // adjacent families that each pass cannot jointly create a violation,
-  // because a violation between their parents (levels L and M >= L + 2)
-  // requires a pre-sweep child of the finer family at level M + 1 >= L + 2
-  // adjacent to the coarser parent — which vetoes the coarser collapse.
-  std::vector<std::vector<Octant<D>>> per_tree;
-  if (balance_k > 0) {
-    per_tree = split_by_tree(gather(), conn_.num_trees());
-  }
+  // 2:1-safety veto context: the *pre-sweep* leaves, read in place from
+  // the rank arrays, which no rank replaces before every rank is done.
+  // Judging every candidate family against them (rather than the evolving
+  // arrays) makes the veto order-independent: two adjacent families that
+  // each pass cannot jointly create a violation, because a violation
+  // between their parents (levels L and M >= L + 2) requires a pre-sweep
+  // child of the finer family at level M + 1 >= L + 2 adjacent to the
+  // coarser parent — which vetoes the coarser collapse.
+  //
   // Safe iff no pre-sweep leaf overlapping the parent's insulation layer
   // is two or more levels finer than the parent (the forest_find_violation
-  // walk, applied to the would-be parent).
+  // walk, applied to the would-be parent).  Such a leaf is a descendant of
+  // the neighbor piece, so it starts inside the piece's curve interval, on
+  // one of the ranks owning that interval.
   const auto collapse_safe = [&](std::int32_t tree, const Octant<D>& par) {
     for (const auto& off : balance_offsets<D>(balance_k)) {
       const auto nb = conn_.neighbor(tree, par, off);
       if (!nb) continue;
-      const auto& other = per_tree[nb->tree];
-      const auto [lo, hi] = overlapping_range(other, nb->oct);
-      for (std::size_t j = lo; j < hi; ++j) {
-        if (other[j].level <= par.level + 1) continue;
-        const int c = adjacency_codim(par, nb->xform.apply(other[j]));
-        if (c >= 1 && c <= balance_k) return false;
+      const TreeOct<D> piece{nb->tree, nb->oct};
+      const GlobalPos lo = position_of(piece), hi = end_position_of(piece);
+      const auto [first, last] = owners_of(lo, hi);
+      for (int s = first; s <= last; ++s) {
+        const auto& other = local_[s];
+        auto it = std::partition_point(
+            other.begin(), other.end(),
+            [&](const TreeOct<D>& x) { return position_of(x) < lo; });
+        for (; it != other.end() && position_of(*it) < hi; ++it) {
+          if (it->oct.level <= par.level + 1) continue;
+          const int c = adjacency_codim(par, nb->xform.apply(it->oct));
+          if (c >= 1 && c <= balance_k) return false;
+        }
       }
     }
     return true;
   };
-  for (auto& mine : local_) {
-    std::vector<TreeOct<D>> next;
-    next.reserve(mine.size());
+  const int p = num_ranks();
+  std::vector<std::vector<TreeOct<D>>> next(p), created(p);
+  par::parallel_for_ranks(p, [&](int r) {
+    const auto& mine = local_[r];
+    next[r].reserve(mine.size());
     std::size_t i = 0;
     while (i < mine.size()) {
       bool merged = false;
@@ -213,19 +238,18 @@ void Forest<D>::coarsen(const RefinePred& pred, int balance_k) {
         }
         if (merged) {
           const TreeOct<D> par{mine[i].tree, parent(mine[i].oct)};
-          next.push_back(par);
-          dirty_.push_back(par);
+          next[r].push_back(par);
+          created[r].push_back(par);
           i += nc;
         }
       }
       if (!merged) {
-        next.push_back(mine[i]);
+        next[r].push_back(mine[i]);
         ++i;
       }
     }
-    mine.swap(next);
-  }
-  refresh_markers();
+  });
+  install(next, created);
 }
 
 template <int D>

@@ -51,6 +51,16 @@ GlobalPos end_position_of(const TreeOct<D>& to) {
 template <int D>
 class Forest {
  public:
+  /// The refine and coarsen predicate.  refine() and coarsen() run their
+  /// rank bodies in par::parallel_for_ranks, so:
+  ///   - the predicate is called concurrently from the rank workers;
+  ///   - within a rank, it is called in SFC order (the leaf order, and in
+  ///     a recursive refine a parent before its children);
+  ///   - it is never called for a max-level octant, which refine() keeps
+  ///     as a leaf without asking;
+  ///   - so a stateful predicate (one that draws from an Rng, say) is
+  ///     deterministic only on a forest with one rank.  On more ranks it
+  ///     is a data race; decide on one rank first and pass a lookup.
   using RefinePred = std::function<bool(const TreeOct<D>&)>;
 
   /// A uniformly refined forest at \p level, partitioned evenly over
@@ -82,8 +92,11 @@ class Forest {
   /// positions.  Returns {first, last} rank inclusive, or {1, 0} if none.
   std::pair<int, int> owners_of(const GlobalPos& lo, const GlobalPos& hi) const;
 
-  /// Refine every leaf for which \p pred returns true; with \p recursive,
-  /// newly created children are tested again (up to max_level).
+  /// Refine every leaf below max_level for which \p pred returns true;
+  /// with \p recursive, newly created children are tested again (up to
+  /// max_level).  Without it, \p pred is called once per leaf below
+  /// max_level and never for the new children.  Each rank refines its own
+  /// leaves (see RefinePred for what that asks of \p pred).
   void refine(const RefinePred& pred, bool recursive);
 
   /// Coarsen every complete family, fully owned by one rank, whose members
@@ -95,13 +108,18 @@ class Forest {
   /// collapses of adjacent families cannot jointly break balance — a
   /// vetoed coarsen of a 2:1-balanced forest stays 2:1-balanced, which is
   /// what lets delta_balance() treat coarsening as a no-op for the
-  /// balance condition (see forest/delta_balance.hpp).  Throws
-  /// std::invalid_argument when balance_k lies outside [0, D].
+  /// balance condition (see forest/delta_balance.hpp).  Each rank scans
+  /// its own leaves, and the veto reads the pre-sweep rank arrays in
+  /// place: no rank installs its result before every rank is done.
+  /// Within a family, \p pred is called member by member and stops at the
+  /// first false.  Throws std::invalid_argument when balance_k lies
+  /// outside [0, D].
   void coarsen(const RefinePred& pred, int balance_k = 0);
 
   /// The dirty log: every leaf created by refine() or coarsen() since the
-  /// last clear_dirty(), in creation order (unsorted, possibly stale —
-  /// an entry may have been split or collapsed away by a later batch).
+  /// last clear_dirty(), in creation order — per sweep, rank by rank, and
+  /// in SFC order within a rank — unsorted and possibly stale: an entry
+  /// may have been split or collapsed away by a later batch.
   /// delta_balance() consumes and clears it; a full balance() does not
   /// touch it, so callers switching paths clear it themselves.
   const std::vector<TreeOct<D>>& dirty() const { return dirty_; }
@@ -146,6 +164,11 @@ class Forest {
  private:
   /// Install sorted \p all with every rank owning an equal share (±1).
   void split_evenly(std::vector<TreeOct<D>> all);
+
+  /// Install a sweep's per-rank results: \p next replaces each rank's
+  /// leaves, and \p created is appended to the dirty log in rank order.
+  void install(std::vector<std::vector<TreeOct<D>>>& next,
+               const std::vector<std::vector<TreeOct<D>>>& created);
 
   Connectivity<D> conn_;
   std::vector<std::vector<TreeOct<D>>> local_;

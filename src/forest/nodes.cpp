@@ -292,8 +292,10 @@ void number_lattice_corners(const std::vector<TreeOct<D>>& leaves,
   }
   const int chunks = static_cast<int>(sweeps.size());
   std::vector<ChunkNodes<Key>> local(chunks);
+  // Left unwritten by resize (DefaultInitAllocator): the chunk pass
+  // writes every entry of its rows, and element_nodes holds chunk-local
+  // ids until the remap.
   nn.element_nodes.resize(leaves.size());
-  // element_nodes holds chunk-local ids until the remap.
   par::parallel_for_ranks(chunks, [&](int ci) {
     const auto [lo, hi] = chunk_leaves(ci, leaves.size());
     ChunkNodes<Key>& ch = local[ci];
@@ -327,6 +329,7 @@ void number_lattice_corners(const std::vector<TreeOct<D>>& leaves,
         --ch.missing[id];
         nn.element_nodes[e][c] = id;
       }
+      for (int c = num_children<D>; c < 8; ++c) nn.element_nodes[e][c] = 0;
     }
     for (SeamNode<Key>& s : ch.seam) {
       s.incidences =

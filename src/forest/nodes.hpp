@@ -36,7 +36,12 @@
 /// than 2^32 - 2 distinct nodes in one chunk or on the chunk seams throws
 /// std::length_error.
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "comm/simcomm.hpp"
@@ -48,14 +53,37 @@ namespace octbal {
 /// the numbering does not depend on it.
 inline constexpr std::size_t kNodeChunkLeaves = 16384;
 
+/// A std::allocator whose value-less construct default-initialises, so
+/// resize() leaves trivial elements unwritten: the lattice pass fills
+/// element_nodes from the thread pool instead of zeroing it serially first.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 struct NodeNumbering {
   /// Global number of distinct node coordinates.
   std::uint64_t num_nodes = 0;
   /// num independent (non-hanging) nodes.
   std::uint64_t num_independent = 0;
   /// For each leaf (in the order given), its 2^D corner node ids in
-  /// z-order.
-  std::vector<std::array<std::int64_t, 8>> element_nodes;
+  /// z-order; the entries past 2^D are 0.
+  std::vector<std::array<std::int64_t, 8>,
+              DefaultInitAllocator<std::array<std::int64_t, 8>>>
+      element_nodes;
   /// Per node id: 1 if the node hangs on a coarser neighbor, else 0.  (A
   /// byte, not a bit: the flags are set per id from the thread pool.)
   std::vector<std::uint8_t> hanging;

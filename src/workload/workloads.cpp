@@ -1,6 +1,8 @@
 #include "workload/workloads.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -67,12 +69,12 @@ struct Footprint {
 };
 
 template <int D>
-Footprint<D> footprint(const Forest<D>& f, const TreeOct<D>& to) {
-  const auto dims = f.connectivity().dims();
+Footprint<D> footprint(const Connectivity<D>& conn, const TreeOct<D>& to) {
+  const auto dims = conn.dims();
   const double fx = static_cast<double>(dims[0]) * root_len<D>;
   const double fy = D >= 2 ? static_cast<double>(dims[1]) * root_len<D> : 1.0;
   const double fz = D >= 3 ? static_cast<double>(dims[2]) * root_len<D> : 1.0;
-  const auto tc = f.connectivity().tree_coords(to.tree);
+  const auto tc = conn.tree_coords(to.tree);
   Footprint<D> fp;
   fp.x0 = (tc[0] * static_cast<double>(root_len<D>) + to.oct.x[0]) / fx;
   fp.hx = side_len(to.oct) / fx;
@@ -109,7 +111,7 @@ void icesheet_refine(Forest<D>& f, int lmax, const IceSheetParams& p) {
   f.refine(
       [&](const TreeOct<D>& to) {
         if (to.oct.level >= lmax) return false;
-        const auto fp = footprint(f, to);
+        const auto fp = footprint(f.connectivity(), to);
         if (D >= 3 && fp.z0 > p.zfrac) return false;  // above grounded band
         return straddles(coast, fp, 0.0);
       },
@@ -117,51 +119,73 @@ void icesheet_refine(Forest<D>& f, int lmax, const IceSheetParams& p) {
 }
 
 template <int D>
+typename Forest<D>::RefinePred front_refine_pred(const Connectivity<D>& conn,
+                                                 int lmax,
+                                                 const ChurnFrontParams& p,
+                                                 int step) {
+  return [conn, lmax, coast = Coastline(p.sheet), zfrac = p.sheet.zfrac,
+          shift = p.drift * step](const TreeOct<D>& to) {
+    if (to.oct.level >= lmax) return false;
+    const auto fp = footprint(conn, to);
+    if (D >= 3 && fp.z0 > zfrac) return false;
+    return straddles(coast, fp, shift);
+  };
+}
+
+template <int D>
+typename Forest<D>::RefinePred front_coarsen_pred(const Connectivity<D>& conn,
+                                                  const ChurnFrontParams& p,
+                                                  int step) {
+  return [conn, coast = Coastline(p.sheet), wake = p.wake,
+          shift = p.drift * step](const TreeOct<D>& to) {
+    if (to.oct.level == 0) return false;
+    const auto fp = footprint(conn, to);
+    // Coarsen cells whose whole footprint is well clear of the front:
+    // every corner at least wake away, on the same side.
+    int far_pos = 0, far_neg = 0;
+    for (int c = 0; c < 4; ++c) {
+      const double cx = fp.x0 + ((c & 1) ? fp.hx : 0.0);
+      const double cy = fp.y0 + ((c & 2) ? fp.hy : 0.0);
+      const double s = coast.side_of(cx, cy) - shift;
+      if (s >= wake) ++far_pos;
+      if (s <= -wake) ++far_neg;
+    }
+    return far_pos == 4 || far_neg == 4;
+  };
+}
+
+template <int D>
 void front_refine(Forest<D>& f, int lmax, const ChurnFrontParams& p,
                   int step) {
-  const Coastline coast(p.sheet);
-  const double shift = p.drift * step;
-  f.refine(
-      [&](const TreeOct<D>& to) {
-        if (to.oct.level >= lmax) return false;
-        const auto fp = footprint(f, to);
-        if (D >= 3 && fp.z0 > p.sheet.zfrac) return false;
-        return straddles(coast, fp, shift);
-      },
-      true);
+  f.refine(front_refine_pred(f.connectivity(), lmax, p, step), true);
 }
 
 template <int D>
 void front_coarsen(Forest<D>& f, const ChurnFrontParams& p, int step,
                    int balance_k) {
-  const Coastline coast(p.sheet);
-  const double shift = p.drift * step;
-  f.coarsen(
-      [&](const TreeOct<D>& to) {
-        if (to.oct.level == 0) return false;
-        const auto fp = footprint(f, to);
-        // Coarsen cells whose whole footprint is well clear of the front:
-        // every corner at least p.wake away, on the same side.
-        int far_pos = 0, far_neg = 0;
-        for (int c = 0; c < 4; ++c) {
-          const double cx = fp.x0 + ((c & 1) ? fp.hx : 0.0);
-          const double cy = fp.y0 + ((c & 2) ? fp.hy : 0.0);
-          const double s = coast.side_of(cx, cy) - shift;
-          if (s >= p.wake) ++far_pos;
-          if (s <= -p.wake) ++far_neg;
-        }
-        return far_pos == 4 || far_neg == 4;
-      },
-      balance_k);
+  f.coarsen(front_coarsen_pred(f.connectivity(), p, step), balance_k);
 }
 
 template <int D>
 void random_refine(Forest<D>& f, Rng& rng, int lmax, double density) {
+  if (f.num_ranks() != 1) {
+    throw std::invalid_argument(
+        "random_refine: the forest has " + std::to_string(f.num_ranks()) +
+        " ranks; its draws need one (refine on one rank, then split)");
+  }
   f.refine(
       [&](const TreeOct<D>& to) {
         return to.oct.level < lmax && rng.chance(density);
       },
       true);
+}
+
+template <int D>
+Forest<D> random_forest(const Connectivity<D>& conn, int ranks, int level,
+                        Rng& rng, int lmax, double density) {
+  Forest<D> one(conn, 1, level);
+  random_refine(one, rng, lmax, density);
+  return Forest<D>(conn, ranks, one.gather());
 }
 
 template <int D>
@@ -181,7 +205,13 @@ std::map<int, std::uint64_t> level_histogram(const Forest<D>& f) {
                                 const ChurnFrontParams&, int);      \
   template void front_coarsen<D>(Forest<D>&, const ChurnFrontParams&, \
                                  int, int);                         \
+  template Forest<D>::RefinePred front_refine_pred<D>(              \
+      const Connectivity<D>&, int, const ChurnFrontParams&, int);   \
+  template Forest<D>::RefinePred front_coarsen_pred<D>(             \
+      const Connectivity<D>&, const ChurnFrontParams&, int);        \
   template void random_refine<D>(Forest<D>&, Rng&, int, double);    \
+  template Forest<D> random_forest<D>(const Connectivity<D>&, int,   \
+                                      int, Rng&, int, double);      \
   template std::map<int, std::uint64_t> level_histogram<D>(         \
       const Forest<D>&);
 OCTBAL_INSTANTIATE(1)

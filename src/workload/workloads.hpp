@@ -61,14 +61,38 @@ template <int D>
 void front_coarsen(Forest<D>& f, const ChurnFrontParams& p, int step,
                    int balance_k);
 
+/// The pure predicates front_refine and front_coarsen pass to
+/// Forest::refine and Forest::coarsen on a forest over \p conn.
+template <int D>
+typename Forest<D>::RefinePred front_refine_pred(const Connectivity<D>& conn,
+                                                 int lmax,
+                                                 const ChurnFrontParams& p,
+                                                 int step);
+template <int D>
+typename Forest<D>::RefinePred front_coarsen_pred(const Connectivity<D>& conn,
+                                                  const ChurnFrontParams& p,
+                                                  int step);
+
 class Rng;
 
 /// Randomized recursive refinement used by the fuzzing/audit harness and
 /// the configuration-space tests: every leaf splits with probability
 /// \p density (children are re-tested) until \p lmax.  Deterministic for a
-/// given (forest, seed) pair — leaves are visited in rank-major SFC order.
+/// given (forest, seed) pair: the draws follow the SFC order, which only a
+/// one-rank forest's refine keeps (Forest::RefinePred), so it throws
+/// std::invalid_argument on a forest with more than one rank.
 template <int D>
 void random_refine(Forest<D>& f, Rng& rng, int lmax, double density);
+
+/// The multi-rank form: random_refine of a \p level uniform forest on one
+/// rank, with the leaves then split evenly over \p ranks
+/// (Forest(conn, ranks, leaves)).  Rank-major order is SFC order, so the
+/// draws, and the leaves, are those of random_refine's predicate run rank
+/// by rank over a \p ranks-rank forest; only the partition is the even
+/// split of the refined leaves.
+template <int D>
+Forest<D> random_forest(const Connectivity<D>& conn, int ranks, int level,
+                        Rng& rng, int lmax, double density);
 
 /// Octant count per level across the whole forest.
 template <int D>

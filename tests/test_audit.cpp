@@ -11,6 +11,7 @@
 #include "audit/fuzzer.hpp"
 #include "audit/invariants.hpp"
 #include "audit/shrinker.hpp"
+#include "util/parallel.hpp"
 
 namespace octbal::audit {
 namespace {
@@ -295,13 +296,35 @@ TEST(Audit, DeltaBalanceRegressionSeeds) {
   }
 }
 
+TEST(Audit, ChurnDrawsStayPut) {
+  // The churn block draws its refine and coarsen decisions serially, in
+  // rank-major SFC order, and the rank workers only look them up.  The
+  // chained checksums of the churned forests (after each step's refine)
+  // were recorded when the predicates drew from the Rng themselves, rank
+  // after rank; they hold at the case's thread count.
+  const int saved = par::num_threads();
+  for (const auto& [seed, want] :
+       {std::pair{1629ull, 0x3415b25584ce4e2aull},
+        std::pair{1691ull, 0x7e12ce73b5391e24ull}}) {
+    const CaseConfig cfg = random_case_config(seed, Tier::kFull);
+    ASSERT_GT(cfg.churn_steps, 0) << seed;
+    ASSERT_GT(cfg.ranks, 1) << seed;
+    par::set_num_threads(cfg.threads);
+    const InvariantReport rep =
+        Invariants::check<2>(cfg, make_case<2>(cfg));
+    EXPECT_TRUE(rep.ok) << seed << ": " << rep.invariant;
+    EXPECT_EQ(rep.churn_checksum, want) << "seed " << seed;
+  }
+  par::set_num_threads(saved);
+}
+
 TEST(Audit, CaseStreamPinned) {
   // A seed's case is its identity: seed-pinned tests and shrunk repros
   // replay by seed alone, so the draw sequence must not drift when a
   // dimension is retired or re-mapped.  Seeds 1629 and 1691 are the
   // regression pair above (1629's churn block keeps its power only while
-  // its churn draws stay put); large-tier seed 2 covers the size-knob
-  // overrides.
+  // its churn draws stay put, which ChurnDrawsStayPut checks); large-tier
+  // seed 2 covers the size-knob overrides.
   EXPECT_EQ(describe(random_case_config(1629, Tier::kFull)),
             "seed=1629 dim=2 brick=1x2 periodic=00 ranks=5 threads=4 k=1 "
             "lmax=4 density=0.224695 workload=random partition=weighted "

@@ -12,6 +12,7 @@
 #include "forest/balance.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
@@ -26,22 +27,12 @@ class ThreadGuard {
 };
 
 template <int D>
-void random_refine(Forest<D>& f, Rng& rng, int max_lvl, double p_split) {
-  f.refine(
-      [&](const TreeOct<D>& to) {
-        return to.oct.level < max_lvl && rng.chance(p_split);
-      },
-      true);
-}
-
-template <int D>
 std::vector<TreeOct<D>> balance_fresh(const Connectivity<D>& conn, int ranks,
                                       std::uint64_t seed, int max_lvl,
                                       double p_split,
                                       const BalanceOptions& opt) {
   Rng rng(seed);
-  Forest<D> f(conn, ranks, 1);
-  random_refine(f, rng, max_lvl, p_split);
+  Forest<D> f = random_forest(conn, ranks, 1, rng, max_lvl, p_split);
   f.partition_uniform();
   SimComm comm(ranks);
   balance(f, opt, comm);

@@ -11,18 +11,10 @@
 
 #include "forest/balance.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
-
-template <int D>
-void random_refine(Forest<D>& f, Rng& rng, int max_lvl, double p_split) {
-  f.refine(
-      [&](const TreeOct<D>& to) {
-        return to.oct.level < max_lvl && rng.chance(p_split);
-      },
-      true);
-}
 
 /// Deep refinement along a corner chain: maximally graded meshes that
 /// stress long-range balance effects across partitions.
@@ -91,8 +83,8 @@ TEST_P(BalanceParallel2D, RandomMeshAllConfigs) {
   for (int k = 1; k <= 2; ++k) {
     for (const auto& cfg : all_configs()) {
       Rng rng(1000 + p * 10 + k);
-      Forest<2> f(Connectivity<2>::brick({2, 1}), p, 1);
-      random_refine(f, rng, 5, 0.35);
+      auto f =
+          random_forest(Connectivity<2>::brick({2, 1}), p, 1, rng, 5, 0.35);
       f.partition_uniform();
       auto opt = cfg.opt;
       opt.k = k;
@@ -114,8 +106,8 @@ TEST_P(BalanceParallel3D, RandomMeshOldAndNew) {
     for (const auto& cfg : {Config{BalanceOptions::new_config(), "new"},
                             Config{BalanceOptions::old_config(), "old"}}) {
       Rng rng(2000 + p * 10 + k);
-      Forest<3> f(Connectivity<3>::brick({2, 1, 1}), p, 1);
-      random_refine(f, rng, 3, 0.3);
+      auto f =
+          random_forest(Connectivity<3>::brick({2, 1, 1}), p, 1, rng, 3, 0.3);
       f.partition_uniform();
       auto opt = cfg.opt;
       opt.k = k;
@@ -169,8 +161,8 @@ TEST(BalanceParallel, SelfPeriodicSingleTree) {
 TEST(BalanceParallel, PeriodicBrick) {
   std::array<bool, 2> per{true, true};
   Rng rng(42);
-  Forest<2> f(Connectivity<2>::brick({2, 2}, per), 4, 1);
-  random_refine(f, rng, 4, 0.4);
+  auto f =
+      random_forest(Connectivity<2>::brick({2, 2}, per), 4, 1, rng, 4, 0.4);
   f.partition_uniform();
   expect_balanced_and_equal_to_serial(f, BalanceOptions::new_config(),
                                       "periodic 2x2");
@@ -219,8 +211,7 @@ TEST(BalanceParallel, SeedsShrinkResponseVolume) {
 
 TEST(BalanceParallel, ReportsPlausiblePhaseTimes) {
   Rng rng(9);
-  Forest<2> f(Connectivity<2>::brick({3, 2}), 4, 2);
-  random_refine(f, rng, 6, 0.3);
+  auto f = random_forest(Connectivity<2>::brick({3, 2}), 4, 2, rng, 6, 0.3);
   f.partition_uniform();
   SimComm comm(4);
   const auto rep = balance(f, BalanceOptions::new_config(), comm);

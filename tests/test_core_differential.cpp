@@ -317,9 +317,8 @@ TEST_P(CoreDifferentialThreads, ForestPipelineByteIdenticalAcrossLayouts) {
   const auto conn = Connectivity<3>::brick({2, 2, 1});
   const int ranks = 7;
   const auto run = [&] {
-    Forest<3> f(conn, ranks, 1);
     Rng rng(42);
-    random_refine(f, rng, 5, 0.3);
+    Forest<3> f = random_forest(conn, ranks, 1, rng, 5, 0.3);
     f.partition_uniform();
     const auto before = f.gather();
     SimComm comm(ranks);

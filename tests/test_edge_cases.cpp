@@ -17,6 +17,7 @@
 #include "forest/balance.hpp"
 #include "forest/ghost.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
@@ -97,10 +98,7 @@ TEST(Minimal, RefineNothingIsIdentity) {
 
 TEST(Partition, RepartitionAfterBalancePreservesContent) {
   Rng rng(88);
-  Forest<2> f(Connectivity<2>::brick({2, 1}), 6, 1);
-  f.refine(
-      [&](const TreeOct<2>& to) { return to.oct.level < 5 && rng.chance(0.3); },
-      true);
+  auto f = random_forest(Connectivity<2>::brick({2, 1}), 6, 1, rng, 5, 0.3);
   f.partition_uniform();
   SimComm comm(6);
   balance(f, BalanceOptions::new_config(), comm);

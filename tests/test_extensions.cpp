@@ -22,12 +22,7 @@ TEST(FailureInjection, BalanceIsOrderIndependent) {
   // the exact serial result (no hidden dependence on delivery order).
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(4242);
-    Forest<2> f(Connectivity<2>::brick({2, 1}), 5, 1);
-    f.refine(
-        [&](const TreeOct<2>& to) {
-          return to.oct.level < 5 && rng.chance(0.35);
-        },
-        true);
+    auto f = random_forest(Connectivity<2>::brick({2, 1}), 5, 1, rng, 5, 0.35);
     f.partition_uniform();
     const auto want = forest_balance_serial(f.gather(), f.connectivity(), 2);
     SimComm comm(5);

@@ -9,6 +9,7 @@
 
 #include "forest/balance.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
@@ -38,12 +39,8 @@ TEST(Fuzz, RandomConfigurations2D) {
                                              : NotifyAlgo::kNaive);
     (void)rng.chance(0.3);  // retired dimension; keeps the stream's draws
 
-    Forest<2> f(Connectivity<2>::brick(dims, periodic), ranks, 1);
-    f.refine(
-        [&](const TreeOct<2>& to) {
-          return to.oct.level < lmax && rng.chance(density);
-        },
-        true);
+    auto f = random_forest(Connectivity<2>::brick(dims, periodic), ranks, 1,
+                           rng, lmax, density);
     if (rng.chance(0.5)) {
       f.partition_uniform();
     } else if (rng.chance(0.5)) {
@@ -76,12 +73,7 @@ TEST(Fuzz, RandomGeneralConnectivities) {
           Connectivity<2>::ring(n, static_cast<std::uint8_t>(rng.below(2)));
       ASSERT_TRUE(conn.validate());
       const int k = 1 + static_cast<int>(rng.below(2));
-      Forest<2> f(conn, ranks, 1);
-      f.refine(
-          [&](const TreeOct<2>& to) {
-            return to.oct.level < 4 && rng.chance(0.35);
-          },
-          true);
+      auto f = random_forest(conn, ranks, 1, rng, 4, 0.35);
       f.partition_uniform();
       const auto want = forest_balance_serial(f.gather(), conn, k);
       SimComm comm(ranks);
@@ -95,12 +87,7 @@ TEST(Fuzz, RandomGeneralConnectivities) {
           1 + static_cast<int>(rng.below(2)),
           static_cast<std::uint8_t>(rng.below(8)));
       ASSERT_TRUE(conn.validate());
-      Forest<3> f(conn, ranks, 1);
-      f.refine(
-          [&](const TreeOct<3>& to) {
-            return to.oct.level < 3 && rng.chance(0.35);
-          },
-          true);
+      auto f = random_forest(conn, ranks, 1, rng, 3, 0.35);
       f.partition_uniform();
       const auto want = forest_balance_serial(f.gather(), conn, 3);
       SimComm comm(ranks);
@@ -126,12 +113,8 @@ TEST(Fuzz, RandomConfigurations3D) {
     opt.seed_response = rng.chance(0.7);
     opt.grouped_rebalance = rng.chance(0.7);
 
-    Forest<3> f(Connectivity<3>::brick(dims), ranks, 1);
-    f.refine(
-        [&](const TreeOct<3>& to) {
-          return to.oct.level < 3 && rng.chance(0.35);
-        },
-        true);
+    auto f =
+        random_forest(Connectivity<3>::brick(dims), ranks, 1, rng, 3, 0.35);
     f.partition_uniform();
     const auto want = forest_balance_serial(f.gather(), f.connectivity(), k);
     SimComm comm(ranks);

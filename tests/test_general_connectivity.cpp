@@ -13,6 +13,7 @@
 #include "forest/ghost.hpp"
 #include "forest/mesh.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
@@ -74,12 +75,9 @@ TEST(GeneralConnectivity, MoebiusFaceTransformFlipsTangential) {
   EXPECT_EQ(ext.x[1], R / 2);
 }
 
-template <typename Refiner>
 void expect_distributed_matches_serial(const Connectivity<2>& conn, int ranks,
-                                       int k, Refiner&& refine,
-                                       const char* label) {
-  Forest<2> f(conn, ranks, 1);
-  f.refine(refine, true);
+                                       int k, Rng& rng, const char* label) {
+  auto f = random_forest(conn, ranks, 1, rng, 5, 0.35);
   f.partition_uniform();
   const auto want = forest_balance_serial(f.gather(), conn, k);
   SimComm comm(ranks);
@@ -96,17 +94,10 @@ TEST(GeneralConnectivity, UntwistedRingBalanceEqualsPeriodicBrick) {
   std::array<bool, 2> per{true, false};
   for (int k = 1; k <= 2; ++k) {
     Rng rng(100 + k);
-    auto pred = [&](const TreeOct<2>& to) {
-      return to.oct.level < 5 && rng.chance(0.35);
-    };
-    Forest<2> a(Connectivity<2>::ring(2, false), 3, 1);
-    a.refine(pred, true);
+    auto a = random_forest(Connectivity<2>::ring(2, false), 3, 1, rng, 5, 0.35);
     Rng rng2(100 + k);
-    auto pred2 = [&](const TreeOct<2>& to) {
-      return to.oct.level < 5 && rng2.chance(0.35);
-    };
-    Forest<2> b(Connectivity<2>::brick({2, 1}, per), 3, 1);
-    b.refine(pred2, true);
+    auto b = random_forest(Connectivity<2>::brick({2, 1}, per), 3, 1, rng2, 5,
+                           0.35);
     ASSERT_EQ(a.gather(), b.gather());
     SimComm ca(3), cb(3);
     BalanceOptions opt = BalanceOptions::new_config();
@@ -122,12 +113,8 @@ TEST(GeneralConnectivity, MoebiusBalanceMatchesSerial) {
     for (int ranks : {1, 4}) {
       for (int k = 1; k <= 2; ++k) {
         Rng rng(n * 100 + ranks * 10 + k);
-        expect_distributed_matches_serial(
-            Connectivity<2>::moebius(n), ranks, k,
-            [&](const TreeOct<2>& to) {
-              return to.oct.level < 5 && rng.chance(0.35);
-            },
-            "moebius");
+        expect_distributed_matches_serial(Connectivity<2>::moebius(n), ranks,
+                                          k, rng, "moebius");
       }
     }
   }
@@ -209,12 +196,8 @@ TEST(GeneralConnectivity, OldPipelineHandlesReflectedExteriorConstraints) {
   for (int ranks : {1, 3}) {
     for (int k = 1; k <= 2; ++k) {
       Rng rng(7000 + ranks * 10 + k);
-      Forest<2> a(Connectivity<2>::moebius(2), ranks, 1);
-      a.refine(
-          [&](const TreeOct<2>& to) {
-            return to.oct.level < 5 && rng.chance(0.35);
-          },
-          true);
+      auto a =
+          random_forest(Connectivity<2>::moebius(2), ranks, 1, rng, 5, 0.35);
       a.partition_uniform();
       const auto want = forest_balance_serial(a.gather(), a.connectivity(), k);
       SimComm comm(ranks);

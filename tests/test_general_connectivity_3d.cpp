@@ -11,6 +11,7 @@
 #include "forest/balance.hpp"
 #include "forest/mesh.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
@@ -80,12 +81,8 @@ TEST(General3D, TwistedRingBalanceMatchesSerial) {
                               std::uint8_t{0b111}}) {
     for (int ranks : {1, 3}) {
       Rng rng(orient * 100 + ranks);
-      Forest<3> f(Connectivity<3>::ring(2, orient), ranks, 1);
-      f.refine(
-          [&](const TreeOct<3>& to) {
-            return to.oct.level < 3 && rng.chance(0.35);
-          },
-          true);
+      auto f = random_forest(Connectivity<3>::ring(2, orient), ranks, 1, rng, 3,
+                             0.35);
       f.partition_uniform();
       const auto want =
           forest_balance_serial(f.gather(), f.connectivity(), 3);

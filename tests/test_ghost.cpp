@@ -8,6 +8,7 @@
 #include "core/neighborhood.hpp"
 #include "forest/ghost.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
@@ -67,12 +68,7 @@ void check_matches_bruteforce(Forest<D>& f, int k) {
 TEST(Ghost, MatchesBruteForce2D) {
   for (int p : {2, 3, 5}) {
     Rng rng(500 + p);
-    Forest<2> f(Connectivity<2>::brick({2, 1}), p, 1);
-    f.refine(
-        [&](const TreeOct<2>& to) {
-          return to.oct.level < 4 && rng.chance(0.4);
-        },
-        true);
+    auto f = random_forest(Connectivity<2>::brick({2, 1}), p, 1, rng, 4, 0.4);
     f.partition_uniform();
     for (int k = 1; k <= 2; ++k) check_matches_bruteforce(f, k);
   }
@@ -80,10 +76,7 @@ TEST(Ghost, MatchesBruteForce2D) {
 
 TEST(Ghost, MatchesBruteForce3D) {
   Rng rng(77);
-  Forest<3> f(Connectivity<3>::brick({2, 1, 1}), 4, 1);
-  f.refine(
-      [&](const TreeOct<3>& to) { return to.oct.level < 3 && rng.chance(0.4); },
-      true);
+  auto f = random_forest(Connectivity<3>::brick({2, 1, 1}), 4, 1, rng, 3, 0.4);
   f.partition_uniform();
   for (int k : {1, 3}) check_matches_bruteforce(f, k);
 }
@@ -131,10 +124,7 @@ TEST(Ghost, PeriodicGhostsWrapAround) {
 
 TEST(Ghost, TrafficIsCounted) {
   Rng rng(9);
-  Forest<2> f(Connectivity<2>::brick({2, 1}), 4, 2);
-  f.refine(
-      [&](const TreeOct<2>& to) { return to.oct.level < 4 && rng.chance(0.3); },
-      true);
+  auto f = random_forest(Connectivity<2>::brick({2, 1}), 4, 2, rng, 4, 0.3);
   f.partition_uniform();
   SimComm comm(4);
   const auto g = build_ghost_layer(f, 2, comm);

@@ -65,8 +65,7 @@ void ghost_matches_reference(int threads, std::uint64_t seed) {
   for (const auto& conn : connectivities<D>()) {
     ASSERT_TRUE(conn.validate());
     for (int ranks = 1; ranks <= 8; ranks += (ranks < 3 ? 1 : 2)) {
-      Forest<D> f(conn, ranks, 1);
-      random_refine(f, rng, D == 2 ? 5 : 4, 0.35);
+      Forest<D> f = random_forest(conn, ranks, 1, rng, D == 2 ? 5 : 4, 0.35);
       if (rng.chance(0.5)) {
         f.partition_uniform();
       } else {

@@ -58,12 +58,9 @@ TYPED_TEST(MeshBalanceTest, BalanceEliminatesBadFaces) {
   std::array<int, D> dims{};
   dims.fill(1);
   dims[0] = 2;
-  Forest<D> f(Connectivity<D>::brick(dims), 3, 1);
-  f.refine(
-      [&](const TreeOct<D>& to) {
-        return to.oct.level < (D == 3 ? 4 : 6) && rng.chance(0.35);
-      },
-      true);
+  Forest<D> f =
+      random_forest(Connectivity<D>::brick(dims), 3, 1, rng, D == 3 ? 4 : 6,
+                    0.35);
   f.partition_uniform();
   const auto before = analyze_mesh(f.gather(), f.connectivity());
   SimComm comm(3);

@@ -230,10 +230,7 @@ namespace {
 
 TEST(NodeOwnership, LowestTouchingRankOwnsEachNode) {
   Rng rng(555);
-  Forest<2> f(Connectivity<2>::brick({2, 1}), 4, 1);
-  f.refine(
-      [&](const TreeOct<2>& to) { return to.oct.level < 4 && rng.chance(0.4); },
-      true);
+  auto f = random_forest(Connectivity<2>::brick({2, 1}), 4, 1, rng, 4, 0.4);
   f.partition_uniform();
   SimComm comm(4);
   BalanceOptions opt = BalanceOptions::new_config();
@@ -363,13 +360,9 @@ Forest<D> random_brick_forest(std::uint64_t seed, std::string& what) {
   const int ranks = 1 + static_cast<int>(rng.below(4));
   const int depth = D == 1 ? 9 : (D == 2 ? 6 : 4);
   const double p = D == 3 ? 0.3 : 0.4;
-  Forest<D> f(Connectivity<D>::brick(dims, per), ranks,
-              static_cast<int>(rng.below(2)));
-  f.refine(
-      [&](const TreeOct<D>& to) {
-        return to.oct.level < depth && rng.chance(p);
-      },
-      true);
+  const int level = static_cast<int>(rng.below(2));
+  Forest<D> f = random_forest(Connectivity<D>::brick(dims, per), ranks, level,
+                              rng, depth, p);
   f.partition_uniform();
   const int k = 1 + static_cast<int>(rng.below(D));
   const bool balanced = seed % 2 == 1;

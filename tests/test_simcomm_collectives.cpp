@@ -46,10 +46,7 @@ TEST(GhostAfterBalance, GhostsAreWithinOneLevelOfOwnLeaves) {
   // ghost a rank sees differs from its adjacent own leaves by at most one
   // level, so a single set of interpolation operators suffices.
   Rng rng(314);
-  Forest<2> f(Connectivity<2>::brick({2, 2}), 5, 1);
-  f.refine(
-      [&](const TreeOct<2>& to) { return to.oct.level < 6 && rng.chance(0.3); },
-      true);
+  auto f = random_forest(Connectivity<2>::brick({2, 2}), 5, 1, rng, 6, 0.3);
   f.partition_uniform();
   SimComm comm(5);
   const int k = 2;
@@ -77,10 +74,7 @@ TEST(GhostAfterBalance, GhostsAreWithinOneLevelOfOwnLeaves) {
 TEST(GhostAfterBalance, GhostCountShrinksWithFaceOnlyCondition) {
   // k = 1 ghosts (faces only) are a subset of k = 2 ghosts.
   Rng rng(315);
-  Forest<2> f(Connectivity<2>::brick({2, 1}), 4, 2);
-  f.refine(
-      [&](const TreeOct<2>& to) { return to.oct.level < 5 && rng.chance(0.3); },
-      true);
+  auto f = random_forest(Connectivity<2>::brick({2, 1}), 4, 2, rng, 5, 0.3);
   f.partition_uniform();
   SimComm comm(4);
   balance(f, BalanceOptions::new_config(), comm);

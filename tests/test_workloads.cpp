@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "forest/balance.hpp"
+#include "util/rng.hpp"
 #include "workload/workloads.hpp"
 
 namespace octbal {
@@ -143,6 +146,35 @@ TEST(BalanceProperty, CoarsenThenBalanceStaysValid) {
   balance(f, BalanceOptions::new_config(), comm);
   EXPECT_TRUE(f.is_valid());
   EXPECT_TRUE(forest_is_balanced(f.gather(), f.connectivity(), 2));
+}
+
+TEST(RandomRefine, ThrowsOnMoreThanOneRank) {
+  // Its draws follow the SFC order, which the rank workers of a multi-rank
+  // refine do not keep.
+  Forest<2> f(Connectivity<2>::brick({2, 1}), 3, 1);
+  const auto before = f.gather();
+  Rng rng(5);
+  EXPECT_THROW(random_refine(f, rng, 4, 0.3), std::invalid_argument);
+  EXPECT_EQ(f.gather(), before);
+  Forest<2> one(Connectivity<2>::brick({2, 1}), 1, 1);
+  EXPECT_NO_THROW(random_refine(one, rng, 4, 0.3));
+  EXPECT_GT(one.global_num_octants(), before.size());
+}
+
+TEST(RandomRefine, RandomForestSplitsTheOneRankLeavesEvenly) {
+  const auto conn = Connectivity<3>::brick({2, 1, 1}, {true, false, false});
+  Rng a(77), b(77);
+  Forest<3> one(conn, 1, 1);
+  random_refine(one, a, 4, 0.35);
+  const Forest<3> f = random_forest(conn, 5, 1, b, 4, 0.35);
+  EXPECT_EQ(f.gather(), one.gather());
+  EXPECT_EQ(a.next(), b.next());  // the same number of draws
+  const std::uint64_t n = f.global_num_octants();
+  for (int r = 0; r < 5; ++r) {
+    const std::uint64_t extra = static_cast<std::uint64_t>(r) < n % 5;
+    EXPECT_EQ(f.local(r).size(), n / 5 + extra);
+  }
+  EXPECT_TRUE(f.is_valid());
 }
 
 TEST(BalanceProperty, WeakerConditionNeedsFewerOctants) {
