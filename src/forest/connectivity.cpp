@@ -47,7 +47,6 @@ bool validate_general(const Connectivity<D>& conn) {
     for (int f = 0; f < 2 * D; ++f) {
       const FaceGlue& g = glue[t][f];
       if (g.tree < 0) continue;
-      if (g.tree >= conn.num_trees()) return false;
       const FaceGlue& h = glue[g.tree][g.face];
       if (h.tree != t || h.face != f ||
           h.orient != inverse_orient(g.orient)) {

@@ -219,7 +219,9 @@ class Connectivity {
   /// must be mutual with inverse orientations (validate() checks).
   /// Available for D == 2 and D == 3; the lattice embedding (tree_coords
   /// etc.) does not apply.  Throws std::invalid_argument when the table
-  /// does not hold exactly \p ntrees rows.
+  /// does not hold exactly \p ntrees rows, or when an entry names a tree
+  /// outside [-1, ntrees), a face outside [0, 2D) or an orientation
+  /// outside [0, 2) (2D) or [0, 8) (3D).
   static Connectivity general(int ntrees,
                               std::vector<std::array<FaceGlue, 2 * D>> faces) {
     static_assert(D >= 2, "general connectivities are 2D/3D");
@@ -227,6 +229,28 @@ class Connectivity {
       throw std::invalid_argument(
           "Connectivity::general: " + std::to_string(faces.size()) +
           " face rows for ntrees = " + std::to_string(ntrees));
+    }
+    constexpr int orients = D == 2 ? 2 : 8;
+    const auto outside = [](int t, int f, const std::string& what, int v,
+                            int lo, int hi) {
+      return std::invalid_argument(
+          "Connectivity::general: faces[" + std::to_string(t) + "][" +
+          std::to_string(f) + "] names " + what + " " + std::to_string(v) +
+          " outside [" + std::to_string(lo) + ", " + std::to_string(hi) + ")");
+    };
+    for (int t = 0; t < ntrees; ++t) {
+      for (int f = 0; f < 2 * D; ++f) {
+        const FaceGlue& g = faces[t][f];
+        if (g.tree < -1 || g.tree >= ntrees) {
+          throw outside(t, f, "tree", g.tree, -1, ntrees);
+        }
+        if (g.face < 0 || g.face >= 2 * D) {
+          throw outside(t, f, "face", g.face, 0, 2 * D);
+        }
+        if (g.orient >= orients) {
+          throw outside(t, f, "orientation", g.orient, 0, orients);
+        }
+      }
     }
     Connectivity c;
     c.ntrees_ = ntrees;

@@ -1,15 +1,14 @@
 #include "forest/nodes.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
 
 #include "core/linear.hpp"
 #include "core/octant_hash.hpp"
-#include "core/search.hpp"
 #include "forest/forest.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
@@ -166,6 +165,28 @@ std::uint64_t corner_hash(const std::array<std::int64_t, D>& g) {
   return h;
 }
 
+/// General-connectivity node key: a node in the frame of one tree.  Node
+/// coordinates live on the closed cube [0, R]^D; a node on a glued face
+/// also exists in the neighbor's frame, and corner nodes can reach several
+/// frames by composing crossings.
+template <int D>
+struct GeneralNodeKey {
+  std::int32_t tree;
+  std::array<coord_t, D> x;
+
+  friend auto operator<=>(const GeneralNodeKey&,
+                          const GeneralNodeKey&) = default;
+};
+
+template <int D>
+std::uint64_t corner_hash(const GeneralNodeKey<D>& k) {
+  std::uint64_t h = detail::hash_mix(static_cast<std::uint64_t>(k.tree));
+  for (const coord_t x : k.x) {
+    h = detail::hash_mix(h ^ static_cast<std::uint64_t>(x));
+  }
+  return h;
+}
+
 /// Open-addressing (linear probing) map from a corner key to its node id,
 /// with ids handed out in insertion order.  The keys live densely in id
 /// order and a slot holds only id + 1 (0 marks it empty), so a slot costs
@@ -224,13 +245,21 @@ class CornerTable {
   std::vector<Key> keys_;  ///< indexed by node id
 };
 
+/// A corner's table key and its orthant count: the finest cells around
+/// the node inside the domain, over every frame the node appears in.
+template <class Key>
+struct Corner {
+  Key key;
+  std::uint8_t orthants;
+};
+
 /// A node of a chunk that may also be a corner in other chunks.
 template <class Key>
 struct SeamNode {
   Key key;
   std::uint32_t local;       ///< the node's id in its chunk
   std::uint32_t merged = 0;  ///< the node's id in the seam table
-  std::uint8_t orthants;     ///< 2^open (see number_lattice_corners)
+  std::uint8_t orthants;     ///< Corner::orthants
   std::uint8_t incidences;   ///< (leaf, corner) pairs of the chunk at it
 };
 
@@ -262,12 +291,11 @@ bool inside_chunk(const std::array<std::int64_t, D>& x, const TreeRun& run) {
   return run.begin <= morton_key(low) && morton_key(high) < run.end;
 }
 
-/// Lattice node enumeration (DESIGN.md §2.19).  Ids follow first
+/// Node enumeration for every connectivity (DESIGN.md §2.19).  \p corner
+/// is the key policy: it maps a leaf corner (tree, tree-local x) to the
+/// node's Corner, the same from every frame of the node.  Ids follow first
 /// appearance in leaf order, and a node hangs when fewer leaves have it as
-/// a corner than it has orthants: each such leaf fills one of the 2^open
-/// orthants around the node, where open counts the axes on which the node
-/// is periodic or strictly inside the domain.  \p pack maps a canonical
-/// corner to its table key.
+/// a corner than it has orthants: each such leaf fills one of them.
 ///
 /// Three passes.  Each chunk of the leaf list numbers its corners through
 /// its own table, by first appearance, and counts the incidences per node.
@@ -276,20 +304,12 @@ bool inside_chunk(const std::array<std::int64_t, D>& x, const TreeRun& run) {
 /// merge in chunk order, which sums their counts and gives each chunk the
 /// global id of its first fresh node.  A parallel remap then replaces
 /// local ids by global ones.
-template <int D, class Key, class Pack>
-void number_lattice_corners(const std::vector<TreeOct<D>>& leaves,
-                            const Connectivity<D>& conn,
-                            const std::vector<ChunkSweep>& sweeps,
-                            NodeNumbering& nn, const Pack& pack) {
-  const GlobalCoord<D> ext = domain_extent(conn);
-  const auto& periodic = conn.periodic();
-  std::vector<GlobalCoord<D>> origin(conn.num_trees());
-  for (int t = 0; t < conn.num_trees(); ++t) {
-    const auto tc = conn.tree_coords(t);
-    for (int i = 0; i < D; ++i) {
-      origin[t][i] = static_cast<std::int64_t>(tc[i]) * root_len<D>;
-    }
-  }
+template <int D, class Policy>
+void number_corners(const std::vector<TreeOct<D>>& leaves,
+                    const std::vector<ChunkSweep>& sweeps, NodeNumbering& nn,
+                    const Policy& corner) {
+  using Key =
+      decltype(corner(std::int32_t{}, std::array<std::int64_t, D>{}).key);
   const int chunks = static_cast<int>(sweeps.size());
   std::vector<ChunkNodes<Key>> local(chunks);
   // Left unwritten by resize (DefaultInitAllocator): the chunk pass
@@ -305,25 +325,17 @@ void number_lattice_corners(const std::vector<TreeOct<D>>& leaves,
       const std::int64_t h = side_len(to.oct);
       for (int c = 0; c < num_children<D>; ++c) {
         std::array<std::int64_t, D> x;
-        GlobalCoord<D> g;
         for (int i = 0; i < D; ++i) {
           x[i] = to.oct.x[i] + (((c >> i) & 1) ? h : 0);
-          g[i] = origin[to.tree][i] + x[i];
-          if (periodic[i] && g[i] == ext[i]) g[i] = 0;
         }
-        const Key key = pack(g);
+        const Corner<Key> k = corner(to.tree, x);
         bool fresh = false;
-        const std::int64_t id = table.find_or_insert(key, fresh);
+        const std::int64_t id = table.find_or_insert(k.key, fresh);
         if (fresh) {
-          int open = 0;
-          for (int i = 0; i < D; ++i) {
-            open += periodic[i] || (0 < g[i] && g[i] < ext[i]);
-          }
-          const auto orthants = static_cast<std::uint8_t>(1 << open);
-          ch.missing.push_back(orthants);
+          ch.missing.push_back(k.orthants);
           if (!inside_chunk<D>(x, sweeps[ci].runs[to.tree])) {
             ch.seam.push_back(
-                {key, static_cast<std::uint32_t>(id), 0, orthants, 0});
+                {k.key, static_cast<std::uint32_t>(id), 0, k.orthants, 0});
           }
         }
         --ch.missing[id];
@@ -405,162 +417,134 @@ void number_lattice_corners(const std::vector<TreeOct<D>>& leaves,
   for (const ChunkNodes<Key>& ch : local) nn.num_independent += ch.independent;
 }
 
-}  // namespace
-
-/// General-connectivity node key: the canonical representative of the
-/// node's orbit under all face identifications reachable from (tree,
-/// coords).  Node coordinates live on the closed cube [0, R]^D; a node on
-/// a glued face also exists in the neighbor's frame, and corner nodes can
-/// reach several frames by composing crossings.
-template <int D>
-struct GeneralNodeKey {
-  std::int32_t tree;
-  std::array<coord_t, D> x;
-
-  friend bool operator==(const GeneralNodeKey&, const GeneralNodeKey&) =
-      default;
-  friend bool operator<(const GeneralNodeKey& a, const GeneralNodeKey& b) {
-    if (a.tree != b.tree) return a.tree < b.tree;
-    return a.x < b.x;
+/// The lattice key policy.  A corner's global coordinate is its tree's
+/// lattice origin plus x, with the closed upper bound of a periodic axis
+/// mapped to 0; \p pack turns it into the table key.  The node has 2^open
+/// orthants, where open counts the axes on which it is periodic or
+/// strictly inside the domain.
+template <int D, class Pack>
+auto lattice_corners(const Connectivity<D>& conn, Pack pack) {
+  std::vector<GlobalCoord<D>> origin(conn.num_trees());
+  for (int t = 0; t < conn.num_trees(); ++t) {
+    const auto tc = conn.tree_coords(t);
+    for (int i = 0; i < D; ++i) {
+      origin[t][i] = static_cast<std::int64_t>(tc[i]) * root_len<D>;
+    }
   }
-};
+  return [ext = domain_extent(conn), periodic = conn.periodic(),
+          origin = std::move(origin),
+          pack](std::int32_t tree, const std::array<std::int64_t, D>& x) {
+    GlobalCoord<D> g;
+    int open = 0;
+    for (int i = 0; i < D; ++i) {
+      g[i] = origin[tree][i] + x[i];
+      if (periodic[i] && g[i] == ext[i]) g[i] = 0;
+      open += periodic[i] || (0 < g[i] && g[i] < ext[i]);
+    }
+    return Corner<decltype(pack(g))>{pack(g),
+                                     static_cast<std::uint8_t>(1 << open)};
+  };
+}
 
 /// The orbit of a node of a *general* connectivity under all reachable
 /// face identifications: a node on a glued face also exists in the
 /// neighbor's frame; corner nodes reach several frames by composing
-/// crossings (the breadth-first walk closes the orbit).
+/// crossings.  The breadth-first walk runs until the orbit is closed; it
+/// ends because each member enters once and a node has finitely many
+/// frames.
 template <int D>
 std::vector<GeneralNodeKey<D>> node_orbit(const Connectivity<D>& conn,
-                                          std::int32_t tree,
-                                          const std::array<coord_t, D>& x) {
+                                          const GeneralNodeKey<D>& node) {
   const coord_t R = root_len<D>;
-  std::vector<GeneralNodeKey<D>> orbit{GeneralNodeKey<D>{tree, x}};
-  for (std::size_t i = 0; i < orbit.size() && orbit.size() < 64; ++i) {
+  std::vector<GeneralNodeKey<D>> orbit{node};
+  for (std::size_t i = 0; i < orbit.size(); ++i) {
     const GeneralNodeKey<D> cur = orbit[i];
     for (int axis = 0; axis < D; ++axis) {
       if (cur.x[axis] != 0 && cur.x[axis] != R) continue;
-      const int dir = cur.x[axis] == 0 ? -1 : 1;
-      // A finest-level interior cell touching the face with the node as
-      // one of its corners; its cross-face neighbor carries the node's
-      // image in the neighbor frame.
+      // The finest cell of the tree with the node as a corner, crossed
+      // over the face: the neighbor frame holds the node's image.
       Octant<D> base;
       base.level = max_level<D>;
       for (int d = 0; d < D; ++d) {
         base.x[d] = cur.x[d] == R ? R - 1 : cur.x[d];
       }
-      base.x[axis] = dir > 0 ? R - 1 : 0;
       std::array<int, D> off{};
-      off[axis] = dir;
+      off[axis] = cur.x[axis] == 0 ? -1 : 1;
       const auto nb = conn.neighbor(static_cast<int>(cur.tree), base, off);
       if (!nb) continue;
-      // Find the corner of the neighbor cell that maps onto the node:
-      // points transform as offset + sign * v (no side-length term).
-      for (int c = 0; c < num_children<D>; ++c) {
-        std::array<coord_t, D> corner{};
-        for (int d = 0; d < D; ++d) {
-          corner[d] = nb->oct.x[d] + (((c >> d) & 1) ? 1 : 0);
-        }
-        std::array<coord_t, D> img{};
-        for (int d = 0; d < D; ++d) {
-          const scoord_t v = corner[nb->xform.perm[d]];
-          img[d] = static_cast<coord_t>(nb->xform.sign[d] > 0
-                                            ? nb->xform.offset[d] + v
-                                            : nb->xform.offset[d] - v);
-        }
-        if (img == cur.x) {
-          const GeneralNodeKey<D> key{nb->tree, corner};
-          if (std::find(orbit.begin(), orbit.end(), key) == orbit.end()) {
-            orbit.push_back(key);
-          }
-          break;
-        }
+      // Points map as x[d] = offset[d] + sign[d] * image[perm[d]].
+      const FrameTransform<D>& T = nb->xform;
+      GeneralNodeKey<D> image{nb->tree, {}};
+      for (int d = 0; d < D; ++d) {
+        image.x[T.perm[d]] =
+            static_cast<coord_t>(T.sign[d] * (cur.x[d] - T.offset[d]));
+      }
+      if (std::find(orbit.begin(), orbit.end(), image) == orbit.end()) {
+        orbit.push_back(image);
       }
     }
   }
   return orbit;
 }
 
-/// Node enumeration over a general connectivity: ids keyed by the orbit's
-/// canonical (smallest) member; a node hangs when any containing leaf, in
-/// any frame of the orbit, does not have it as a corner.
+/// The general key policy.  A node strictly inside its tree is its own
+/// key and has 2^D orthants.  Any other node is keyed by the smallest
+/// member of its orbit, and each member adds 2^(the axes on which it is
+/// strictly inside its tree) orthants: its finest cells with the node as
+/// a corner.  A leaf corner at the node fills one such (member, cell)
+/// pair, so the valence rule holds as on bricks.  More than 255 orthants
+/// throws std::length_error.
 template <int D>
-NodeNumbering enumerate_nodes_general(const std::vector<TreeOct<D>>& leaves,
-                                      const Connectivity<D>& conn) {
-  OBS_SPAN("enumerate_nodes_general");
-  NodeNumbering nn;
-  const coord_t R = root_len<D>;
-  std::vector<std::vector<Octant<D>>> per_tree(conn.num_trees());
-  for (const auto& to : leaves) per_tree[to.tree].push_back(to.oct);
-
-  std::map<GeneralNodeKey<D>, std::int64_t> ids;
-  std::map<GeneralNodeKey<D>, std::vector<GeneralNodeKey<D>>> orbits;
-  nn.element_nodes.assign(leaves.size(), {});
-  for (std::size_t e = 0; e < leaves.size(); ++e) {
-    const std::int64_t h = side_len(leaves[e].oct);
-    for (int c = 0; c < num_children<D>; ++c) {
-      std::array<coord_t, D> x{};
-      for (int d = 0; d < D; ++d) {
-        x[d] = leaves[e].oct.x[d] + (((c >> d) & 1) ? h : 0);
-      }
-      auto orbit = node_orbit<D>(conn, leaves[e].tree, x);
-      const GeneralNodeKey<D> key =
-          *std::min_element(orbit.begin(), orbit.end());
-      const auto [it, fresh] =
-          ids.try_emplace(key, static_cast<std::int64_t>(ids.size()));
-      if (fresh) orbits.emplace(key, std::move(orbit));
-      nn.element_nodes[e][c] = it->second;
+auto general_corners(const Connectivity<D>& conn) {
+  return [&conn](std::int32_t tree, const std::array<std::int64_t, D>& x) {
+    const coord_t R = root_len<D>;
+    GeneralNodeKey<D> node{tree, {}};
+    bool inside = true;
+    for (int i = 0; i < D; ++i) {
+      node.x[i] = static_cast<coord_t>(x[i]);
+      inside = inside && 0 < node.x[i] && node.x[i] < R;
     }
-  }
-  nn.num_nodes = ids.size();
-  nn.hanging.assign(nn.num_nodes, 0);
-
-  // Hanging classification is independent per node: chunk the id map over
-  // the thread pool (each entry writes only its own hanging[id] slot).
-  std::vector<const std::pair<const GeneralNodeKey<D>, std::int64_t>*> entries;
-  entries.reserve(ids.size());
-  for (const auto& kv : ids) entries.push_back(&kv);
-  par::parallel_for_blocked(entries.size(), 64, [&](std::size_t lo,
-                                                    std::size_t hi) {
-    for (std::size_t n = lo; n < hi; ++n) {
-      const auto& [key, id] = *entries[n];
-      for (const GeneralNodeKey<D>& rep : orbits.at(key)) {
-        if (nn.hanging[id]) break;
-        for (int adj = 0; adj < num_children<D> && !nn.hanging[id]; ++adj) {
-          std::array<coord_t, D> cell = rep.x;
-          bool inside = true;
-          for (int d = 0; d < D; ++d) {
-            if ((adj >> d) & 1) cell[d] -= 1;
-            inside = inside && cell[d] >= 0 && cell[d] < R;
-          }
-          if (!inside) continue;
-          const std::size_t li =
-              find_containing_leaf<D>(per_tree[rep.tree], cell);
-          if (li == npos) continue;
-          const Octant<D>& m = per_tree[rep.tree][li];
-          const coord_t mh = side_len(m);
-          bool corner = true;
-          for (int d = 0; d < D; ++d) {
-            corner = corner &&
-                     (rep.x[d] == m.x[d] || rep.x[d] == m.x[d] + mh);
-          }
-          if (!corner) nn.hanging[id] = 1;
-        }
-      }
+    if (inside) {
+      return Corner<GeneralNodeKey<D>>{node,
+                                       static_cast<std::uint8_t>(1 << D)};
     }
-  });
-  for (std::uint64_t i = 0; i < nn.num_nodes; ++i) {
-    nn.num_independent += !nn.hanging[i];
-  }
-  return nn;
+    const std::vector<GeneralNodeKey<D>> orbit = node_orbit(conn, node);
+    int orthants = 0;
+    for (const GeneralNodeKey<D>& m : orbit) {
+      int open = 0;
+      for (int i = 0; i < D; ++i) open += 0 < m.x[i] && m.x[i] < R;
+      orthants += 1 << open;
+    }
+    if (orthants > std::numeric_limits<std::uint8_t>::max()) {
+      throw std::length_error("enumerate_nodes: a node has " +
+                              std::to_string(orthants) +
+                              " cells around it, more than 255");
+    }
+    return Corner<GeneralNodeKey<D>>{
+        *std::min_element(orbit.begin(), orbit.end()),
+        static_cast<std::uint8_t>(orthants)};
+  };
 }
+
+}  // namespace
 
 template <int D>
 NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
                               const Connectivity<D>& conn) {
   const std::vector<ChunkSweep> sweeps = check_leaf_set(leaves, conn);
-  if (!conn.is_lattice()) return enumerate_nodes_general(leaves, conn);
   OBS_SPAN("enumerate_nodes");
   NodeNumbering nn;
+  if (!conn.is_lattice()) {
+    // Orbits are the classes of the face identification only when every
+    // gluing is mutual; otherwise the orthant count depends on the frame
+    // a node is met in first.
+    if (!conn.validate()) {
+      throw std::invalid_argument(
+          "enumerate_nodes: the face-gluing table fails validate()");
+    }
+    number_corners(leaves, sweeps, nn, general_corners(conn));
+    return nn;
+  }
   // Every corner is a multiple of the finest leaf's side, so the key drops
   // those low zero bits; each axis then needs bit_width(extent >> shift)
   // bits for node coordinates on the closed range [0, extent].
@@ -575,17 +559,19 @@ NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
     bits += std::bit_width(static_cast<std::uint64_t>(ext[i]) >> shift);
   }
   if (bits <= 64) {
-    number_lattice_corners<D, std::uint64_t>(
-        leaves, conn, sweeps, nn, [&](const GlobalCoord<D>& g) {
-          std::uint64_t key = 0;
-          for (int i = 0; i < D; ++i) {
-            key |= (static_cast<std::uint64_t>(g[i]) >> shift) << offset[i];
-          }
-          return key;
-        });
+    number_corners(leaves, sweeps, nn,
+                   lattice_corners(conn, [=](const GlobalCoord<D>& g) {
+                     std::uint64_t key = 0;
+                     for (int i = 0; i < D; ++i) {
+                       key |= (static_cast<std::uint64_t>(g[i]) >> shift)
+                              << offset[i];
+                     }
+                     return key;
+                   }));
   } else {
-    number_lattice_corners<D, GlobalCoord<D>>(
-        leaves, conn, sweeps, nn, [](const GlobalCoord<D>& g) { return g; });
+    number_corners(
+        leaves, sweeps, nn,
+        lattice_corners(conn, [](const GlobalCoord<D>& g) { return g; }));
   }
   return nn;
 }

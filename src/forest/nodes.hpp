@@ -13,28 +13,39 @@
 /// coarser face (or edge in 3D), which is what makes a single set of
 /// interpolation operators sufficient (Figure 1).
 ///
-/// Ids follow the order in which node coordinates first appear along the
-/// leaf list, so they do not depend on the thread count.  On lattice
-/// connectivities (bricks, periodic or not) the leaf list is cut into
+/// Ids follow the order in which nodes first appear along the leaf list,
+/// so they do not depend on the thread count.  One pass serves every
+/// connectivity; only the key of a corner differs.  On bricks (periodic or
+/// not) it is the packed global coordinate; on general face gluings it is
+/// the smallest member of the node's orbit under the gluings, and a node
+/// strictly inside its tree is its own key.  The leaf list is cut into
 /// chunks of kNodeChunkLeaves leaves.  The chunks number their corners in
-/// parallel, each through its own hash table of packed coordinate keys,
-/// and derive the hanging flags by counting, per node, the leaves that
-/// have it as a corner (DESIGN.md §2.19).  Only the nodes on chunk seams
-/// go through one serial merge.  That count rule is exact on any complete,
-/// disjoint leaf set, balanced or not and for every k, so enumerate_nodes
-/// checks those preconditions instead of assuming them.
+/// parallel, each through its own hash table of keys, and derive the
+/// hanging flags by counting, per node, the leaves that have it as a
+/// corner against the finest cells around it (DESIGN.md §2.19).  Only the
+/// nodes on chunk seams go through one serial merge.  That count rule is
+/// exact on any complete, disjoint leaf set, balanced or not and for every
+/// k, so enumerate_nodes checks those preconditions instead of assuming
+/// them.
 ///
 /// Preconditions (checked in O(n); each violation throws
 /// std::invalid_argument):
+///   - a general \p conn passes validate() (mutual gluings with inverse
+///     orientations);
 ///   - every leaf is a valid octant (aligned, level <= max_level, inside
 ///     the root) of a tree of \p conn;
 ///   - within each tree, the leaves appear in increasing Morton order and
 ///     do not overlap;
 ///   - the leaves of each tree cover it (their volumes sum to the tree's).
 /// Leaves of different trees may interleave; element order is the order
-/// given, which is what assign_node_owners relies on (rank-major).  More
-/// than 2^32 - 2 distinct nodes in one chunk or on the chunk seams throws
-/// std::length_error.
+/// given, which is what assign_node_owners relies on (rank-major).
+///
+/// Limits (each throws std::length_error): more than 2^32 - 2 distinct
+/// nodes in one chunk or on the chunk seams, and a node with more than 255
+/// finest cells around it over all its frames (the counts are bytes).  A
+/// lattice node has at most 2^D; only a general connectivity that glues
+/// hundreds of trees around one corner or edge, such as a fan of 256 2D
+/// trees sharing one corner, reaches the second limit.
 
 #include <array>
 #include <cstdint>
@@ -49,12 +60,12 @@
 
 namespace octbal {
 
-/// Leaves per chunk of the lattice pass.  A constant, not a tuning knob:
+/// Leaves per chunk of the numbering.  A constant, not a tuning knob:
 /// the numbering does not depend on it.
 inline constexpr std::size_t kNodeChunkLeaves = 16384;
 
 /// A std::allocator whose value-less construct default-initialises, so
-/// resize() leaves trivial elements unwritten: the lattice pass fills
+/// resize() leaves trivial elements unwritten: the chunk pass fills
 /// element_nodes from the thread pool instead of zeroing it serially first.
 template <class T>
 struct DefaultInitAllocator : std::allocator<T> {

@@ -373,5 +373,56 @@ TEST(Preconditions, GeneralRejectsFaceTableSizeMismatch) {
   EXPECT_EQ(Connectivity<2>::general(2, faces).num_trees(), 2);
 }
 
+/// A two-tree table whose tree 0 has \p glue across its +x face.
+template <int D>
+std::vector<std::array<FaceGlue, 2 * D>> one_glue(FaceGlue glue) {
+  std::vector<std::array<FaceGlue, 2 * D>> faces(2);
+  faces[0][1] = glue;
+  return faces;
+}
+
+TEST(Preconditions, GeneralRejectsGlueTreeOutOfRange) {
+  // validate() used to index glue_[tree] past the table for such a tree.
+  for (const int tree : {2, 7, -2}) {
+    EXPECT_THROW(Connectivity<2>::general(2, one_glue<2>({tree, 0, 0})),
+                 std::invalid_argument)
+        << tree;
+    EXPECT_THROW(Connectivity<3>::general(2, one_glue<3>({tree, 0, 0})),
+                 std::invalid_argument)
+        << tree;
+  }
+  EXPECT_EQ(Connectivity<2>::general(2, one_glue<2>({-1, 0, 0})).num_trees(),
+            2);
+}
+
+TEST(Preconditions, GeneralRejectsGlueFaceOutOfRange) {
+  // validate() used to read glue[tree][face] past the row for such a face.
+  for (const int face : {4, -1}) {
+    EXPECT_THROW(Connectivity<2>::general(
+                     2, one_glue<2>({1, static_cast<std::int8_t>(face), 0})),
+                 std::invalid_argument)
+        << face;
+  }
+  for (const int face : {6, 100, -3}) {
+    EXPECT_THROW(Connectivity<3>::general(
+                     2, one_glue<3>({1, static_cast<std::int8_t>(face), 0})),
+                 std::invalid_argument)
+        << face;
+  }
+  EXPECT_EQ(Connectivity<3>::general(2, one_glue<3>({1, 5, 0})).num_trees(),
+            2);
+}
+
+TEST(Preconditions, GeneralRejectsGlueOrientOutOfRange) {
+  EXPECT_THROW(Connectivity<2>::general(2, one_glue<2>({1, 0, 2})),
+               std::invalid_argument);
+  EXPECT_THROW(Connectivity<2>::general(2, one_glue<2>({1, 0, 255})),
+               std::invalid_argument);
+  EXPECT_THROW(Connectivity<3>::general(2, one_glue<3>({1, 0, 8})),
+               std::invalid_argument);
+  EXPECT_EQ(Connectivity<2>::general(2, one_glue<2>({1, 0, 1})).num_trees(), 2);
+  EXPECT_EQ(Connectivity<3>::general(2, one_glue<3>({1, 0, 7})).num_trees(), 2);
+}
+
 }  // namespace
 }  // namespace octbal

@@ -4,7 +4,8 @@
 /// guarantee on balanced meshes, element-connectivity consistency, the
 /// checked preconditions of the numbering and of node ownership, and a
 /// differential battery against the references (nodes_reference.hpp),
-/// on forests of one chunk and of several.
+/// on bricks and on general face gluings, on forests of one chunk and of
+/// several.
 
 #include <gtest/gtest.h>
 
@@ -475,6 +476,18 @@ TEST(NodesPreconditions, UnsortedAcrossAChunkSeamThrows) {
   EXPECT_THROW(enumerate_nodes(gap, f.connectivity()), std::invalid_argument);
 }
 
+TEST(NodesPreconditions, NonMutualGluingThrows) {
+  // Tree 1's -x face points at its own +x face, which is glued nowhere:
+  // the orbit of a node then depends on the frame it is met in.
+  std::vector<std::array<FaceGlue, 4>> faces(2);
+  faces[0][1] = FaceGlue{1, 0, 0};
+  faces[1][0] = FaceGlue{1, 1, 0};
+  const auto conn = Connectivity<2>::general(2, std::move(faces));
+  ASSERT_FALSE(conn.validate());
+  const Forest<2> f(conn, 1, 1);
+  EXPECT_THROW(enumerate_nodes(f.gather(), conn), std::invalid_argument);
+}
+
 TEST(NodesPreconditions, OwnersRejectANumberingOfAnotherForest) {
   // Both overloads: a numbering with more or fewer elements than the
   // forest has leaves used to read past element_nodes under NDEBUG.
@@ -611,6 +624,161 @@ TEST(NodesMultiChunk, SameOutputAtEveryThreadCount) {
     EXPECT_EQ(owns[i].traffic.bytes, owns[0].traffic.bytes) << i;
   }
   expect_matches_reference(f, "fig15 forest");
+}
+
+}  // namespace
+}  // namespace octbal
+
+namespace octbal {
+namespace {
+
+/// Restores the worker-thread count when it leaves scope.
+class ThreadGuard {
+ public:
+  ThreadGuard() : saved_(par::num_threads()) {}
+  ~ThreadGuard() { par::set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
+/// Numbering and ownership of \p f must match the references at 1, 4 and
+/// 8 worker threads.
+template <int D>
+void expect_matches_reference_threaded(const Forest<D>& f,
+                                       const std::string& what) {
+  ThreadGuard guard;
+  for (const int threads : {1, 4, 8}) {
+    par::set_num_threads(threads);
+    expect_matches_reference(f, what + " threads=" + std::to_string(threads));
+  }
+}
+
+/// A uniform forest, a random refinement of it, and that refinement
+/// balanced at every k in [1, D], each checked against the references.
+template <int D>
+void general_sweep(const Connectivity<D>& conn, const std::string& name,
+                   std::uint64_t seed) {
+  ASSERT_TRUE(conn.validate()) << name;
+  Rng rng(seed);
+  const int ranks = 1 + static_cast<int>(rng.below(4));
+  Forest<D> uniform(conn, ranks, D == 2 ? 2 : 1);
+  expect_matches_reference_threaded(uniform, name + " uniform");
+  const Forest<D> refined =
+      random_forest(conn, ranks, 1, rng, D == 2 ? 5 : 4, 0.35);
+  expect_matches_reference_threaded(refined, name + " random");
+  for (int k = 1; k <= D; ++k) {
+    Forest<D> f = refined;
+    SimComm comm(ranks);
+    BalanceOptions opt = BalanceOptions::new_config();
+    opt.k = k;
+    balance(f, opt, comm);
+    ASSERT_TRUE(forest_is_balanced(f.gather(), f.connectivity(), k)) << name;
+    expect_matches_reference_threaded(f, name + " k=" + std::to_string(k));
+  }
+}
+
+TEST(NodesGeneralDifferential, Rings2D) {
+  for (int n = 1; n <= 5; ++n) {
+    general_sweep(Connectivity<2>::ring(n, 0), "ring n=" + std::to_string(n),
+                  100 + n);
+  }
+}
+
+TEST(NodesGeneralDifferential, MoebiusBands2D) {
+  for (int n = 1; n <= 5; ++n) {
+    general_sweep(Connectivity<2>::moebius(n),
+                  "moebius n=" + std::to_string(n), 200 + n);
+  }
+}
+
+TEST(NodesGeneralDifferential, RotatedGluing2D) {
+  // Tree 0's +x face meets tree 1's -y face.
+  std::vector<std::array<FaceGlue, 4>> faces(2);
+  faces[0][1] = FaceGlue{1, 2, 0};
+  faces[1][2] = FaceGlue{0, 1, 0};
+  general_sweep(Connectivity<2>::general(2, std::move(faces)), "rotated", 300);
+}
+
+TEST(NodesGeneralDifferential, Rings3DEveryWrapOrientation) {
+  for (int orient = 0; orient < 8; ++orient) {
+    for (int n : {1, 2}) {
+      general_sweep(Connectivity<3>::ring(n, static_cast<std::uint8_t>(orient)),
+                    "3D ring n=" + std::to_string(n) +
+                        " orient=" + std::to_string(orient),
+                    400 + 10 * orient + n);
+    }
+  }
+}
+
+/// A fan of n trees: tree i's -y face is glued to tree i + 1's -x face,
+/// so every tree has its (0, 0) corner (in 3D, its x = y = 0 edge) at one
+/// node.  A closed fan also glues tree n - 1 to tree 0, so n trees
+/// surround that corner or edge: 4 is a regular grid point, 3 and 5 are
+/// the irregular vertices of cubed-sphere-like meshes.
+template <int D>
+Connectivity<D> fan(int n, bool closed) {
+  std::vector<std::array<FaceGlue, 2 * D>> faces(n);
+  for (int i = 0; i + 1 < n || (closed && i < n); ++i) {
+    const int j = (i + 1) % n;
+    faces[i][2] = FaceGlue{j, 0, 0};
+    faces[j][0] = FaceGlue{i, 2, 0};
+  }
+  return Connectivity<D>::general(n, std::move(faces));
+}
+
+TEST(NodesGeneralDifferential, ClosedFans) {
+  for (int n = 3; n <= 5; ++n) {
+    general_sweep(fan<2>(n, true), "2D closed fan n=" + std::to_string(n),
+                  600 + n);
+    general_sweep(fan<3>(n, true), "3D closed fan n=" + std::to_string(n),
+                  700 + n);
+  }
+}
+
+TEST(NodesGeneralDifferential, FanCornerOrbitSpansEveryTree) {
+  // At level 1 each tree has 9 nodes and each of the n - 1 gluings
+  // identifies 3 pairs, so there are 9n - 3(n - 1) = 6n + 3 nodes.  The
+  // shared corner's orbit has n members, more than 64.
+  for (const int n : {65, 70}) {
+    const Forest<2> f(fan<2>(n, false), 2, 1);
+    ASSERT_TRUE(f.connectivity().validate());
+    const NodeNumbering nn = enumerate_nodes(f.gather(), f.connectivity());
+    EXPECT_EQ(nn.num_nodes, 6u * n + 3) << "n=" << n;
+    EXPECT_EQ(nn.num_independent, nn.num_nodes) << "n=" << n;
+    expect_matches_reference(f, "fan n=" + std::to_string(n));
+  }
+  // 300 cells around the shared corner overflow the byte-wide counts.
+  const Forest<2> f(fan<2>(300, false), 1, 1);
+  EXPECT_THROW(enumerate_nodes(f.gather(), f.connectivity()),
+               std::length_error);
+}
+
+/// More than one chunk of the numbering, so nodes on glued tree faces
+/// also lie on chunk seams and go through the merge.
+template <int D>
+void expect_general_multi_chunk(const Connectivity<D>& conn, int level,
+                                int lmax, double density, int k,
+                                const std::string& name) {
+  ASSERT_TRUE(conn.validate()) << name;
+  Rng rng(500 + k);
+  Forest<D> f = random_forest(conn, 4, level, rng, lmax, density);
+  SimComm comm(4);
+  BalanceOptions opt = BalanceOptions::new_config();
+  opt.k = k;
+  balance(f, opt, comm);
+  ASSERT_GT(f.global_num_octants(), kNodeChunkLeaves) << "one chunk only";
+  expect_matches_reference_threaded(f, name);
+}
+
+TEST(NodesGeneralDifferential, MultiChunkMoebius2D) {
+  expect_general_multi_chunk(Connectivity<2>::moebius(3), 6, 8, 0.15, 1,
+                             "multi-chunk moebius");
+}
+
+TEST(NodesGeneralDifferential, MultiChunkTwistedRing3D) {
+  expect_general_multi_chunk(Connectivity<3>::ring(2, 0b101), 4, 6, 0.1, 2,
+                             "multi-chunk twisted 3D ring");
 }
 
 }  // namespace

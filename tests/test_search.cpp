@@ -1,10 +1,12 @@
 /// \file test_search.cpp
-/// \brief Tests for linear-octree point location: find_containing_leaf
-/// against brute force, on complete trees and on sets with gaps.
+/// \brief Tests for linear-octree point location: the
+/// find_containing_leaf of nodes_reference.hpp, which the node-numbering
+/// references use, against brute force, on complete trees and on sets
+/// with gaps.
 
 #include <gtest/gtest.h>
 
-#include "core/search.hpp"
+#include "nodes_reference.hpp"
 #include "util/rng.hpp"
 
 namespace octbal {
@@ -41,7 +43,8 @@ TYPED_TEST(SearchTest, FindContainingLeafMatchesBruteForce) {
     for (int d = 0; d < D; ++d) {
       pt[d] = static_cast<coord_t>(rng.below(root_len<D>));
     }
-    EXPECT_EQ(find_containing_leaf<D>(t, pt), brute_locate<D>(t, pt));
+    EXPECT_EQ(reference::find_containing_leaf<D>(t, pt),
+              brute_locate<D>(t, pt));
   }
 }
 
@@ -56,7 +59,7 @@ TYPED_TEST(SearchTest, GapsReportNpos) {
     for (int d = 0; d < D; ++d) {
       pt[d] = static_cast<coord_t>(rng.below(root_len<D>));
     }
-    const auto idx = find_containing_leaf<D>(s, pt);
+    const auto idx = reference::find_containing_leaf<D>(s, pt);
     EXPECT_EQ(idx, brute_locate<D>(s, pt));
     (idx == npos ? missing : found)++;
   }
