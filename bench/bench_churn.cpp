@@ -5,8 +5,9 @@
 /// balance is executed twice on identical inputs:
 ///
 ///   full  — the one-pass pipeline of balance.cpp on a copy of the forest
-///   delta — forest/delta_balance.cpp, re-balancing only the dirty region
-///           recorded by the refine/coarsen batch
+///   delta — forest/delta_balance.cpp, re-balancing only the tree runs
+///           that hold an octant the refine/coarsen batch created, and
+///           the leaves those octants' pushes violate
 ///
 /// and the two results are compared byte-for-byte (per-rank leaf arrays
 /// and partition markers).  A mismatch marks the run FAILED — the delta

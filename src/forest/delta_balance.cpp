@@ -4,10 +4,8 @@
 #include <iterator>
 #include <map>
 
-#include "core/key.hpp"
 #include "core/lambda.hpp"
 #include "core/neighborhood.hpp"
-#include "core/region.hpp"
 #include "core/seeds.hpp"
 #include "forest/halo.hpp"
 #include "forest/span.hpp"
@@ -125,14 +123,14 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   obs::Counter& c_created = met.counter("churn/octants_created");
   obs::Counter& c_rounds = met.counter("churn/delta_rounds");
 
-  // Validate the dirty log and cover the frontier.  The frontier outlives
+  // Validate the dirty log into the first frontier.  The frontier outlives
   // this block; everything else in it is scratch.
   std::vector<std::vector<TreeOct<D>>> frontier(P);
-  // The validation buckets and the cover are delta scratch: charge them to
-  // the pass's first phase, not to whatever phase the caller left open.
+  // The validation buckets are delta scratch: charge them to the pass's
+  // first phase, not to whatever phase the caller left open.
   obs::mem_set_phase("churn/local");
   {
-    OBS_SPAN("delta_cover");
+    OBS_SPAN("delta_validate");
     // Validate the dirty log against the current leaves, per rank: bucket
     // the entries by the rank whose marker range holds their first position
     // (a current leaf lies in its owner's range), then every rank sorts its
@@ -158,19 +156,10 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
     // The pass consumes the log up front.  The buckets are the log in owner
     // order, so they take over its charge, byte for byte.
     f.clear_dirty();
-    obs::MemScope bucket_mem(obs::MemTag::kDirtyLog,
-                             buckets.size() * sizeof(TreeOct<D>));
-
-    // Dirty-region completion (core/region.hpp), the region_octants counter:
-    // the coarsest cover of the frontier's insulation envelopes, per tree.
-    // Each rank covers its own frontier one tree run at a time; the covers
-    // are held (charged in key bytes to the rank) until the serial merge.
-    std::vector<std::vector<std::pair<std::int32_t, std::vector<okey_t>>>>
-        covers(P);
-    std::vector<obs::MemScope> cover_mem(P);
+    const obs::MemScope bucket_mem(obs::MemTag::kDirtyLog,
+                                   buckets.size() * sizeof(TreeOct<D>));
     par::parallel_for_ranks(P, [&](int r) {
-      OBS_SPAN_RANK("delta_cover", r);
-      const obs::MemRank mem_rank(r);
+      OBS_SPAN_RANK("delta_validate", r);
       const auto b0 =
           buckets.begin() + static_cast<std::ptrdiff_t>(bucket_at[r]);
       const auto b1 =
@@ -179,73 +168,40 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
       const auto& mine = f.local(r);
       std::set_intersection(b0, b1, mine.begin(), mine.end(),
                             std::back_inserter(frontier[r]));
-      if (frontier[r].empty()) return;
-      const obs::MemScope keys_mem(obs::MemTag::kRegionCover,
-                                   frontier[r].size() * sizeof(okey_t));
-      std::vector<okey_t> keys;
-      keys.reserve(frontier[r].size());
-      std::size_t held = 0;
-      for (const auto& [i, j] : tree_runs(frontier[r])) {
-        keys.clear();
-        for (std::size_t q = i; q < j; ++q) {
-          keys.push_back(key_of(frontier[r][q].oct));
-        }
-        covers[r].emplace_back(frontier[r][i].tree,
-                               dirty_region_cover<D>(keys));
-        held += covers[r].back().second.size();
-        cover_mem[r].set_slot(r, obs::MemTag::kRegionCover,
-                              held * sizeof(okey_t));
-      }
     });
-    bucket_mem.reset();
-    buckets = {};
     for (int r = 0; r < P; ++r) {
       rep.dirty_validated += frontier[r].size();
       c_dirty.add(r, frontier[r].size());
-    }
-    // Merge the per-rank covers of each tree with the cover's own fold:
-    // ranks hold disjoint, ascending ranges of the curve, so the trees
-    // arrive in order and a tree's covers arrive rank by rank.
-    {
-      std::vector<okey_t> acc, scratch;
-      obs::MemScope merge_mem;
-      std::int32_t tree = -1;
-      for (int r = 0; r < P; ++r) {
-        for (const auto& [t, cover] : covers[r]) {
-          if (t != tree) {
-            rep.region_octants += acc.size();
-            acc.clear();
-            tree = t;
-          }
-          merge_mem.set(obs::MemTag::kRegionCover,
-                        2 * (acc.size() + cover.size()) * sizeof(okey_t));
-          cover_merge(acc, cover, scratch);
-        }
-        covers[r] = {};
-        cover_mem[r].reset();
-      }
-      rep.region_octants += acc.size();
-      c_region.add(0, rep.region_octants);
     }
   }
 
   // Local pre-pass: re-balance every run containing a frontier octant
   // (whole-run, no constraints yet) — the phase-1 restriction to dirty
   // runs.  Runs without a frontier octant are fixed points of local
-  // balance and are skipped.  Created leaves join the frontier.
+  // balance and are skipped.  Created leaves join the frontier.  The
+  // leaves of the re-balanced runs are the region_octants counter.
   {
     OBS_SPAN("delta_local");
+    std::vector<std::uint64_t> region(P, 0);
     par::parallel_for_ranks(P, [&](int r) {
       OBS_SPAN_RANK("delta_local", r);
       const obs::MemRank mem_rank(r);
       if (frontier[r].empty()) return;
       TreeConstraints<D> touch;
       for (const auto& to : frontier[r]) touch[to.tree];  // run-only
+      auto& mine = f.local(r);
+      for (const auto& [i, j] : tree_runs(mine)) {
+        if (touch.contains(mine[i].tree)) region[r] += j - i;
+      }
       std::vector<TreeOct<D>> created;
-      rebalance_runs(f.local(r), touch, opt.subtree, k, nullptr, &created);
+      rebalance_runs(mine, touch, opt.subtree, k, nullptr, &created);
       frontier[r].insert(frontier[r].end(), created.begin(), created.end());
       std::sort(frontier[r].begin(), frontier[r].end());
     });
+    for (int r = 0; r < P; ++r) {
+      rep.region_octants += region[r];
+      c_region.add(r, region[r]);
+    }
   }
 
   // Push rounds: every frontier octant announces itself to the owners of

@@ -2,11 +2,11 @@
 /// \file delta_balance.hpp
 /// \brief Incremental 2:1 re-balance of a churned forest: instead of
 /// re-running the full one-pass pipeline after every refine/coarsen batch,
-/// re-balance only the dirty region — the octants the batch created,
-/// expanded by their insulation envelopes — and propagate the ripple
-/// outward in push rounds until a global fixed point.  The result is
-/// byte-identical to a full balance() of the same forest (same leaves,
-/// same per-rank arrays), at a fraction of the modeled communication.
+/// re-balance only the tree runs that hold an octant the batch created,
+/// and propagate the ripple outward in push rounds until a global fixed
+/// point.  The result is byte-identical to a full balance() of the same
+/// forest (same leaves, same per-rank arrays), at a fraction of the
+/// modeled communication.
 ///
 /// Precondition: the forest was 2:1-balanced (at the same condition k)
 /// before the churn batch, and any coarsening in the batch used the
@@ -41,9 +41,6 @@
 ///   3. The rounds terminate when a charged allreduce reports no work
 ///      anywhere; runs that never receive a constraint are fixed points of
 ///      local balance and are provably left byte-identical.
-///
-/// The dirty-region cover (core/region.hpp) is built per rank alongside
-/// step 1 and only reported (region_octants); it restricts nothing.
 
 #include <stdexcept>
 #include <string>
@@ -78,7 +75,9 @@ void check_delta_round(int round) {
 struct DeltaBalanceReport {
   std::uint64_t dirty_logged = 0;     ///< raw dirty-log entries consumed
   std::uint64_t dirty_validated = 0;  ///< entries still present as leaves
-  std::uint64_t region_octants = 0;   ///< dirty-region cover size (global)
+  /// Leaves of the runs step 1 re-balanced whole, counted before the
+  /// re-balance and summed over the ranks.
+  std::uint64_t region_octants = 0;
   std::uint64_t constraints_sent = 0; ///< pushed wire octants (network only)
   std::uint64_t octants_created = 0;  ///< leaves the re-balance added
   int rounds = 0;                     ///< push rounds with any work
@@ -87,8 +86,8 @@ struct DeltaBalanceReport {
   CommStats comm;  ///< exchange + termination-allreduce traffic
 };
 
-/// Re-balance the dirty region of \p f (recorded by refine/coarsen since
-/// the last clear_dirty()) to the full 2:1 condition of \p opt.  Consumes
+/// Re-balance the octants of \p f that refine/coarsen created since the
+/// last clear_dirty() to the full 2:1 condition of \p opt.  Consumes
 /// and clears the dirty log.  Only opt.k and opt.subtree are honored: the
 /// query/response switches do not apply (the push scheme has no query
 /// phase, and its rounds always apply constraints from seeds), and the

@@ -60,7 +60,7 @@ class Parser {
   }
 
  private:
-  bool fail(const char* what) {
+  bool fail(std::string_view what) {
     if (error_ && error_->empty()) {
       *error_ = std::string(what) + " at byte " + std::to_string(i_);
     }
@@ -120,9 +120,13 @@ class Parser {
     return true;
   }
 
-  bool value(JsonValue& v) {
+  /// \p depth counts the arrays and objects around \p v.
+  bool value(JsonValue& v, int depth = 0) {
     if (i_ >= s_.size()) return fail("unexpected end of input");
     const char c = s_[i_];
+    if ((c == '{' || c == '[') && depth == kJsonMaxDepth) {
+      return fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+    }
     if (c == '{') {
       v.kind = JsonValue::Kind::kObject;
       ++i_;
@@ -136,7 +140,7 @@ class Parser {
         if (i_ >= s_.size() || s_[i_] != ':') return fail("expected ':'");
         ++i_;
         skip();
-        if (!value(v.obj[key])) return false;
+        if (!value(v.obj[key], depth + 1)) return false;
         skip();
         if (i_ < s_.size() && s_[i_] == ',') {
           ++i_;
@@ -155,7 +159,7 @@ class Parser {
       while (true) {
         v.arr.emplace_back();
         skip();
-        if (!value(v.arr.back())) return false;
+        if (!value(v.arr.back(), depth + 1)) return false;
         skip();
         if (i_ < s_.size() && s_[i_] == ',') {
           ++i_;

@@ -10,8 +10,9 @@
 /// parsed as doubles with an exact-integer view for counter fields.
 /// Malformed input — truncated documents, invalid escapes, numbers that
 /// overflow a double — comes back as a structured (message, byte offset)
-/// error through json_parse's out-param, never an assert.  Grew out of
-/// the MiniJsonParser that used to live in tests/test_obs.cpp.
+/// error through json_parse's out-param, never an assert; so does nesting
+/// past kJsonMaxDepth.  Grew out of the MiniJsonParser that used to live
+/// in tests/test_obs.cpp.
 
 #include <cstdint>
 #include <map>
@@ -20,6 +21,11 @@
 #include <vector>
 
 namespace octbal::obs {
+
+/// Deepest accepted nesting of arrays and objects.  The parser recurses
+/// once per level, so a deeper document is an error ("nesting deeper than
+/// 512 at byte N"), not a stack overflow.  The repo's reports nest 8 deep.
+inline constexpr int kJsonMaxDepth = 512;
 
 /// One JSON value.  Object members are kept in a sorted map: every
 /// consumer here addresses members by name, and sorted iteration makes

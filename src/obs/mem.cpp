@@ -19,7 +19,6 @@ const char* mem_tag_name(MemTag tag) {
     case MemTag::kCommMailbox: return "comm_mailbox";
     case MemTag::kFlightRecorder: return "flight_recorder";
     case MemTag::kDirtyLog: return "dirty_log";
-    case MemTag::kRegionCover: return "region_cover";
     case MemTag::kBalanceStaging: return "balance_staging";
     case MemTag::kRepartition: return "repartition";
     case MemTag::kGhost: return "ghost";

@@ -61,7 +61,6 @@ enum class MemTag : int {
   kCommMailbox,      ///< SimComm in-flight message payloads
   kFlightRecorder,   ///< SimComm recorded rounds (edges + flight digests)
   kDirtyLog,         ///< Forest dirty-octant log
-  kRegionCover,      ///< dirty_region_cover piece buffers
   kBalanceStaging,   ///< balance/delta query + response staging arrays
   kRepartition,      ///< repartition send staging (slices that move)
   kGhost,            ///< ghost-layer staging + per-rank ghost arrays

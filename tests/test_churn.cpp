@@ -1,24 +1,21 @@
 /// \file test_churn.cpp
 /// \brief Property battery for the AMR churn lifecycle: Forest::coarsen
 /// (family merge, ownership, the 2:1-safety veto), the dirty log,
-/// dirty-region completion (core/region.hpp), FrameTransform::inverse,
-/// and — the load-bearing claim — delta_balance() byte-identity with the
-/// full one-pass pipeline across sustained refine → balance → repartition
-/// → coarsen steps at several rank and thread counts (the tsan label runs
+/// FrameTransform::inverse, the delta report and memory peaks, and — the
+/// load-bearing claim — delta_balance() byte-identity with the full
+/// one-pass pipeline across sustained refine → balance → repartition →
+/// coarsen steps at several rank and thread counts (the tsan label runs
 /// this file under the threaded rank engine).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/key.hpp"
 #include "core/neighborhood.hpp"
-#include "core/region.hpp"
 #include "forest/delta_balance.hpp"
 #include "forest/repartition.hpp"
 #include "obs/mem.hpp"
@@ -90,186 +87,7 @@ TEST(FrameInverse, IdentityIsItsOwnInverse) {
 }
 
 // ---------------------------------------------------------------------------
-// Dirty-region completion
-
-TEST(DirtyRegion, EnvelopePiecesAreInRootSameSizeNeighbors) {
-  // An interior octant has the full 3^D envelope; a corner octant keeps
-  // only the in-root quadrant (2^D pieces including itself).
-  Octant<2> corner = child(child(root_octant<2>(), 0), 0);
-  EXPECT_EQ(envelope_pieces<2>(corner).size(), 4u);
-  Octant<2> interior = child(child(root_octant<2>(), 0), 3);
-  EXPECT_EQ(envelope_pieces<2>(interior).size(), 9u);
-  for (const auto& p : envelope_pieces<2>(interior)) {
-    EXPECT_EQ(p.level, interior.level);
-  }
-}
-
-TEST(DirtyRegion, CoverIsSortedCoarsestAndCoversEveryEnvelope) {
-  Rng rng(2012);
-  std::vector<Octant<3>> dirty;
-  for (int i = 0; i < 25; ++i) {
-    Octant<3> o = root_octant<3>();
-    const int lv = 1 + static_cast<int>(rng.below(4));
-    for (int l = 0; l < lv; ++l) {
-      o = child(o, static_cast<int>(rng.below(num_children<3>)));
-    }
-    dirty.push_back(o);
-  }
-  const auto cover =
-      keys_to_octants<3>(dirty_region_cover<3>(octants_to_keys(dirty)));
-  ASSERT_FALSE(cover.empty());
-  // Sorted, and no piece contains a later one (coarsest, overlap-free in
-  // the ancestor sense).
-  for (std::size_t i = 0; i + 1 < cover.size(); ++i) {
-    EXPECT_LT(cover[i], cover[i + 1]);
-    EXPECT_FALSE(contains(cover[i], cover[i + 1]));
-  }
-  // Every envelope piece of every dirty octant is inside some cover piece.
-  for (const auto& o : dirty) {
-    for (const auto& p : envelope_pieces<3>(o)) {
-      bool covered = false;
-      for (const auto& c : cover) {
-        if (contains(c, p) || c == p) {
-          covered = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(covered) << "uncovered envelope piece of " << to_string(o);
-    }
-  }
-}
-
-/// A random dirty set for the cover differentials: clustered descendants
-/// of one base octant (so envelope pieces contain one another), whole
-/// sibling families in child order (as refinement logs them), octants on
-/// the root's faces and corners, and finest-level octants.
-template <int D>
-std::vector<Octant<D>> random_dirty_set(Rng& rng, std::size_t n) {
-  const auto at = [](int level, const std::array<coord_t, D>& cell) {
-    Octant<D> o;
-    o.level = static_cast<level_t>(level);
-    for (int d = 0; d < D; ++d) {
-      o.x[d] = static_cast<coord_t>(cell[d] << (max_level<D> - level));
-    }
-    return o;
-  };
-  const int base_level = static_cast<int>(rng.below(max_level<D> - 3));
-  std::array<coord_t, D> base{};
-  for (int d = 0; d < D; ++d) {
-    base[d] = static_cast<coord_t>(rng.below(coord_t{1} << base_level));
-  }
-  std::vector<Octant<D>> out;
-  while (out.size() < n) {
-    const auto kind = rng.below(4);
-    // Finest level for a quarter of the picks, else anywhere.
-    int level = kind == 3 ? max_level<D>
-                          : static_cast<int>(rng.below(max_level<D> + 1));
-    std::array<coord_t, D> cell{};
-    const coord_t cells = coord_t{1} << level;
-    if (kind == 0) {
-      // Clustered: a descendant of the base, at most four levels down.
-      level = base_level + static_cast<int>(rng.below(5));
-      for (int d = 0; d < D; ++d) {
-        const int down = level - base_level;
-        cell[d] = static_cast<coord_t>((base[d] << down) +
-                                       rng.below(coord_t{1} << down));
-      }
-    } else {
-      // Each axis lands on the low face, the high face or anywhere, so
-      // faces, edges and corners of the root all occur.
-      for (int d = 0; d < D; ++d) {
-        const auto side = rng.below(3);
-        cell[d] = side == 0   ? 0
-                  : side == 1 ? cells - 1
-                              : static_cast<coord_t>(rng.below(cells));
-      }
-    }
-    const Octant<D> o = at(level, cell);
-    if (level < max_level<D> && rng.chance(0.3)) {
-      for (int c = 0; c < num_children<D>; ++c) out.push_back(child(o, c));
-    } else {
-      out.push_back(o);
-    }
-  }
-  return out;
-}
-
-/// The cover by brute force: every envelope piece, sorted with
-/// Octant::operator<, keeping a piece only when the last kept one does not
-/// contain it.
-template <int D>
-std::vector<Octant<D>> reference_cover(const std::vector<Octant<D>>& dirty) {
-  std::vector<Octant<D>> pieces;
-  for (const auto& o : dirty) {
-    for (const auto& p : envelope_pieces<D>(o)) pieces.push_back(p);
-  }
-  std::sort(pieces.begin(), pieces.end());
-  std::vector<Octant<D>> out;
-  for (const auto& p : pieces) {
-    if (!out.empty() && contains(out.back(), p)) continue;
-    out.push_back(p);
-  }
-  return out;
-}
-
-template <int D>
-void expect_cover_matches_reference(std::uint64_t seed) {
-  Rng rng(seed);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{65},
-                              std::size_t{300}}) {
-    const auto dirty = random_dirty_set<D>(rng, n);
-    const auto got =
-        keys_to_octants<D>(dirty_region_cover<D>(octants_to_keys(dirty)));
-    EXPECT_EQ(got, reference_cover<D>(dirty))
-        << "D=" << D << " seed " << seed << " n=" << n;
-  }
-}
-
-TEST(DirtyRegion, KeyCoverMatchesBruteForceReference) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    expect_cover_matches_reference<1>(seed);
-    expect_cover_matches_reference<2>(seed);
-    expect_cover_matches_reference<3>(seed);
-  }
-}
-
-template <int D>
-void expect_split_merge_matches_single(std::uint64_t seed) {
-  Rng rng(seed);
-  auto dirty = random_dirty_set<D>(rng, 400);
-  std::sort(dirty.begin(), dirty.end());
-  const std::vector<okey_t> keys = octants_to_keys(dirty);
-  const std::vector<okey_t> single = dirty_region_cover<D>(keys);
-  // Random contiguous parts, covered on their own and folded together —
-  // in order, as delta_balance folds the per-rank covers, and in reverse.
-  std::vector<std::size_t> cuts = {0, keys.size()};
-  const auto nparts = 1 + rng.below(9);
-  for (std::uint64_t i = 0; i < nparts; ++i) {
-    cuts.push_back(static_cast<std::size_t>(rng.below(keys.size() + 1)));
-  }
-  std::sort(cuts.begin(), cuts.end());
-  std::vector<std::vector<okey_t>> parts;
-  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-    parts.push_back(dirty_region_cover<D>(
-        KeySpan(keys.data() + cuts[i], cuts[i + 1] - cuts[i])));
-  }
-  std::vector<okey_t> forward, backward, scratch;
-  for (const auto& p : parts) cover_merge(forward, p, scratch);
-  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-    cover_merge(backward, *it, scratch);
-  }
-  EXPECT_EQ(forward, single) << "D=" << D << " seed " << seed;
-  EXPECT_EQ(backward, single) << "D=" << D << " seed " << seed;
-}
-
-TEST(DirtyRegion, SplitCoversMergeToTheSingleCover) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    expect_split_merge_matches_single<1>(seed);
-    expect_split_merge_matches_single<2>(seed);
-    expect_split_merge_matches_single<3>(seed);
-  }
-}
+// Delta report
 
 /// Every count of a delta_balance() report plus the accounted-memory
 /// snapshot of its session, as one comparable string.
@@ -288,8 +106,9 @@ std::string delta_fingerprint(const DeltaBalanceReport& rep,
 }
 
 TEST(DirtyRegion, DeltaReportAndMemoryAreThreadInvariant) {
-  // The per-rank covers charge their own rank slots concurrently; the
-  // report counts and the whole accounted ledger must not notice.
+  // The per-rank validation and pre-pass run concurrently, and the
+  // pre-pass charges its own rank slots; the report counts and the whole
+  // accounted ledger must not notice.
   ThreadGuard guard;
   ChurnFrontParams cp;
   cp.drift = 0.03;
@@ -310,6 +129,9 @@ TEST(DirtyRegion, DeltaReportAndMemoryAreThreadInvariant) {
       f.account_memory();
       const DeltaBalanceReport rep =
           delta_balance(f, BalanceOptions::new_config(), dc);
+      // Every validated entry is a leaf of a run the pre-pass rebuilt.
+      EXPECT_GE(rep.region_octants, rep.dirty_validated);
+      EXPECT_LE(rep.region_octants, rep.octants_before);
       EXPECT_GT(rep.region_octants, 0u);
       seen += delta_fingerprint(rep, mem);
       front_coarsen(f, cp, step, 3);
@@ -499,6 +321,52 @@ TEST(DeltaBalance, IgnoresResponseSwitches) {
       } else {
         EXPECT_EQ(seen, first) << what;
       }
+    }
+  }
+}
+
+TEST(DeltaBalance, PeakNotAboveFullBalance) {
+  // Incrementality must also win on memory: on every churn step the delta
+  // pass's accounted peak stays at or below a full balance() of a copy of
+  // the same forest.  Both sessions start with the mesh on their ledger:
+  // the full one opens before the copy, the delta one re-charges the live
+  // forest (as bench_churn measures them).
+  ThreadGuard guard;
+  ChurnFrontParams cp;
+  cp.drift = 0.03;
+  cp.wake = 0.06;
+  const BalanceOptions opt = BalanceOptions::new_config();
+  for (const int threads : {1, 4}) {
+    par::set_num_threads(threads);
+    Forest<3> f(Connectivity<3>::brick({4, 4, 1}), 16, 1);
+    front_refine(f, 5, cp, 0);
+    f.partition_uniform();
+    prebalance(f);
+    for (int step = 1; step <= 3; ++step) {
+      front_refine(f, 5, cp, step);
+      std::uint64_t full_peak = 0;
+      {
+        obs::MemSession mem(16);
+        Forest<3> ref = f;
+        ref.clear_dirty();
+        SimComm fc(16);
+        fc.set_record_rounds(false);
+        balance(ref, opt, fc);
+        full_peak = mem.snapshot().peak_bytes;
+      }
+      std::uint64_t delta_peak = 0;
+      {
+        obs::MemSession mem(16);
+        f.account_memory();
+        SimComm dc(16);
+        dc.set_record_rounds(false);
+        delta_balance(f, opt, dc);
+        delta_peak = mem.snapshot().peak_bytes;
+      }
+      EXPECT_GT(delta_peak, 0u);
+      EXPECT_LE(delta_peak, full_peak)
+          << "threads=" << threads << " step " << step;
+      front_coarsen(f, cp, step, 3);
     }
   }
 }

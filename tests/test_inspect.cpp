@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "forest/balance.hpp"
@@ -138,6 +139,44 @@ TEST(JsonParse, NumericOverflowAndMalformedNumbers) {
   EXPECT_DOUBLE_EQ(v.num, 1e308);
   ASSERT_TRUE(obs::json_parse("[1.5e+3, -0.25]", v, &err)) << err;
   EXPECT_DOUBLE_EQ(v.arr[0].num, 1500.0);
+}
+
+std::string repeat(std::string_view s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(JsonParse, DeepNestingIsAStructuredError) {
+  // The parser recurses once per level, so without a bound a deep enough
+  // document overflows the stack.  Past the bound it is an error at the
+  // byte of the first container too many; at the bound it still parses.
+  constexpr int kHostile = 100000;
+  const int bound = obs::kJsonMaxDepth;
+  const std::string too_deep =
+      "nesting deeper than " + std::to_string(bound) + " at byte ";
+  JsonValue v;
+  std::string err;
+  EXPECT_FALSE(obs::json_parse(
+      repeat("[", kHostile) + repeat("]", kHostile), v, &err));
+  EXPECT_EQ(err, too_deep + std::to_string(bound));
+  EXPECT_FALSE(obs::json_parse(
+      repeat(R"({"a":)", kHostile) + "1" + repeat("}", kHostile), v, &err));
+  EXPECT_EQ(err, too_deep + std::to_string(5 * bound));
+  EXPECT_FALSE(obs::json_parse(
+      repeat("[", bound + 1) + repeat("]", bound + 1), v, &err));
+  EXPECT_EQ(err, too_deep + std::to_string(bound));
+
+  ASSERT_TRUE(obs::json_parse(repeat("[", bound) + repeat("]", bound), v,
+                              &err))
+      << err;
+  int depth = 1;
+  for (const JsonValue* p = &v; !p->arr.empty(); p = &p->arr[0]) ++depth;
+  EXPECT_EQ(depth, bound);
+  ASSERT_TRUE(obs::json_parse(
+      repeat(R"({"a":)", bound) + "1" + repeat("}", bound), v, &err))
+      << err;
 }
 
 // ----------------------------------------------------- golden round-trip --

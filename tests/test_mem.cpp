@@ -296,9 +296,8 @@ TEST(Mem, ScrambledDeliveryDoesNotChangeAccounting) {
 }
 
 TEST(Mem, DeltaScratchStaysOutOfTheCallersPhase) {
-  // delta_balance opens its own phase before the dirty-log buckets and the
-  // per-rank region cover, so the phase the caller left open sees none of
-  // that scratch: per slot, its peak is what was live when the pass
+  // delta_balance opens its own phase before the dirty-log buckets, so the
+  // phase the caller left open sees none of that scratch: per slot, its peak is what was live when the pass
   // started or what is live when it returns.
   ChurnFrontParams cp;
   cp.drift = 0.03;
@@ -339,7 +338,7 @@ TEST(Mem, DeltaScratchStaysOutOfTheCallersPhase) {
   }
   EXPECT_EQ(caller->engine, std::max(at_entry->engine, after->engine));
   // The scratch was charged, to the pass's own phase.
-  ASSERT_NE(find_tag(exit, MemTag::kRegionCover), nullptr);
+  ASSERT_NE(find_tag(exit, MemTag::kDirtyLog), nullptr);
   ASSERT_NE(find_phase(exit, "churn/local"), nullptr);
 }
 
