@@ -1,7 +1,7 @@
 #include "core/balance_subtree.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <array>
 #include <stdexcept>
 #include <string>
 
@@ -16,103 +16,137 @@ namespace octbal {
 
 namespace {
 
-/// Throws std::invalid_argument unless \p s is sorted and linear: both
-/// algorithms binary-search the input and complete around it.
+/// True iff \p k is the key of some level in [0, max_level]: its
+/// placeholder bit sits at D·(level + 2).
 template <int D>
-void require_linear(const std::vector<Octant<D>>& s, const char* who) {
-  if (!is_linear(s)) {
-    throw std::invalid_argument(std::string(who) +
-                                ": input is not a sorted linear array");
-  }
+bool key_well_formed(okey_t k) {
+  const int w = static_cast<int>(std::bit_width(k)) - 1;
+  return w >= 2 * D && w % D == 0 && w <= D * key_coord_bits<D>;
 }
 
-/// Drop octants that lie outside \p root.  Exterior octants are legal
-/// *inputs* (auxiliary constraints transformed from neighboring trees or
-/// partitions) but never leaves of the completed result.  Dyadic cubes
-/// never straddle the root boundary, so containment is all-or-nothing.
+/// The root's halo, the root grown by one root side in each direction, as
+/// bounds on biased finest-cell coordinates, and the balance condition.
+/// Exterior constraints can sit up to a root length away; their ripple
+/// reaches the interior through the halo (the paper's "auxiliary octants
+/// ... to bridge the gap", Figure 4b).  For interior inputs the halo changes
+/// nothing: the root is convex and the λ profiles are metric.
 template <int D>
-void drop_outside(std::vector<Octant<D>>& a, const Octant<D>& root) {
-  std::erase_if(a, [&](const Octant<D>& o) { return !contains(root, o); });
-}
+struct Halo {
+  int level = 0;  ///< the root's level
+  std::array<scoord_t, D> lo{}, hi{};
+  const std::vector<std::array<int, D>>* offs = nullptr;
 
-/// Coarse neighborhood clipped to the *halo* of the root: the root enlarged
-/// by one root side length per direction.  Exterior constraint octants can
-/// sit up to a full root length away from the root; their ripple has to
-/// propagate through the halo to reach the interior (these are precisely
-/// the paper's "auxiliary octants ... to bridge the gap", Figure 4b).  For
-/// interior inputs the halo changes nothing: the root is convex and the
-/// λ profiles are metric, so an out-and-back path never forces anything a
-/// direct interior path has not already forced — a fact the oracle tests
-/// in tests/test_balance_subtree.cpp confirm.
-template <int D>
-void coarse_neighborhood_halo(const Octant<D>& o, int k, const Octant<D>& root,
-                              std::vector<Octant<D>>& out) {
-  if (o.level <= root.level + 1) return;
-  const Octant<D> p = parent(o);
-  const scoord_t h = side_len(p);
-  const scoord_t rl = side_len(root);
-  Octant<D> n;
-  n.level = p.level;
-  for (const auto& off : balance_offsets<D>(k)) {
-    bool ok = true;
-    for (int i = 0; i < D; ++i) {
-      const scoord_t c = static_cast<scoord_t>(p.x[i]) + off[i] * h;
-      const scoord_t lo = static_cast<scoord_t>(root.x[i]) - rl;
-      const scoord_t hi = static_cast<scoord_t>(root.x[i]) + 2 * rl;
-      if (c < lo || c + h > hi) {
-        ok = false;
-        break;
-      }
-      n.x[i] = static_cast<coord_t>(c);
+  /// The checks both algorithms share, in order: k, the root, every input
+  /// inside the halo, and S sorted and linear (both algorithms
+  /// binary-search the input and complete around it).
+  Halo(KeySpan s, int k, okey_t root, const std::string& fn) {
+    require_balance_k<D>(k, fn.c_str());
+    offs = &balance_offsets<D>(k);
+    // A root in its tree keeps the halo inside the keys' exterior headroom.
+    if (!key_well_formed<D>(root) ||
+        !key_contains(key_of(root_octant<D>()), root)) {
+      throw std::invalid_argument(fn + ": the root is not a valid octant");
     }
-    if (ok) out.push_back(n);
+    level = key_level<D>(root);
+    const scoord_t rl = scoord_t{1} << (max_level<D> - level);
+    const morton_t m = key_morton<D>(root);
+    for (int i = 0; i < D; ++i) {
+      lo[i] = static_cast<scoord_t>(detail::lane_compact<D>(m, i)) - rl;
+      hi[i] = lo[i] + 3 * rl;
+    }
+    for (const okey_t q : s) {
+      if (!key_well_formed<D>(q)) {
+        throw std::invalid_argument(fn + ": an input is not extended-valid");
+      }
+      const scoord_t h = scoord_t{1} << (max_level<D> - key_level<D>(q));
+      const morton_t mq = key_morton<D>(q);
+      for (int i = 0; i < D; ++i) {
+        const auto x = static_cast<scoord_t>(detail::lane_compact<D>(mq, i));
+        if (x < lo[i] || x + h > hi[i]) {
+          throw std::invalid_argument(fn + ": " + to_string(key_oct<D>(q)) +
+                                      " lies outside the root's halo");
+        }
+      }
+    }
+    if (!is_linear_keys(s)) {
+      throw std::invalid_argument(fn + ": input is not a sorted linear array");
+    }
   }
-}
+
+  /// Appends N(o), the coarse neighborhood, clipped to the halo.  Each
+  /// dimension spreads the parent's coordinate moved by -1, 0 and +1 sides
+  /// into its Morton lane once; a neighbor is then an OR of D lanes.
+  void coarse_neighborhood(okey_t o, std::vector<okey_t>& out) const {
+    const int l = key_level<D>(o) - 1;  // the parent's level
+    if (l <= level) return;
+    const scoord_t h = scoord_t{1} << (max_level<D> - l);
+    const morton_t m = key_morton<D>(key_parent<D>(o));
+    std::array<std::array<morton_t, 3>, D> lane{};
+    std::array<std::array<bool, 3>, D> in{};
+    const okey_t mark = okey_t{1} << (D * (l + 2));
+    const int shift = D * (max_level<D> - l);
+    for (int i = 0; i < D; ++i) {
+      const auto x = static_cast<scoord_t>(detail::lane_compact<D>(m, i));
+      for (int s = 0; s < 3; ++s) {
+        const scoord_t c = x + (s - 1) * h;
+        in[i][s] = lo[i] <= c && c + h <= hi[i];
+        if (in[i][s]) lane[i][s] = detail::lane_spread<D>(c, i);
+      }
+    }
+    for (const auto& off : *offs) {
+      bool ok = true;
+      morton_t n = 0;
+      for (int i = 0; i < D; ++i) {
+        ok &= in[i][off[i] + 1];
+        n |= lane[i][off[i] + 1];
+      }
+      if (ok) out.push_back(mark | (n >> shift));
+    }
+  }
+};
 
 }  // namespace
 
 template <int D>
-std::vector<Octant<D>> balance_subtree_old(const std::vector<Octant<D>>& s,
-                                           int k, const Octant<D>& root,
-                                           SubtreeBalanceStats* stats) {
-  require_balance_k<D>(k, "balance_subtree_old");
-  require_linear(s, "balance_subtree_old");
+std::vector<okey_t> balance_subtree_old(KeySpan s, int k, okey_t root,
+                                        SubtreeBalanceStats* stats) {
+  const Halo<D> halo(s, k, root, "balance_subtree_old");
   SubtreeBalanceStats local;
   HashStats hs;
   OctantHashSet<D> w(s.size() * 4 + 16, &hs);
-  std::deque<Octant<D>> work(s.begin(), s.end());
-  std::vector<Octant<D>> nbhd;
+  // The work queue: S, then every created octant in order of creation.
+  std::vector<okey_t> work(s.begin(), s.end());
+  std::vector<okey_t> nbhd;
 
   // Attempt to register octant q; newly seen octants are queued so that
   // every octant in S ∪ Snew eventually adds its family and N(o) (Figure 6).
-  const auto try_add = [&](const Octant<D>& q) {
+  const auto try_add = [&](okey_t q) {
     if (w.contains(q)) return;
     ++local.binary_searches;
-    if (binary_find(s, q) != npos) return;
+    if (std::binary_search(s.begin(), s.end(), q, key_less)) return;
     w.insert(q);
     work.push_back(q);
   };
 
-  while (!work.empty()) {
-    const Octant<D> o = work.front();
-    work.pop_front();
-    if (o.level > root.level) {
-      for (const Octant<D>& f : family(o)) try_add(f);
+  for (std::size_t head = 0; head < work.size(); ++head) {
+    const okey_t o = work[head];
+    if (key_level<D>(o) > halo.level) {
+      for (int i = 0; i < num_children<D>; ++i) try_add(key_sibling<D>(o, i));
     }
     nbhd.clear();
-    coarse_neighborhood_halo(o, k, root, nbhd);
-    for (const Octant<D>& n : nbhd) try_add(n);
+    halo.coarse_neighborhood(o, nbhd);
+    for (const okey_t n : nbhd) try_add(n);
   }
 
-  std::vector<Octant<D>> merged(s.begin(), s.end());
-  w.collect(merged);
-  local.sorted_octants = merged.size();
+  // The queue now holds S ∪ Snew, the set Linearize sorts.
+  local.sorted_octants = work.size();
   const obs::MemScope working(obs::MemTag::kInsulation,
-                              merged.size() * sizeof(Octant<D>));
-  linearize(merged);  // sorts and removes the overlap between parents/leaves
-  drop_outside(merged, root);
-  std::vector<Octant<D>> out = complete(merged, root);  // no-op when complete
-
+                              work.size() * sizeof(okey_t));
+  linearize_keys(work);  // sorts and drops the parent/leaf overlap
+  // Exterior octants are legal *inputs* but never leaves of the result;
+  // dyadic cubes never straddle the root boundary.
+  std::erase_if(work, [&](okey_t q) { return !key_contains(root, q); });
+  std::vector<okey_t> out = complete_keys<D>(work, root);
   local.hash_queries = hs.queries;
   local.hash_probes = hs.probes;
   local.hash_rehash_probes = hs.rehash_probes;
@@ -122,11 +156,9 @@ std::vector<Octant<D>> balance_subtree_old(const std::vector<Octant<D>>& s,
 }
 
 template <int D>
-std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
-                                           int k, const Octant<D>& root,
-                                           SubtreeBalanceStats* stats) {
-  require_balance_k<D>(k, "balance_subtree_new");
-  require_linear(s, "balance_subtree_new");
+std::vector<okey_t> balance_subtree_new(KeySpan s, int k, okey_t root,
+                                        SubtreeBalanceStats* stats) {
+  const Halo<D> halo(s, k, root, "balance_subtree_new");
   SubtreeBalanceStats local;
   // Preclusion compression is only lossless when the completion domain can
   // regenerate the dropped octant, i.e. when its parent lies inside the
@@ -136,19 +168,19 @@ std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
   // representatives back in.  Exterior parents never contain interior ones
   // (dyadic cubes cannot straddle the root boundary), so the merged array
   // still has a unique preclusion candidate per interior search.
-  std::vector<Octant<D>> interior, exterior;
+  std::vector<okey_t> interior, exterior;
   interior.reserve(s.size());
-  for (const Octant<D>& o : s) {
-    (contains(root, o) ? interior : exterior).push_back(o);
+  for (const okey_t o : s) {
+    (key_contains(root, o) ? interior : exterior).push_back(o);
   }
-  std::vector<Octant<D>> r = reduce(interior);
+  std::vector<okey_t> r = reduce_keys<D>(interior);
   if (!exterior.empty()) {
-    for (Octant<D>& o : exterior) o = zero_sibling(o);
-    std::sort(exterior.begin(), exterior.end());
+    for (okey_t& o : exterior) o = key_zero_sibling<D>(o);
+    std::sort(exterior.begin(), exterior.end(), key_less);
     exterior.erase(std::unique(exterior.begin(), exterior.end()),
                    exterior.end());
     r.insert(r.end(), exterior.begin(), exterior.end());
-    std::sort(r.begin(), r.end());
+    std::sort(r.begin(), r.end(), key_less);
   }
   std::vector<char> r_prec(r.size(), 0);
 
@@ -158,20 +190,19 @@ std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
   // pass measured a 2x probe-count reduction over |S|+16 sizing at zero
   // rehash traffic (tests/test_perf_guards.cpp pins the resulting counts).
   OctantHashSet<D> w(s.size() * 2 + 16, &hs);
-  std::deque<Octant<D>> work(r.begin(), r.end());
-  std::vector<Octant<D>> nbhd;
+  std::vector<okey_t> work(r.begin(), r.end());  // R, then created octants
+  std::vector<okey_t> nbhd;
 
-  while (!work.empty()) {
-    const Octant<D> o = work.front();
-    work.pop_front();
+  for (std::size_t head = 0; head < work.size(); ++head) {
+    const okey_t o = work[head];
     nbhd.clear();
-    coarse_neighborhood_halo(o, k, root, nbhd);
-    for (const Octant<D>& n : nbhd) {
-      const Octant<D> c = zero_sibling(n);  // family representative
+    halo.coarse_neighborhood(o, nbhd);
+    for (const okey_t n : nbhd) {
+      const okey_t c = key_zero_sibling<D>(n);  // family representative
       if (w.contains(c)) continue;
       // One binary search answers both membership in R and preclusion by R.
       ++local.binary_searches;
-      const std::size_t idx = find_precluding_le(r, c);
+      const std::size_t idx = find_precluding_le<D>(r, c);
       const bool in_r = idx != npos && r[idx] == c;
       if (!in_r) {
         if (idx != npos) r_prec[idx] = 1;  // an R octant is precluded by c
@@ -180,7 +211,7 @@ std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
       }
       // c is itself precluded when a finer family (o's) lives inside its
       // parent; tag rather than remove so propagation still happens.
-      if (c.level > 0 && o.level > 0 && precludes_lt(c, o)) {
+      if (key_precludes_lt<D>(c, o)) {
         if (in_r) {
           r_prec[idx] = 1;
         } else {
@@ -190,7 +221,7 @@ std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
     }
   }
 
-  std::vector<Octant<D>> merged;
+  std::vector<okey_t> merged;
   merged.reserve(r.size() + w.size());
   for (std::size_t i = 0; i < r.size(); ++i) {
     if (!r_prec[i]) merged.push_back(r[i]);
@@ -198,26 +229,25 @@ std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
   w.collect(merged, /*skip_tagged=*/true);
   local.sorted_octants = merged.size();
   const obs::MemScope working(obs::MemTag::kInsulation,
-                              merged.size() * sizeof(Octant<D>));
-  sort_octants(merged);
+                              merged.size() * sizeof(okey_t));
+  sort_keys(merged);
   // The explicit tags above catch preclusions against R and against the
   // octant being processed; preclusions between two *new* octants from
   // different ripple chains are caught by this O(n) sweep (overlapping
   // family representatives always preclude one another, so the sweep also
   // restores linearity before completion).
-  merged = reduce(merged);
-  drop_outside(merged, root);
+  merged = reduce_keys<D>(merged);
+  std::erase_if(merged, [&](okey_t q) { return !key_contains(root, q); });
   // reduce() can never preclude a level-0 leaf: the root has no parent, so
   // it sits outside the preclusion order.  When S is a lone root leaf and
   // exterior constraints rippled finer octants into the tree, the root
   // (always first: minimal key, coarsest tie-break) must yield or the set
   // is not linear; completion regenerates the coarse filler around the
   // survivors.
-  if (merged.size() > 1 && merged.front().level == 0) {
+  if (merged.size() > 1 && key_level<D>(merged.front()) == 0) {
     merged.erase(merged.begin());
   }
-  std::vector<Octant<D>> out = complete(merged, root);
-
+  std::vector<okey_t> out = complete_keys<D>(merged, root);
   local.hash_queries = hs.queries;
   local.hash_probes = hs.probes;
   local.hash_rehash_probes = hs.rehash_probes;
@@ -231,17 +261,22 @@ std::vector<Octant<D>> balance_subtree(SubtreeAlgo algo,
                                        const std::vector<Octant<D>>& s, int k,
                                        const Octant<D>& root,
                                        SubtreeBalanceStats* stats) {
-  return algo == SubtreeAlgo::kOld ? balance_subtree_old(s, k, root, stats)
-                                   : balance_subtree_new(s, k, root, stats);
+  // key_of rounds a misaligned anchor silently, and its shifts are
+  // undefined outside [0, max_level]: an octant it cannot pack goes in as
+  // key 0, which the kernel rejects.
+  std::vector<okey_t> keys(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    keys[i] = is_extended_valid(s[i]) ? key_of(s[i]) : 0;
+  }
+  const okey_t r = is_valid(root) ? key_of(root) : 0;
+  return keys_to_octants<D>(balance_subtree<D>(algo, keys, k, r, stats));
 }
 
 #define OCTBAL_INSTANTIATE(D)                                               \
-  template std::vector<Octant<D>> balance_subtree_old<D>(                   \
-      const std::vector<Octant<D>>&, int, const Octant<D>&,                 \
-      SubtreeBalanceStats*);                                                \
-  template std::vector<Octant<D>> balance_subtree_new<D>(                   \
-      const std::vector<Octant<D>>&, int, const Octant<D>&,                 \
-      SubtreeBalanceStats*);                                                \
+  template std::vector<okey_t> balance_subtree_old<D>(                      \
+      KeySpan, int, okey_t, SubtreeBalanceStats*);                          \
+  template std::vector<okey_t> balance_subtree_new<D>(                      \
+      KeySpan, int, okey_t, SubtreeBalanceStats*);                          \
   template std::vector<Octant<D>> balance_subtree<D>(                       \
       SubtreeAlgo, const std::vector<Octant<D>>&, int, const Octant<D>&,    \
       SubtreeBalanceStats*);

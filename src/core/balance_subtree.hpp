@@ -3,12 +3,19 @@
 /// \brief Serial subtree balance: the paper's old (Figure 6) and new
 /// (Figure 7) algorithms, Section III.
 ///
-/// Both take a sorted linear octant array S inside a (sub)tree root and
+/// Both take a sorted linear octant array S and a (sub)tree root and
 /// return the coarsest complete k-balanced linear octree of that root that
 /// keeps every input octant as a leaf (or refines it when inputs conflict).
-/// Both also work on *incomplete* input sets, which is what the seed-octant
-/// reconstruction of Section IV relies on.  Both throw std::invalid_argument
-/// when S is not sorted and linear or k is outside [1, D].
+/// Inputs outside the root are exterior constraints and may lie anywhere in
+/// its halo, the root grown by one root side in each direction.  Both also
+/// work on *incomplete* input sets, which is what the seed-octant
+/// reconstruction of Section IV relies on.  The kernels run on packed keys
+/// (S in key_less order); the Octant<D> overloads pack once and unpack once.
+///
+/// Both throw std::invalid_argument, naming the function, when k is outside
+/// [1, D], the root is not a valid octant, an input is not extended-valid
+/// (level outside [0, max_level] or anchor not a multiple of its side) or
+/// lies outside the root's halo, or S is not sorted and linear.
 ///
 /// The old algorithm inserts, for every octant, its whole family and coarse
 /// neighborhood into a hash table and linearizes the union.  The new one
@@ -20,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/key.hpp"
 #include "core/octant.hpp"
 
 namespace octbal {
@@ -47,24 +55,45 @@ struct SubtreeBalanceStats {
 /// Old subtree balance (Figure 6): family + coarse-neighborhood insertion
 /// into a hash table, then merge, sort and Linearize.
 template <int D>
-std::vector<Octant<D>> balance_subtree_old(const std::vector<Octant<D>>& s,
-                                           int k, const Octant<D>& root,
-                                           SubtreeBalanceStats* stats = nullptr);
+std::vector<okey_t> balance_subtree_old(KeySpan s, int k, okey_t root,
+                                        SubtreeBalanceStats* stats = nullptr);
 
 /// New subtree balance (Figure 7): Reduce, sparse 0-sibling insertion with
 /// preclusion tagging, then merge, sort and Complete.
 template <int D>
-std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
-                                           int k, const Octant<D>& root,
-                                           SubtreeBalanceStats* stats = nullptr);
+std::vector<okey_t> balance_subtree_new(KeySpan s, int k, okey_t root,
+                                        SubtreeBalanceStats* stats = nullptr);
 
 /// Algorithm selector used by the distributed pipeline and the benchmarks.
 enum class SubtreeAlgo { kOld, kNew };
 
 template <int D>
+std::vector<okey_t> balance_subtree(SubtreeAlgo algo, KeySpan s, int k,
+                                    okey_t root,
+                                    SubtreeBalanceStats* stats = nullptr) {
+  return algo == SubtreeAlgo::kOld ? balance_subtree_old<D>(s, k, root, stats)
+                                   : balance_subtree_new<D>(s, k, root, stats);
+}
+
+/// The Octant<D> adapters pack once and unpack once.
+template <int D>
 std::vector<Octant<D>> balance_subtree(SubtreeAlgo algo,
                                        const std::vector<Octant<D>>& s, int k,
                                        const Octant<D>& root,
                                        SubtreeBalanceStats* stats = nullptr);
+
+template <int D>
+std::vector<Octant<D>> balance_subtree_old(
+    const std::vector<Octant<D>>& s, int k, const Octant<D>& root,
+    SubtreeBalanceStats* stats = nullptr) {
+  return balance_subtree(SubtreeAlgo::kOld, s, k, root, stats);
+}
+
+template <int D>
+std::vector<Octant<D>> balance_subtree_new(
+    const std::vector<Octant<D>>& s, int k, const Octant<D>& root,
+    SubtreeBalanceStats* stats = nullptr) {
+  return balance_subtree(SubtreeAlgo::kNew, s, k, root, stats);
+}
 
 }  // namespace octbal

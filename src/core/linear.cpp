@@ -41,37 +41,23 @@ void fill_rec_keys(okey_t cur, morton_t lo, morton_t hi,
   }
 }
 
-/// Small-n linearize: sort_octants picks insertion sort or std::sort here,
-/// and packing into key records would be pure overhead.
-template <int D>
-void linearize_small(std::vector<Octant<D>>& a) {
-  sort_octants(a);
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // In Morton preorder an ancestor immediately precedes its descendants,
-    // so dropping elements that contain their successor removes all overlap.
-    if (i + 1 < a.size() && contains(a[i], a[i + 1])) continue;
-    a[w++] = a[i];
-  }
-  a.resize(w);
-}
-
 /// Fused keyed linearize: pack into pass records once, sort, and run the
-/// ancestor-drop on the raw keys, unpacking only the survivors — no
-/// separate key-vector conversions.
-template <int D>
-void linearize_keyed(std::vector<Octant<D>>& a) {
+/// ancestor-drop on the raw keys, writing back only the survivors — no
+/// separate key-vector conversions.  The records are charged as linearize
+/// buffers, whichever representation \p a holds.
+template <class T, class Pack, class Unpack>
+void linearize_recs(std::vector<T>& a, Pack pack, Unpack unpack) {
   const std::size_t n = a.size();
   const obs::MemScope records(obs::MemTag::kLinearize,
                               2 * n * sizeof(detail::KeyRec));
   std::vector<detail::KeyRec> cur, tmp;
   cur.reserve(n);
-  for (const Octant<D>& o : a) cur.push_back(detail::key_rec_of(o));
+  for (const T& x : a) cur.push_back(pack(x));
   detail::radix_sort_recs(cur, tmp, nullptr);
   std::size_t w = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (i + 1 < n && key_contains(cur[i].key, cur[i + 1].key)) continue;
-    a[w++] = detail::rec_oct<D>(cur[i]);
+    a[w++] = unpack(cur[i]);
   }
   a.resize(w);
 }
@@ -90,23 +76,25 @@ void fill_gap_keys(okey_t root, okey_t after, okey_t before,
 }  // namespace
 
 void linearize_keys(std::vector<okey_t>& a) {
-  sort_keys(a);
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (i + 1 < a.size() && key_contains(a[i], a[i + 1])) continue;
-    a[w++] = a[i];
+  if (a.size() < detail::kRadixThreshold) {
+    sort_keys(a);
+    drop_ancestors(a, key_contains);
+  } else {
+    linearize_recs(
+        a, [](okey_t k) { return detail::KeyRec{key_norm(k), k}; },
+        [](const detail::KeyRec& r) { return r.key; });
   }
-  a.resize(w);
 }
 
 template <int D>
 void linearize(std::vector<Octant<D>>& a) {
-  // Same crossover as sort_octants: below the radix regime the plain loop
-  // is optimal and produces the identical array.
+  // Same crossover as sort_octants: below the radix regime packing into key
+  // records would be pure overhead, and the array is identical either way.
   if (a.size() < detail::kRadixThreshold) {
-    linearize_small(a);
+    sort_octants(a);
+    drop_ancestors(a, contains<D>);
   } else {
-    linearize_keyed(a);
+    linearize_recs(a, detail::key_rec_of<D>, detail::rec_oct<D>);
   }
 }
 
@@ -114,7 +102,7 @@ template <int D>
 bool is_linear(const std::vector<Octant<D>>& a) {
   // Dyadic intervals nest or are disjoint, so "sorted, duplicate-free and
   // ancestor-free" is "each interval ends before the next one begins": one
-  // Morton key per octant (this check guards every balance_subtree call).
+  // Morton key per octant.
   morton_t end = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const morton_t begin = interval_begin(a[i]);

@@ -25,9 +25,22 @@ namespace octbal {
 template <int D>
 void linearize(std::vector<Octant<D>>& a);
 
-/// Key-native Linearize: sort_keys plus a shift-and-compare ancestor drop.
-/// Dimension-independent.
+/// Key-native Linearize: the same sort, ancestor drop and record-buffer
+/// charge as linearize.  Dimension-independent.
 void linearize_keys(std::vector<okey_t>& a);
+
+/// Remove duplicates and ancestors from the sorted array \p a, keeping the
+/// finest: one in-place pass, since in Morton preorder an ancestor directly
+/// precedes its descendants and \p contains is reflexive.
+template <class T, class Contains>
+void drop_ancestors(std::vector<T>& a, Contains contains) {
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (i + 1 < a.size() && contains(a[i], a[i + 1])) continue;
+    a[w++] = a[i];
+  }
+  a.resize(w);
+}
 
 /// True iff \p a is sorted, duplicate-free, and ancestor-free.
 template <int D>

@@ -8,17 +8,17 @@
 /// can be measured (bench/bench_subtree).
 ///
 /// The set stores packed keys (8-byte keys, key 0 as the empty sentinel,
-/// tag bits in a parallel byte array); the Octant<D> entry points pack
-/// with key_of and forward.  key_hash unpacks to the (morton, level) pair
-/// that octant_hash mixes, so probe sequences, slot positions, grow
-/// schedule, collect order and every HashStats counter are those of an
-/// octant-valued table with the same hash (pinned by the perf guards).
+/// tag bits in a parallel byte array) and has one API, on keys.  key_hash
+/// mixes the (morton, level) pair of the octant a key encodes, so probe
+/// sequences, slot positions, grow schedule, collect order and every
+/// HashStats counter are those of an octant-valued table with the same
+/// hash (pinned by the perf guards; tests/core_reference.hpp keeps the
+/// octant-valued hash).
 
 #include <cstdint>
 #include <vector>
 
 #include "core/key.hpp"
-#include "core/octant.hpp"
 #include "obs/mem.hpp"
 
 namespace octbal {
@@ -36,7 +36,7 @@ struct HashStats {
 
 namespace detail {
 
-/// splitmix64 finalizer shared by both hash entry points.
+/// The splitmix64 finalizer.
 inline std::uint64_t hash_mix(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ull;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -46,16 +46,9 @@ inline std::uint64_t hash_mix(std::uint64_t z) {
 
 }  // namespace detail
 
-/// Hash an octant: mix the Morton key and level through splitmix64.
-template <int D>
-inline std::uint64_t octant_hash(const Octant<D>& o) {
-  return detail::hash_mix(morton_key(o) ^
-                          (static_cast<std::uint64_t>(o.level) << 58));
-}
-
-/// Hash a packed key to the SAME value as octant_hash of the octant it
-/// encodes: the (morton, level) pair is recovered by shifts, so the mix
-/// input is bit-identical.
+/// Hash a packed key: the Morton code of its anchor and its level, mixed
+/// through splitmix64.  The (morton, level) pair is that of the octant the
+/// key encodes, so the hash is a function of the octant.
 template <int D>
 inline std::uint64_t key_hash(okey_t k) {
   return detail::hash_mix(key_morton<D>(k) ^
@@ -76,11 +69,8 @@ class OctantHashSet {
     account(0);
   }
 
-  /// Insert \p o; returns true if newly inserted.  Counts one query.
-  bool insert(const Octant<D>& o) { return insert_key(key_of(o)); }
-
-  /// Key-native insert.  Counts one query.
-  bool insert_key(okey_t k) {
+  /// Insert \p k; returns true if newly inserted.  Counts one query.
+  bool insert(okey_t k) {
     count_query();
     std::size_t i = find_key_slot(k);
     if (keys_[i] != 0) return false;
@@ -91,24 +81,18 @@ class OctantHashSet {
   }
 
   /// Membership test.  Counts one query.
-  bool contains(const Octant<D>& o) const { return contains_key(key_of(o)); }
-
-  bool contains_key(okey_t k) const {
+  bool contains(okey_t k) const {
     count_query();
     return keys_[find_key_slot(k)] != 0;
   }
 
   /// Set the tag bit on an element already in the set (no-op if absent).
-  void tag(const Octant<D>& o) { tag_key(key_of(o)); }
-
-  void tag_key(okey_t k) {
+  void tag(okey_t k) {
     const std::size_t i = find_key_slot(k);
     if (keys_[i] != 0) key_tags_[i] = 1;
   }
 
-  bool is_tagged(const Octant<D>& o) const { return is_tagged_key(key_of(o)); }
-
-  bool is_tagged_key(okey_t k) const {
+  bool is_tagged(okey_t k) const {
     const std::size_t i = find_key_slot(k);
     return keys_[i] != 0 && key_tags_[i] != 0;
   }
@@ -117,16 +101,7 @@ class OctantHashSet {
 
   /// Append all (optionally only untagged) elements to \p out, in slot
   /// order.
-  void collect(std::vector<Octant<D>>& out, bool skip_tagged = false) const {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != 0 && !(skip_tagged && key_tags_[i] != 0)) {
-        out.push_back(key_oct<D>(keys_[i]));
-      }
-    }
-  }
-
-  /// Key-native collect.
-  void collect_keys(std::vector<okey_t>& out, bool skip_tagged = false) const {
+  void collect(std::vector<okey_t>& out, bool skip_tagged = false) const {
     for (std::size_t i = 0; i < keys_.size(); ++i) {
       if (keys_[i] != 0 && !(skip_tagged && key_tags_[i] != 0)) {
         out.push_back(keys_[i]);

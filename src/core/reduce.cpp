@@ -4,18 +4,6 @@
 
 namespace octbal {
 
-namespace {
-
-/// Preclusion with the root handled explicitly: the root has no parent, so
-/// it neither precludes nor is precluded.
-template <int D>
-bool le(const Octant<D>& r, const Octant<D>& o) {
-  if (r.level == 0 || o.level == 0) return r == o;
-  return precludes_le(r, o);
-}
-
-}  // namespace
-
 template <int D>
 std::vector<okey_t> reduce_keys(KeySpan s) {
   std::vector<okey_t> r;
@@ -40,25 +28,25 @@ std::vector<Octant<D>> reduce(const std::vector<Octant<D>>& s) {
 }
 
 template <int D>
-std::size_t find_precluding_le(const std::vector<Octant<D>>& r,
-                               const Octant<D>& q) {
-  const Octant<D> s = zero_sibling(q);
-  // A precluding element t has parent(t) containing parent(q), hence
-  // key(t) == key(parent(t)) <= key(s); any reduced element strictly between
-  // t and s would itself be precluded by contradiction, so the only
-  // candidate is the greatest element <= s.
-  auto it = std::upper_bound(r.begin(), r.end(), s);
+std::size_t find_precluding_le(KeySpan r, okey_t q) {
+  const okey_t s = key_zero_sibling<D>(q);
+  // A precluding element t has parent(t) containing parent(q), and t is a
+  // 0-sibling anchored at parent(t), hence t <= s; any reduced element
+  // strictly between t and s would itself be precluded by contradiction, so
+  // the only candidate is the greatest element <= s.
+  const okey_t* it = std::upper_bound(r.begin(), r.end(), s, key_less);
   if (it == r.begin()) return npos;
   --it;
-  if (le(*it, q)) return static_cast<std::size_t>(it - r.begin());
+  if (key_precludes_le<D>(*it, q)) {
+    return static_cast<std::size_t>(it - r.begin());
+  }
   return npos;
 }
 
 #define OCTBAL_INSTANTIATE(D)                                               \
   template std::vector<Octant<D>> reduce<D>(const std::vector<Octant<D>>&); \
   template std::vector<okey_t> reduce_keys<D>(KeySpan);                     \
-  template std::size_t find_precluding_le<D>(const std::vector<Octant<D>>&, \
-                                             const Octant<D>&);
+  template std::size_t find_precluding_le<D>(KeySpan, okey_t);
 OCTBAL_INSTANTIATE(1)
 OCTBAL_INSTANTIATE(2)
 OCTBAL_INSTANTIATE(3)

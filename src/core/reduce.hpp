@@ -10,9 +10,7 @@
 /// compression of complete linear octrees.
 ///
 /// The single-pass loop runs over packed keys with preclusion as
-/// shift-prefix tests; reduce() packs, reduces and unpacks.  The per-query
-/// find_precluding_le keeps its Octant<D> binary search (converting
-/// the array per query would defeat it).
+/// shift-prefix tests; reduce() packs, reduces and unpacks.
 
 #include <vector>
 
@@ -37,7 +35,6 @@ std::vector<okey_t> reduce_keys(KeySpan s);
 /// binary search" of Section III-B.  Returns its index or npos.  Because r
 /// is reduced there is at most one such element.
 template <int D>
-std::size_t find_precluding_le(const std::vector<Octant<D>>& r,
-                               const Octant<D>& q);
+std::size_t find_precluding_le(KeySpan r, okey_t q);
 
 }  // namespace octbal

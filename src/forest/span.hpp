@@ -6,7 +6,7 @@
 /// curve span (which is how ownership stays fixed across a balance — the
 /// span's key interval is invariant under refinement, because a split
 /// leaf's first child keeps its Morton key and its last child ends where
-/// the parent ended), the sorted ancestor drop, and the stages built from
+/// the parent ended), the TreeOct linearize, and the stages built from
 /// them:
 ///
 ///   * rebalance_runs — whole-run re-balance with exterior constraints
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/balance_subtree.hpp"
+#include "core/linear.hpp"
 #include "forest/forest.hpp"
 
 namespace octbal::detail {
@@ -44,47 +45,13 @@ std::vector<std::pair<std::size_t, std::size_t>> tree_runs(
   return runs;
 }
 
-/// Keep only the leaves of \p balanced whose Morton interval lies within
-/// the closed span of the original run [first, last].
-template <int D>
-void clip_to_span(const std::vector<Octant<D>>& balanced,
-                  const Octant<D>& first, const Octant<D>& last,
-                  std::int32_t tree, std::vector<TreeOct<D>>& out) {
-  const morton_t lo = morton_key(first);
-  const morton_t hi =
-      morton_key(last) + (morton_t{1} << (D * size_exp(last)));
-  for (const auto& o : balanced) {
-    const morton_t key = morton_key(o);
-    if (key >= lo && key < hi) out.push_back(TreeOct<D>{tree, o});
-  }
-}
-
-/// True iff \p a is \p b or one of its ancestors in the same tree.
-template <int D>
-bool contains(const TreeOct<D>& a, const TreeOct<D>& b) {
-  return a.tree == b.tree && octbal::contains(a.oct, b.oct);
-}
-
-/// Remove duplicates and ancestors from the sorted array \p a, keeping the
-/// finest (an Octant<D> or TreeOct<D> array).  In Morton preorder an
-/// ancestor directly precedes its descendants, and contains() is
-/// reflexive, so one in-place pass dropping every element that contains its
-/// successor does it — no radix scratch, unlike the keyed linearize.
-template <class T>
-void drop_ancestors(std::vector<T>& a) {
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (i + 1 < a.size() && contains(a[i], a[i + 1])) continue;
-    a[w++] = a[i];
-  }
-  a.resize(w);
-}
-
 /// Sort a TreeOct array and remove ancestors (keep finest).
 template <int D>
 void linearize_treeocts(std::vector<TreeOct<D>>& a) {
   std::sort(a.begin(), a.end());
-  drop_ancestors(a);
+  drop_ancestors(a, [](const TreeOct<D>& x, const TreeOct<D>& y) {
+    return x.tree == y.tree && contains(x.oct, y.oct);
+  });
 }
 
 /// Exterior constraints per tree id: octants in that tree's frame (possibly
@@ -102,23 +69,26 @@ TreeConstraints<D> every_run(const std::vector<TreeOct<D>>& mine) {
 }
 
 /// Re-balance every run of \p mine whose tree has an entry in \p aux: the
-/// run merged with the entry's constraints (sorted here, in place), its
-/// coarsest balanced refinement, clipped back to the run's span.  Runs of
-/// trees without an entry are kept as they are.  Appends the leaves the
-/// re-balance created to \p created, sorted, when it is given.
+/// run merged with the entry's constraints, its coarsest balanced
+/// refinement, clipped back to the run's span.  Runs of trees without an
+/// entry are kept as they are.  Appends the leaves the re-balance created
+/// to \p created, sorted, when it is given.
 ///
-/// The run is already sorted and linear, so the balanced input is built by
-/// merging it with the sorted constraints and dropping ancestors in one
-/// in-place pass — the same array sort+linearize would produce, without the
-/// radix scratch of the keyed linearize.
+/// The run and its constraints are packed once.  The run is already sorted
+/// and linear, so the balanced input is built by merging it with the sorted
+/// constraints and dropping ancestors in one in-place pass — the same array
+/// sort+linearize would produce, without the radix scratch of the keyed
+/// linearize.  The kept leaves, found on key intervals, are unpacked once.
 template <int D>
-void rebalance_runs(std::vector<TreeOct<D>>& mine, TreeConstraints<D>& aux,
-                    SubtreeAlgo algo, int k, SubtreeBalanceStats* stats,
+void rebalance_runs(std::vector<TreeOct<D>>& mine,
+                    const TreeConstraints<D>& aux, SubtreeAlgo algo, int k,
+                    SubtreeBalanceStats* stats,
                     std::vector<TreeOct<D>>* created = nullptr) {
   if (aux.empty()) return;
-  const auto root = root_octant<D>();
+  const okey_t root = key_of(root_octant<D>());
   std::vector<TreeOct<D>> out;
   out.reserve(mine.size());
+  std::vector<okey_t> run, input;
   for (const auto& [i, j] : tree_runs(mine)) {
     const std::int32_t tree = mine[i].tree;
     const auto it = aux.find(tree);
@@ -126,28 +96,28 @@ void rebalance_runs(std::vector<TreeOct<D>>& mine, TreeConstraints<D>& aux,
       out.insert(out.end(), mine.begin() + i, mine.begin() + j);
       continue;
     }
-    auto& extra = it->second;
-    std::sort(extra.begin(), extra.end());
-    std::vector<Octant<D>> input;
-    input.reserve((j - i) + extra.size());
-    std::size_t q = i, e = 0;
-    while (q < j && e < extra.size()) {
-      if (extra[e] < mine[q].oct) {
-        input.push_back(extra[e++]);
-      } else {
-        input.push_back(mine[q++].oct);
-      }
-    }
-    for (; q < j; ++q) input.push_back(mine[q].oct);
-    input.insert(input.end(), extra.begin() + e, extra.end());
-    if (!extra.empty()) drop_ancestors(input);
-    const auto bal = balance_subtree(algo, input, k, root, stats);
-    const std::size_t w0 = out.size();
-    clip_to_span(bal, mine[i].oct, mine[j - 1].oct, tree, out);
-    if (created) {
-      std::set_difference(out.begin() + static_cast<std::ptrdiff_t>(w0),
-                          out.end(), mine.begin() + i, mine.begin() + j,
-                          std::back_inserter(*created));
+    run.clear();
+    for (std::size_t q = i; q < j; ++q) run.push_back(key_of(mine[q].oct));
+    std::vector<okey_t> extra = octants_to_keys(it->second);
+    std::sort(extra.begin(), extra.end(), key_less);
+    input.clear();
+    std::merge(run.begin(), run.end(), extra.begin(), extra.end(),
+               std::back_inserter(input), key_less);
+    if (!extra.empty()) drop_ancestors(input, key_contains);
+    const auto bal = balance_subtree<D>(algo, input, k, root, stats);
+    // The run's span is invariant under refinement: keep the leaves whose
+    // anchor lies in [begin of the first leaf, end of the last).
+    const morton_t lo = key_interval_begin<D>(run.front());
+    const morton_t hi = key_interval_end<D>(run.back());
+    auto b = std::partition_point(bal.begin(), bal.end(), [&](okey_t x) {
+      return key_interval_begin<D>(x) < lo;
+    });
+    std::size_t q = 0;  // the run's leaves not yet passed, for created
+    for (; b != bal.end() && key_interval_begin<D>(*b) < hi; ++b) {
+      out.push_back(TreeOct<D>{tree, key_oct<D>(*b)});
+      if (!created) continue;
+      while (q < run.size() && key_less(run[q], *b)) ++q;
+      if (q == run.size() || run[q] != *b) created->push_back(out.back());
     }
   }
   mine.swap(out);
@@ -159,21 +129,25 @@ template <int D>
 using LeafGroups = std::map<TreeOct<D>, std::vector<Octant<D>>>;
 
 /// Replace every grouped leaf of \p mine by the balanced subtree its group
-/// (sorted and linearized here, in place) reconstructs under it, and merge
+/// (packed, sorted and linearized here) reconstructs under it, and merge
 /// the cells back with one ancestor drop.  A group that reconstructs just
 /// its leaf changes nothing.  Appends the created cells to \p created,
 /// sorted, when it is given.
 template <int D>
-void apply_groups(std::vector<TreeOct<D>>& mine, LeafGroups<D>& groups,
+void apply_groups(std::vector<TreeOct<D>>& mine, const LeafGroups<D>& groups,
                   SubtreeAlgo algo, int k, SubtreeBalanceStats* stats,
                   std::vector<TreeOct<D>>* created = nullptr) {
   std::vector<TreeOct<D>> extra;
-  for (auto& [q, octs] : groups) {
-    std::sort(octs.begin(), octs.end());
-    drop_ancestors(octs);
-    const auto sub = balance_subtree(algo, octs, k, q.oct, stats);
-    if (sub.size() == 1 && sub[0] == q.oct) continue;  // already balanced
-    for (const auto& c : sub) extra.push_back(TreeOct<D>{q.tree, c});
+  for (const auto& [q, octs] : groups) {
+    std::vector<okey_t> seeds = octants_to_keys(octs);
+    std::sort(seeds.begin(), seeds.end(), key_less);
+    drop_ancestors(seeds, key_contains);
+    const okey_t leaf = key_of(q.oct);
+    const auto sub = balance_subtree<D>(algo, seeds, k, leaf, stats);
+    if (sub.size() == 1 && sub[0] == leaf) continue;  // already balanced
+    for (const okey_t c : sub) {
+      extra.push_back(TreeOct<D>{q.tree, key_oct<D>(c)});
+    }
   }
   if (extra.empty()) return;
   if (created) {

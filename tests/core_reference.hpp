@@ -2,8 +2,8 @@
 /// \file core_reference.hpp
 /// \brief Test-only reference for the core kernels: std::sort by
 /// Octant::operator< for sort_octants, sort-then-drop-ancestors for
-/// linearize, the pairwise order-and-containment test for is_linear, and a
-/// std::set membership model for OctantHashSet.
+/// linearize, the pairwise order-and-containment test for is_linear, and
+/// the octant hash and a std::set membership model for OctantHashSet.
 ///
 /// These are the plain definitions the packed-key kernels in core/ must
 /// reproduce byte for byte.  They are slow — comparison sorting of 24-byte
@@ -12,6 +12,7 @@
 /// kernels under test.
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -47,6 +48,18 @@ bool is_linear(const std::vector<Octant<D>>& a) {
     if (!(a[i] < a[i + 1]) || contains(a[i], a[i + 1])) return false;
   }
   return true;
+}
+
+/// The octant-valued hash OctantHashSet's key_hash must equal: the Morton
+/// key and level mixed through the splitmix64 finalizer.
+template <int D>
+std::uint64_t octant_hash(const Octant<D>& o) {
+  std::uint64_t z =
+      morton_key(o) ^ (static_cast<std::uint64_t>(o.level) << 58);
+  z += 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
 }
 
 /// Membership model of OctantHashSet: the same insert/contains/tag

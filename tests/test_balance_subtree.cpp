@@ -3,15 +3,24 @@
 /// balance algorithms must reproduce the ripple oracle exactly — on
 /// complete and incomplete inputs, in 1D/2D/3D, for every balance
 /// condition k — and the new algorithm must beat the old one on the
-/// operation counts the paper claims.
+/// operation counts the paper claims.  The SubtreeDifferential suite holds
+/// the packed-key kernels and their Octant<D> adapters to the coordinate
+/// reference in subtree_reference.hpp: the same output and the same six
+/// SubtreeBalanceStats counters.
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
 
 #include "core/balance_check.hpp"
 #include "core/balance_subtree.hpp"
 #include "core/linear.hpp"
+#include "core/neighborhood.hpp"
 #include "core/ripple.hpp"
+#include "core/seeds.hpp"
 #include "util/rng.hpp"
+#include "subtree_reference.hpp"
 
 namespace octbal {
 namespace {
@@ -230,6 +239,133 @@ TEST(SubtreeEdge, EmptyInputCompletesToRoot) {
   const std::vector<Oct2> s{};
   const std::vector<Oct2> want{root};
   EXPECT_EQ(balance_subtree_new(s, 1, root), want);
+}
+
+template <typename T>
+class SubtreeDifferential : public ::testing::Test {};
+TYPED_TEST_SUITE(SubtreeDifferential, Dims);
+
+std::array<std::uint64_t, 6> fields(const SubtreeBalanceStats& s) {
+  return {s.hash_queries,    s.hash_probes,    s.hash_rehash_probes,
+          s.binary_searches, s.sorted_octants, s.output_octants};
+}
+
+/// Both algorithms, through the Octant<D> adapter and the key kernel, must
+/// give the reference's output and counters on the sorted linear \p s.
+template <int D>
+void expect_matches_reference(const std::vector<Octant<D>>& s, int k,
+                              const Octant<D>& root, const std::string& what) {
+  ASSERT_TRUE(is_linear(s)) << what;
+  for (const auto algo : {SubtreeAlgo::kOld, SubtreeAlgo::kNew}) {
+    const std::string where = what + (algo == SubtreeAlgo::kOld ? " old" : " new") +
+                              " k=" + std::to_string(k);
+    SubtreeBalanceStats want, got, keyed;
+    const auto ref = reference::balance_subtree(algo, s, k, root, &want);
+    EXPECT_EQ(balance_subtree(algo, s, k, root, &got), ref) << where;
+    EXPECT_EQ(fields(got), fields(want)) << where;
+    EXPECT_EQ(balance_subtree<D>(algo, octants_to_keys(s), k, key_of(root),
+                                 &keyed),
+              octants_to_keys(ref))
+        << where;
+    EXPECT_EQ(fields(keyed), fields(want)) << where;
+  }
+}
+
+/// \p s moved by \p off root sides: a neighbour tree's octants in this
+/// tree's frame.
+template <int D>
+std::vector<Octant<D>> shifted(std::vector<Octant<D>> s,
+                               const std::array<int, D>& off) {
+  for (auto& o : s) {
+    for (int i = 0; i < D; ++i) o.x[i] += off[i] * root_len<D>;
+  }
+  return s;
+}
+
+TYPED_TEST(SubtreeDifferential, RandomCompleteInputs) {
+  constexpr int D = TypeParam::d;
+  Rng rng(61);
+  const auto root = root_octant<D>();
+  for (int iter = 0; iter < 8; ++iter) {
+    const auto s = random_complete_tree(rng, root, D == 3 ? 5 : 7,
+                                        D == 3 ? 300 : 400);
+    for (int k = 1; k <= D; ++k) {
+      expect_matches_reference(s, k, root, "iter " + std::to_string(iter));
+    }
+  }
+}
+
+TYPED_TEST(SubtreeDifferential, RandomIncompleteInputs) {
+  constexpr int D = TypeParam::d;
+  Rng rng(62);
+  const auto root = root_octant<D>();
+  for (int iter = 0; iter < 12; ++iter) {
+    const auto s = random_linear_set(rng, root, D == 3 ? 8 : 12, 30);
+    for (int k = 1; k <= D; ++k) {
+      expect_matches_reference(s, k, root, "iter " + std::to_string(iter));
+    }
+  }
+}
+
+TYPED_TEST(SubtreeDifferential, ExteriorConstraintsFromANeighborFrame) {
+  // A run plus octants of the neighbour tree across a face, edge or corner,
+  // as the old-configuration rebalance receives them.
+  constexpr int D = TypeParam::d;
+  Rng rng(63);
+  const auto root = root_octant<D>();
+  const auto& offs = full_offsets<D>();
+  for (int iter = 0; iter < 12; ++iter) {
+    auto s = random_complete_tree(rng, root, D == 3 ? 4 : 6, 60);
+    const auto& off = offs[rng.below(offs.size())];
+    const auto ext =
+        shifted<D>(random_linear_set(rng, root, D == 3 ? 7 : 9, 12), off);
+    s.insert(s.end(), ext.begin(), ext.end());
+    linearize(s);
+    for (int k = 1; k <= D; ++k) {
+      expect_matches_reference(s, k, root, "iter " + std::to_string(iter));
+    }
+  }
+}
+
+TYPED_TEST(SubtreeDifferential, SeedGroupsUnderASubtreeRoot) {
+  // The grouped rebalance: the seeds of several fine octants outside a
+  // leaf r, balanced with r as the root.
+  constexpr int D = TypeParam::d;
+  Rng rng(64);
+  const auto root = root_octant<D>();
+  int groups = 0;
+  for (int iter = 0; iter < 400 && groups < 40; ++iter) {
+    const auto r = random_octant(rng, root, 3);
+    const int k = 1 + static_cast<int>(rng.below(D));
+    std::vector<Octant<D>> seeds;
+    for (int j = 0; j < 4; ++j) {
+      const auto o = random_octant(rng, root, D == 3 ? 7 : 9);
+      if (overlaps(o, r)) continue;
+      const auto more = balance_seeds(o, r, k);
+      seeds.insert(seeds.end(), more.begin(), more.end());
+    }
+    if (seeds.empty()) continue;
+    ++groups;
+    linearize(seeds);
+    expect_matches_reference(seeds, k, r, "root " + to_string(r));
+  }
+  EXPECT_GE(groups, 10);
+}
+
+TYPED_TEST(SubtreeDifferential, LoneRootLeafYieldsToExteriorRipple) {
+  // The case of SubtreeEdge.RootLeafYieldsToExteriorRipple, in every
+  // dimension and at several depths of the exterior constraint.
+  constexpr int D = TypeParam::d;
+  const auto root = root_octant<D>();
+  for (int level = 2; level <= 6; level += 2) {
+    Octant<D> ext;  // just outside the low-x face of the root
+    ext.level = static_cast<level_t>(level);
+    ext.x[0] = -side_len(ext);
+    for (int k = 1; k <= D; ++k) {
+      expect_matches_reference<D>({ext, root}, k, root,
+                                  "level " + std::to_string(level));
+    }
+  }
 }
 
 }  // namespace

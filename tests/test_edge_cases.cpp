@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "comm/notify.hpp"
 #include "core/balance_check.hpp"
+#include "core/balance_subtree.hpp"
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
 #include "core/ripple.hpp"
@@ -237,6 +239,81 @@ TEST(Preconditions, BalanceSubtreeNewRejectsKOutOfRange) {
         << "k=" << k;
   }
   EXPECT_EQ(balance_subtree_new<3>(s, 3, root).size(), 15u);
+}
+
+/// Runs \p call, which must throw std::invalid_argument whose message
+/// names balance_subtree and contains \p what.
+template <class Call>
+void expect_subtree_rejects(Call call, const std::string& what) {
+  try {
+    call();
+    ADD_FAILURE() << "no exception; want one naming " << what;
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("balance_subtree"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+TEST(Preconditions, BalanceSubtreeRejectsInvalidRoot) {
+  const std::vector<Octant<2>> s{child(child(root_octant<2>(), 0), 3)};
+  Octant<2> coarse;  // level -1: no octant of the tree
+  coarse.level = -1;
+  Octant<2> deep;
+  deep.level = max_level<2> + 1;
+  Octant<2> misaligned = child(root_octant<2>(), 0);
+  misaligned.x[1] = 1;
+  Octant<2> outside = child(root_octant<2>(), 0);
+  outside.x[0] = root_len<2>;
+  for (const auto& root : {coarse, deep, misaligned, outside}) {
+    for (int k = 1; k <= 2; ++k) {
+      expect_subtree_rejects([&] { balance_subtree_new<2>(s, k, root); },
+                             "root");
+      expect_subtree_rejects([&] { balance_subtree_old<2>(s, k, root); },
+                             "root");
+    }
+  }
+}
+
+TEST(Preconditions, BalanceSubtreeRejectsNonExtendedValidInput) {
+  const auto root = root_octant<2>();
+  Octant<2> misaligned;  // a level-1 octant anchored at (1, 0)
+  misaligned.level = 1;
+  misaligned.x = {1, 0};
+  Octant<2> too_deep;
+  too_deep.level = max_level<2> + 3;
+  Octant<2> far;  // 3R outside the root: beyond the exterior headroom
+  far.x = {3 * root_len<2>, 0};
+  for (const auto& o : {misaligned, too_deep, far}) {
+    const std::vector<Octant<2>> s{o};
+    expect_subtree_rejects([&] { balance_subtree_new<2>(s, 2, root); },
+                           "extended-valid");
+    expect_subtree_rejects([&] { balance_subtree_old<2>(s, 2, root); },
+                           "extended-valid");
+  }
+}
+
+TEST(Preconditions, BalanceSubtreeRejectsInputOutsideHalo) {
+  // The halo of a level-1 subtree root reaches half a tree past it; an
+  // extended-valid octant beyond it is no constraint the root can feel.
+  const auto sub = child(root_octant<2>(), 0);
+  Octant<2> beyond = child(child(child(root_octant<2>(), 0), 0), 0);
+  beyond.x[0] += root_len<2>;
+  const std::vector<Octant<2>> s{beyond};
+  ASSERT_TRUE(is_extended_valid(beyond));
+  for (int k = 1; k <= 2; ++k) {
+    expect_subtree_rejects([&] { balance_subtree_new<2>(s, k, sub); },
+                           "halo");
+    expect_subtree_rejects([&] { balance_subtree_old<2>(s, k, sub); },
+                           "halo");
+  }
+  // The key kernels reject what no octant packs to: key 0.
+  const std::vector<okey_t> bad{0};
+  expect_subtree_rejects(
+      [&] { balance_subtree_new<2>(bad, 2, key_of(sub)); }, "extended-valid");
+  // Just inside the halo is accepted.
+  beyond.x[0] -= side_len(beyond);
+  EXPECT_NO_THROW(balance_subtree_new<2>({beyond}, 2, sub));
 }
 
 TEST(Preconditions, BalanceSeedsRejectsKOutOfRangeAndOverlap) {

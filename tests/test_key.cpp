@@ -15,6 +15,7 @@
 #include "core/octant_hash.hpp"
 #include "core/sort.hpp"
 #include "util/rng.hpp"
+#include "core_reference.hpp"
 
 namespace octbal {
 namespace {
@@ -163,7 +164,7 @@ TYPED_TEST(KeyTypedTest, HierarchyOpsDifferential) {
     EXPECT_EQ(key_interval_begin<D>(k), morton_key(o));
     EXPECT_EQ(key_interval_end<D>(k),
               morton_key(o) + (morton_t{1} << (D * size_exp(o))));
-    EXPECT_EQ(key_hash<D>(k), octant_hash(o));
+    EXPECT_EQ(key_hash<D>(k), reference::octant_hash(o));
   }
 }
 

@@ -227,15 +227,15 @@ std::uint64_t tag_total(const obs::MemSnapshot& m, obs::MemTag tag) {
 TEST(PerfGuards, MemoryPeaksPinnedPerLayout) {
   // The memory accountant tracks logical capacity transitions, so every
   // figure below is a pure function of the workload and of the record
-  // types the kernels size (KeyRec sort scratch, packed-key hash slots) —
-  // pinned exactly, like the traffic goldens (the same numbers live in
-  // BENCH_baseline.json's fig15 memory sections).
+  // types the kernels size (KeyRec sort scratch, packed-key hash slots and
+  // subtree working sets) — pinned exactly, like the traffic goldens (the
+  // same numbers live in BENCH_baseline.json's fig15 memory sections).
   obs::MemSession mem(16);
   Forest<3> f = fig15_step2_forest();
   SimComm comm(16);
   balance(f, BalanceOptions::new_config(), comm);
   const obs::MemSnapshot m = mem.snapshot();
-  EXPECT_EQ(m.peak_bytes, 11304912u);
+  EXPECT_EQ(m.peak_bytes, 10971968u);
   EXPECT_EQ(tag_total(m, obs::MemTag::kHashSlots), 4718592u);
   EXPECT_EQ(tag_total(m, obs::MemTag::kForestLeaves), 4793440u);
   EXPECT_EQ(tag_total(m, obs::MemTag::kBalanceStaging), 1496824u);

@@ -98,10 +98,11 @@ TYPED_TEST(ReduceTest, FindPrecludingLeMatchesLinearScan) {
   for (int iter = 0; iter < 20; ++iter) {
     const auto t = random_complete_tree(rng, root, 5, 80);
     const auto r = reduce(t);
+    const auto rk = octants_to_keys(r);
     for (int q = 0; q < 100; ++q) {
       auto probe = random_octant(rng, root, 5);
       if (probe.level == 0) continue;
-      const std::size_t idx = find_precluding_le(r, probe);
+      const std::size_t idx = find_precluding_le<D>(rk, key_of(probe));
       // Linear scan for any element preclusion-below the probe.
       std::size_t expect = npos;
       for (std::size_t i = 0; i < r.size(); ++i) {

@@ -11,6 +11,7 @@
 #include "util/rng.hpp"
 #include "util/svg.hpp"
 #include "forest/forest.hpp"
+#include "core_reference.hpp"
 #include <fstream>
 
 namespace octbal {
@@ -55,7 +56,7 @@ TEST(OctantHash, InsertContainsGrowth) {
   std::set<std::pair<morton_t, int>> reference;
   for (int i = 0; i < 2000; ++i) {
     const auto o = random_octant(rng, root, 8);
-    const bool inserted = set.insert(o);
+    const bool inserted = set.insert(key_of(o));
     const bool fresh =
         reference.insert({morton_key(o), o.level}).second;
     EXPECT_EQ(inserted, fresh);
@@ -66,7 +67,7 @@ TEST(OctantHash, InsertContainsGrowth) {
   Rng rng2(5);
   for (int i = 0; i < 2000; ++i) {
     const auto o = random_octant(rng2, root, 8);
-    EXPECT_TRUE(set.contains(o));
+    EXPECT_TRUE(set.contains(key_of(o)));
   }
 }
 
@@ -88,7 +89,7 @@ struct RefHash {
 
   std::size_t find(const Oct2& o, std::uint64_t* counter) const {
     const std::size_t mask = slots.size() - 1;
-    std::size_t i = octant_hash(o) & mask;
+    std::size_t i = reference::octant_hash(o) & mask;
     while (slots[i].used && !(slots[i].oct == o)) {
       ++*counter;
       i = (i + 1) & mask;
@@ -127,11 +128,11 @@ TEST(OctantHash, GrowthExcludesRehashProbesFromQueryMetric) {
   const auto root = root_octant<2>();
   for (int i = 0; i < 3000; ++i) {
     const auto o = random_octant(rng, root, 9);
-    set.insert(o);
+    set.insert(key_of(o));
     ref.insert(o);
     if (i % 4 == 0) {
       const auto probe = random_octant(rng, root, 9);
-      set.contains(probe);
+      set.contains(key_of(probe));
       ref.contains(probe);
     }
   }
@@ -148,13 +149,13 @@ TEST(OctantHash, GrowthExcludesRehashProbesFromQueryMetric) {
 TEST(OctantHash, TaggingAndCollect) {
   OctantHashSet<2> set;
   const auto root = root_octant<2>();
-  const auto a = child(root, 0), b = child(root, 1);
+  const okey_t a = key_of(child(root, 0)), b = key_of(child(root, 1));
   set.insert(a);
   set.insert(b);
   set.tag(a);
   EXPECT_TRUE(set.is_tagged(a));
   EXPECT_FALSE(set.is_tagged(b));
-  std::vector<Oct2> all, untagged;
+  std::vector<okey_t> all, untagged;
   set.collect(all);
   set.collect(untagged, /*skip_tagged=*/true);
   EXPECT_EQ(all.size(), 2u);
