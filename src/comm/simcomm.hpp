@@ -272,18 +272,13 @@ class SimComm {
   /// ordering guarantee across senders; algorithms built on SimComm must
   /// not depend on it, and the test suite and the audit fuzzer
   /// (src/audit) run the full balance pipeline under scrambling to prove
-  /// they do not.  The seed is retained so a failing run can be replayed
-  /// with the identical delivery schedule.
+  /// they do not.  The same seed replays the identical delivery schedule.
   void set_scramble(std::uint64_t seed) {
     scramble_ = true;
-    scramble_seed_ = seed;
     scramble_state_ = seed | 1;
   }
 
   bool scrambled() const { return scramble_; }
-
-  /// The seed passed to set_scramble() (meaningful only when scrambled()).
-  std::uint64_t scramble_seed() const { return scramble_seed_; }
 
  private:
   void charge_collective(std::size_t total_bytes);
@@ -304,7 +299,6 @@ class SimComm {
   CostModel model_;
   double modeled_time_ = 0.0;
   bool scramble_ = false;
-  std::uint64_t scramble_seed_ = 0;
   std::uint64_t scramble_state_ = 0;
   std::unique_ptr<obs::Metrics> metrics_;
   std::vector<Round> rounds_;

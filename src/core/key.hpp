@@ -33,6 +33,8 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/octant.hpp"
@@ -193,13 +195,6 @@ constexpr morton_t key_interval_end(okey_t k) {
 
 namespace detail {
 
-/// Dilated per-dimension lane masks of the Morton interleave.
-template <int D>
-inline constexpr std::uint64_t lane_mask =
-    D == 1   ? ~std::uint64_t{0}
-    : D == 2 ? 0x5555555555555555ull
-             : 0x1249249249249249ull;
-
 /// Spread a coordinate magnitude into dimension \p i's Morton lane.
 template <int D>
 constexpr std::uint64_t lane_spread(std::uint64_t v, int i) {
@@ -226,45 +221,6 @@ constexpr std::uint64_t lane_compact(std::uint64_t m, int i) {
 
 }  // namespace detail
 
-/// Same-size neighbor offset by \p off octant side lengths per dimension,
-/// without unpacking to coordinates: dilated add/subtract directly in the
-/// Morton code (Cornerstone's branch-free neighbor technique), then a
-/// per-dimension top-bits check that the result stays inside the root.
-/// Exact mirror of neighbor_in_root: returns false (out untouched) when the
-/// neighbor leaves the root octant.
-template <int D>
-constexpr bool key_neighbor_in_root(okey_t k, const std::array<int, D>& off,
-                                    okey_t* out) {
-  const int l = key_level<D>(k);
-  morton_t m = key_morton<D>(k);
-  const std::uint64_t h = std::uint64_t{1} << (max_level<D> - l);
-  bool ok = true;
-  for (int i = 0; i < D; ++i) {
-    const std::uint64_t mask = detail::lane_mask<D> << i;
-    const std::uint64_t mag =
-        (off[i] < 0 ? -static_cast<std::uint64_t>(off[i])
-                    : static_cast<std::uint64_t>(off[i])) *
-        h;
-    // |offset| >= 2 root lengths cannot land inside the root from any
-    // extended-valid start; reject before the dilated arithmetic can wrap
-    // more than once around the biased coordinate field.
-    if (mag >= (std::uint64_t{2} << max_level<D>)) return false;
-    const std::uint64_t sv = detail::lane_spread<D>(mag, i);
-    // Dilated add/sub: carries/borrows skip the other dimensions' bits.
-    const std::uint64_t lane = off[i] < 0
-                                   ? ((m & mask) - sv) & mask
-                                   : ((m | ~mask) + sv) & mask;
-    m = (m & ~mask) | lane;
-    // In-root biased coordinate iff the two headroom bits read exactly 01
-    // (biased coordinate in [root_len, 2*root_len)); any dilated wrap-around
-    // lands outside that window and is rejected here too.
-    ok &= (detail::lane_compact<D>(m, i) >> max_level<D>) == 1;
-  }
-  if (!ok) return false;
-  *out = (okey_t{1} << (D * (l + 2))) | (m >> (D * (max_level<D> - l)));
-  return true;
-}
-
 /// Non-owning view of a packed-key array — the SoA counterpart of
 /// `const std::vector<Octant<D>>&`.  Dimension-independent: the keys carry
 /// their own geometry.
@@ -288,6 +244,27 @@ template <int D>
 inline std::vector<okey_t> octants_to_keys(const std::vector<Octant<D>>& a) {
   std::vector<okey_t> k(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) k[i] = key_of(a[i]);
+  return k;
+}
+
+/// key_of for the public Octant<D> entry points: key_of only asserts
+/// extended validity and would round a misaligned anchor, so an octant it
+/// cannot pack throws std::invalid_argument naming \p fn instead.
+template <int D>
+okey_t checked_key_of(const Octant<D>& o, const char* fn) {
+  if (!is_extended_valid(o)) {
+    throw std::invalid_argument(std::string(fn) + ": " + to_string(o) +
+                                " is not an extended-valid octant");
+  }
+  return key_of(o);
+}
+
+/// octants_to_keys through checked_key_of.
+template <int D>
+std::vector<okey_t> checked_octants_to_keys(const std::vector<Octant<D>>& a,
+                                            const char* fn) {
+  std::vector<okey_t> k(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) k[i] = checked_key_of(a[i], fn);
   return k;
 }
 

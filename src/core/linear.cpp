@@ -132,15 +132,6 @@ bool is_complete(const std::vector<Octant<D>>& a, const Octant<D>& root) {
 }
 
 template <int D>
-void fill_gap(const Octant<D>& root, std::optional<Octant<D>> after,
-              std::optional<Octant<D>> before, std::vector<Octant<D>>& out) {
-  std::vector<okey_t> tiles;
-  fill_gap_keys<D>(key_of(root), after ? key_of(*after) : okey_t{0},
-                   before ? key_of(*before) : okey_t{0}, tiles);
-  for (const okey_t k : tiles) out.push_back(key_oct<D>(k));
-}
-
-template <int D>
 std::vector<okey_t> complete_keys(KeySpan a, okey_t root) {
   const obs::MemScope fill(obs::MemTag::kLinearize,
                            (a.size() * 2 + 8) * sizeof(okey_t));
@@ -168,7 +159,9 @@ std::vector<okey_t> complete_keys(KeySpan a, okey_t root) {
 template <int D>
 std::vector<Octant<D>> complete(const std::vector<Octant<D>>& a,
                                 const Octant<D>& root) {
-  return keys_to_octants<D>(complete_keys<D>(octants_to_keys(a), key_of(root)));
+  return keys_to_octants<D>(
+      complete_keys<D>(checked_octants_to_keys(a, "complete"),
+                       checked_key_of(root, "complete")));
 }
 
 template <int D>
@@ -198,9 +191,6 @@ std::size_t binary_find(const std::vector<Octant<D>>& a, const Octant<D>& q) {
   template bool is_linear<D>(const std::vector<Octant<D>>&);                   \
   template bool is_complete<D>(const std::vector<Octant<D>>&,                  \
                                const Octant<D>&);                              \
-  template void fill_gap<D>(const Octant<D>&, std::optional<Octant<D>>,        \
-                            std::optional<Octant<D>>,                          \
-                            std::vector<Octant<D>>&);                          \
   template std::vector<Octant<D>> complete<D>(const std::vector<Octant<D>>&,   \
                                               const Octant<D>&);               \
   template std::vector<okey_t> complete_keys<D>(KeySpan, okey_t);              \

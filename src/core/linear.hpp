@@ -11,7 +11,6 @@
 /// key kernel and unpack (linearize below the radix crossover excepted,
 /// where packing costs more than it saves).
 
-#include <optional>
 #include <vector>
 
 #include "core/key.hpp"
@@ -52,20 +51,12 @@ bool is_linear_keys(KeySpan a);
 template <int D>
 bool is_complete(const std::vector<Octant<D>>& a, const Octant<D>& root);
 
-/// Append to \p out the coarsest octants that tile the space inside \p root
-/// strictly between \p after and \p before (in Morton order).  Either bound
-/// may be std::nullopt, meaning the gap extends to the respective end of
-/// \p root.  Bounds must be descendants-or-equal of \p root and must not
-/// overlap each other.
-template <int D>
-void fill_gap(const Octant<D>& root, std::optional<Octant<D>> after,
-              std::optional<Octant<D>> before, std::vector<Octant<D>>& out);
-
 /// The paper's Complete: given a linear (gap-ridden) array \p a inside
 /// \p root, return the coarsest complete linear octree of \p root that
 /// contains every element of \p a as a leaf.  Throws
-/// std::invalid_argument when \p a is not linear or has an element
-/// outside \p root (checked on the fly, O(1) per element).
+/// std::invalid_argument when \p root or an element of \p a is not an
+/// extended-valid octant, when \p a is not linear, or when it has an
+/// element outside \p root (checked on the fly, O(1) per element).
 template <int D>
 std::vector<Octant<D>> complete(const std::vector<Octant<D>>& a,
                                 const Octant<D>& root);

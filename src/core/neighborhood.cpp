@@ -75,16 +75,6 @@ void coarse_neighborhood(const Octant<D>& o, int k, const Octant<D>& domain,
   }
 }
 
-template <int D>
-void same_size_neighborhood(const Octant<D>& o, int k, const Octant<D>& domain,
-                            std::vector<Octant<D>>& out) {
-  require_balance_k<D>(k, "same_size_neighborhood");
-  Octant<D> n;
-  for (const auto& off : balance_offsets<D>(k)) {
-    if (neighbor_in<D>(o, off, domain, &n)) out.push_back(n);
-  }
-}
-
 #define OCTBAL_INSTANTIATE(D)                                                \
   template const std::vector<std::array<int, D>>& balance_offsets<D>(int);   \
   template const std::vector<std::array<int, D>>& full_offsets<D>();         \
@@ -92,10 +82,7 @@ void same_size_neighborhood(const Octant<D>& o, int k, const Octant<D>& domain,
                                const Octant<D>&, Octant<D>*);                \
   template void coarse_neighborhood<D>(const Octant<D>&, int,               \
                                        const Octant<D>&,                     \
-                                       std::vector<Octant<D>>&);             \
-  template void same_size_neighborhood<D>(const Octant<D>&, int,            \
-                                          const Octant<D>&,                  \
-                                          std::vector<Octant<D>>&);
+                                       std::vector<Octant<D>>&);
 OCTBAL_INSTANTIATE(1)
 OCTBAL_INSTANTIATE(2)
 OCTBAL_INSTANTIATE(3)

@@ -62,10 +62,4 @@ template <int D>
 void coarse_neighborhood(const Octant<D>& o, int k, const Octant<D>& domain,
                          std::vector<Octant<D>>& out);
 
-/// Same-sized neighbors of \p o across the k-balance boundary objects,
-/// clipped to \p domain.  Appends to \p out.
-template <int D>
-void same_size_neighborhood(const Octant<D>& o, int k, const Octant<D>& domain,
-                            std::vector<Octant<D>>& out);
-
 }  // namespace octbal

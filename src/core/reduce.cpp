@@ -24,7 +24,8 @@ std::vector<okey_t> reduce_keys(KeySpan s) {
 
 template <int D>
 std::vector<Octant<D>> reduce(const std::vector<Octant<D>>& s) {
-  return keys_to_octants<D>(reduce_keys<D>(octants_to_keys(s)));
+  return keys_to_octants<D>(
+      reduce_keys<D>(checked_octants_to_keys(s, "reduce")));
 }
 
 template <int D>

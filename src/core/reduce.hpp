@@ -21,7 +21,8 @@
 namespace octbal {
 
 /// Reduce a sorted (linear) octant array to its preclusion-minimal,
-/// 0-sibling-normalized representation (Figure 8 of the paper).
+/// 0-sibling-normalized representation (Figure 8 of the paper).  Throws
+/// std::invalid_argument when an element is not an extended-valid octant.
 template <int D>
 std::vector<Octant<D>> reduce(const std::vector<Octant<D>>& s);
 

@@ -330,7 +330,6 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
                   respond_piece(leaves, nb, w, q.oct, k, opt.seed_response,
                                 out, work);
                 }
-                return false;
               });
         }
         // Seeds from different response octants overlap; deduplicate.

@@ -7,9 +7,11 @@
 /// Numerical codes built on 2:1-balanced forests need the neighboring
 /// remote elements to assemble operators near partition boundaries (the
 /// paper's motivation for balance in the first place).  Ghost exchange
-/// reuses the same machinery as the balance Query phase: the halo-piece
-/// kernel and owner walk of forest/halo.hpp, followed by a Notify-reversed
-/// exchange and an exact receiver check by key range (DESIGN.md §2.20).
+/// reuses the halo-piece kernel and owner walk of the balance Query phase
+/// (forest/halo.hpp).  The sender decides adjacency exactly from the
+/// owners' partition markers, so one exchange builds the layer: adjacency
+/// is symmetric, every rank receives from the ranks it sends to, and the
+/// receiver keeps what arrives (DESIGN.md §2.20).
 
 #include "forest/forest.hpp"
 
@@ -27,16 +29,8 @@ struct GhostLayer {
     friend bool operator==(const Entry&, const Entry&) = default;
   };
   std::vector<std::vector<Entry>> per_rank;
-  CommStats traffic;         ///< candidate-exchange volume
-  CommStats notify_traffic;  ///< the pattern-reversal step's own volume
+  CommStats traffic;          ///< the exchange: all the build sends
   OwnerScanStats owner_scan;  ///< sender-side windowed owner resolution
-  /// Total traffic of building the layer (exchange + notify) — what a
-  /// report should charge the ghost build with.
-  CommStats total_traffic() const {
-    CommStats t = traffic;
-    t += notify_traffic;
-    return t;
-  }
 };
 
 /// Build the k-ghost layer of \p f.  Throws std::invalid_argument when

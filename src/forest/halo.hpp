@@ -1,8 +1,8 @@
 #pragma once
 /// \file halo.hpp
 /// \brief Same-size halo pieces of a forest octant: the one kernel behind
-/// balance's query build and response, the ghost candidate walk and
-/// receiver check, and delta balance's push (DESIGN.md §2.10).
+/// balance's query build and response, the ghost layer's sender walk, and
+/// delta balance's push (DESIGN.md §2.10).
 ///
 /// A piece that stays inside its tree is a coordinate offset in the
 /// identity frame; only a piece that leaves the tree goes through
@@ -36,10 +36,9 @@ bool halo_in_tree(const Octant<D>& o) {
 /// piece.oct is in piece.tree's frame and piece.xform maps it back into
 /// to's frame; same_frame is true when the piece lies in to's tree in the
 /// identity frame.  A periodic wrap back into the same tree is a different
-/// frame.  fn returns true to stop the walk; the function then returns
-/// true.
+/// frame.
 template <int D, class Fn>
-bool for_each_halo_piece(const Connectivity<D>& conn, const TreeOct<D>& to,
+void for_each_halo_piece(const Connectivity<D>& conn, const TreeOct<D>& to,
                          std::span<const std::array<int, D>> offs, Fn&& fn) {
   const coord_t h = side_len(to.oct);
   TreeNeighbor<D> in;
@@ -53,20 +52,19 @@ bool for_each_halo_piece(const Connectivity<D>& conn, const TreeOct<D>& to,
       inside = inside && c >= 0 && c + h <= root_len<D>;
     }
     if (inside) {
-      if (fn(static_cast<const TreeNeighbor<D>&>(in), true)) return true;
+      fn(static_cast<const TreeNeighbor<D>&>(in), true);
       continue;
     }
     const auto nb = conn.neighbor(to.tree, to.oct, off);
     if (!nb) continue;
     const bool same_frame = nb->tree == to.tree &&
                             nb->xform == FrameTransform<D>::identity();
-    if (fn(static_cast<const TreeNeighbor<D>&>(*nb), same_frame)) return true;
+    fn(static_cast<const TreeNeighbor<D>&>(*nb), same_frame);
   }
-  return false;
 }
 
 /// The owner walk over the halo pieces of one rank's octants, shared by the
-/// query build, the ghost candidate walk and the delta push.  For each piece
+/// query build, the ghost sender walk and the delta push.  For each piece
 /// that is not covered by the rank's own curve span in the identity frame,
 /// it resolves the owner ranks through an OwnerWindow (DESIGN.md §2.10):
 /// the envelope's window is set once per octant whose envelope stays in its
@@ -119,11 +117,10 @@ class HaloOwnerWalk {
           const GlobalPos hi{nb.tree, lo.key + sz};
           if (same_frame && own_lo_ <= lo &&
               GlobalPos{nb.tree, hi.key - 1} < own_hi_) {
-            return false;  // inside the rank's own span
+            return;  // inside the rank's own span
           }
           const auto [first, last] = owners_.owners_of(lo, hi);
           fn(nb, same_frame, first, last);
-          return false;
         });
   }
 

@@ -10,12 +10,18 @@
 /// records, a node-based set — and exist only so the differential tests in
 /// test_core_differential.cpp have an oracle that shares no code with the
 /// kernels under test.
+///
+/// key_neighbor_in_root, a same-size neighbor computed in the Morton code,
+/// goes the other way: test_key.cpp checks it against neighbor_in_root to
+/// cross-check the key lane helpers.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 #include <vector>
 
+#include "core/key.hpp"
 #include "core/octant.hpp"
 
 namespace octbal::reference {
@@ -95,5 +101,49 @@ class HashSetModel {
   std::set<Octant<D>> members_, tagged_;
   std::uint64_t queries_ = 0;
 };
+
+/// Same-size neighbor offset by \p off octant side lengths per dimension,
+/// without unpacking to coordinates: dilated add/subtract directly in the
+/// Morton code (Cornerstone's branch-free neighbor technique), then a
+/// per-dimension top-bits check that the result stays inside the root.
+/// Exact mirror of neighbor_in_root: returns false (out untouched) when the
+/// neighbor leaves the root octant.  Kept as a cross-check of the lane
+/// helpers of core/key.hpp, which the subtree balance kernel uses.
+template <int D>
+constexpr bool key_neighbor_in_root(okey_t k, const std::array<int, D>& off,
+                                    okey_t* out) {
+  const int l = key_level<D>(k);
+  morton_t m = key_morton<D>(k);
+  const std::uint64_t h = std::uint64_t{1} << (max_level<D> - l);
+  // Dilated per-dimension lane mask of the Morton interleave.
+  constexpr std::uint64_t lane_mask = D == 1   ? ~std::uint64_t{0}
+                                      : D == 2 ? 0x5555555555555555ull
+                                               : 0x1249249249249249ull;
+  bool ok = true;
+  for (int i = 0; i < D; ++i) {
+    const std::uint64_t mask = lane_mask << i;
+    const std::uint64_t mag =
+        (off[i] < 0 ? -static_cast<std::uint64_t>(off[i])
+                    : static_cast<std::uint64_t>(off[i])) *
+        h;
+    // |offset| >= 2 root lengths cannot land inside the root from any
+    // extended-valid start; reject before the dilated arithmetic can wrap
+    // more than once around the biased coordinate field.
+    if (mag >= (std::uint64_t{2} << max_level<D>)) return false;
+    const std::uint64_t sv = detail::lane_spread<D>(mag, i);
+    // Dilated add/sub: carries/borrows skip the other dimensions' bits.
+    const std::uint64_t lane = off[i] < 0
+                                   ? ((m & mask) - sv) & mask
+                                   : ((m | ~mask) + sv) & mask;
+    m = (m & ~mask) | lane;
+    // In-root biased coordinate iff the two headroom bits read exactly 01
+    // (biased coordinate in [root_len, 2*root_len)); any dilated wrap-around
+    // lands outside that window and is rejected here too.
+    ok &= (detail::lane_compact<D>(m, i) >> max_level<D>) == 1;
+  }
+  if (!ok) return false;
+  *out = (okey_t{1} << (D * (l + 2))) | (m >> (D * (max_level<D> - l)));
+  return true;
+}
 
 }  // namespace octbal::reference

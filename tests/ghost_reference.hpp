@@ -9,8 +9,11 @@
 /// library ran before its key-native check: a per-tree std::map copy of the
 /// rank's leaves and one neighbor lookup per offset.
 ///
-/// build_ghost_layer must reproduce per_rank and the exchange traffic byte
-/// for byte (tests/test_ghost_differential.cpp).
+/// The traffic is that of the exact relation: one message per non-empty
+/// (owner, receiver) pair of per_rank, carrying one wire record per entry.
+/// build_ghost_layer decides adjacency on the sender, so it must reproduce
+/// per_rank and this traffic byte for byte
+/// (tests/test_ghost_differential.cpp).
 
 #include <map>
 #include <set>
@@ -54,7 +57,7 @@ struct WireGhost {
 template <int D>
 struct GhostResult {
   std::vector<std::vector<typename GhostLayer<D>::Entry>> per_rank;
-  CommStats traffic;  ///< one message per non-empty (sender, receiver) pair
+  CommStats traffic;  ///< one message per non-empty (owner, receiver) pair
 };
 
 template <int D>
@@ -85,14 +88,16 @@ GhostResult<D> ghost_layer(const Forest<D>& f, int k) {
     std::map<int, std::vector<Octant<D>>> mine;
     for (const auto& to : f.local(r)) mine[to.tree].push_back(to.oct);
     for (int s = 0; s < P; ++s) {
-      if (send[s][r].empty()) continue;
-      ++out.traffic.messages;
-      out.traffic.bytes += send[s][r].size() * sizeof(WireGhost<D>);
+      std::size_t kept = 0;
       for (const auto& g : send[s][r]) {
         if (adjacent_to_any(conn, g, k, mine)) {
           out.per_rank[r].push_back(typename GhostLayer<D>::Entry{g, s});
+          ++kept;
         }
       }
+      if (kept == 0) continue;
+      ++out.traffic.messages;
+      out.traffic.bytes += kept * sizeof(WireGhost<D>);
     }
     std::sort(out.per_rank[r].begin(), out.per_rank[r].end(),
               [](const auto& a, const auto& b) { return a.oct < b.oct; });

@@ -14,6 +14,7 @@
 #include "core/balance_subtree.hpp"
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
+#include "core/reduce.hpp"
 #include "core/ripple.hpp"
 #include "core/seeds.hpp"
 #include "forest/balance.hpp"
@@ -378,13 +379,10 @@ TEST(Preconditions, NeighborhoodsRejectKOutOfRange) {
     EXPECT_THROW(coarse_neighborhood<2>(o, k, root, out),
                  std::invalid_argument)
         << "k=" << k;
-    EXPECT_THROW(same_size_neighborhood<2>(o, k, root, out),
-                 std::invalid_argument)
-        << "k=" << k;
   }
   EXPECT_TRUE(out.empty());
-  same_size_neighborhood<2>(o, 2, root, out);
-  EXPECT_EQ(out.size(), 8u);
+  coarse_neighborhood<2>(o, 2, root, out);
+  EXPECT_EQ(out.size(), 3u);
 }
 
 TEST(Preconditions, ForestOraclesRejectKOutOfRange) {
@@ -425,6 +423,40 @@ TEST(Preconditions, CompleteRejectsNonLinearOrOutsideRoot) {
   }
   const Oct2 root = root_octant<2>();
   EXPECT_EQ(complete(std::vector<Oct2>{child(root, 1)}, root).size(), 4u);
+}
+
+/// Octants key_of cannot pack: a misaligned anchor, a level past
+/// max_level, and an anchor beyond the extended range.
+std::vector<Oct2> non_extended_valid_octants() {
+  Oct2 misaligned;
+  misaligned.x = {1, 0};
+  misaligned.level = 1;
+  Oct2 too_deep;
+  too_deep.level = max_level<2> + 1;
+  Oct2 too_far;
+  too_far.x = {2 * root_len<2>, 0};
+  too_far.level = 1;
+  return {misaligned, too_deep, too_far};
+}
+
+TEST(Preconditions, CompleteRejectsNonExtendedValidOctants) {
+  const Oct2 root = root_octant<2>();
+  for (const Oct2& bad : non_extended_valid_octants()) {
+    EXPECT_THROW(complete(std::vector<Oct2>{bad}, root), std::invalid_argument)
+        << to_string(bad);
+    EXPECT_THROW(complete(std::vector<Oct2>{}, bad), std::invalid_argument)
+        << to_string(bad);
+  }
+}
+
+TEST(Preconditions, ReduceRejectsNonExtendedValidOctants) {
+  const Oct2 root = root_octant<2>();
+  for (const Oct2& bad : non_extended_valid_octants()) {
+    EXPECT_THROW(reduce(std::vector<Oct2>{child(root, 0), bad}),
+                 std::invalid_argument)
+        << to_string(bad);
+  }
+  EXPECT_EQ(reduce(std::vector<Oct2>{child(root, 1)}).size(), 1u);
 }
 
 TEST(Preconditions, CompleteKeysRejectsNonLinearOrOutsideRoot) {

@@ -219,9 +219,11 @@ TYPED_TEST(KeyTypedTest, NeighborDifferential) {
     Octant<D> ref_out;
     okey_t key_out = 0;
     const bool ref = neighbor_in_root<D>(o, off, &ref_out);
-    const bool got = key_neighbor_in_root<D>(k, off, &key_out);
+    const bool got = reference::key_neighbor_in_root<D>(k, off, &key_out);
     ASSERT_EQ(got, ref) << to_string(o);
-    if (ref) ASSERT_EQ(key_oct<D>(key_out), ref_out) << to_string(o);
+    if (ref) {
+      ASSERT_EQ(key_oct<D>(key_out), ref_out) << to_string(o);
+    }
   }
 }
 

@@ -116,14 +116,17 @@ TYPED_TEST(LinearTest, FillGapProducesExactTiling) {
   for (int iter = 0; iter < 50; ++iter) {
     auto s = random_linear_set(rng, root, 6, 2);
     if (s.size() != 2) continue;
-    std::vector<Octant<D>> out;
-    out.push_back(s[0]);
-    fill_gap<D>(root, s[0], s[1], out);
-    out.push_back(s[1]);
-    // The result tiles [begin(s0), end(s1)] contiguously.
-    for (std::size_t i = 0; i + 1 < out.size(); ++i) {
-      EXPECT_LT(out[i], out[i + 1]);
-      EXPECT_FALSE(overlaps(out[i], out[i + 1]));
+    // Complete fills the gap between s0 and s1; the slice from s0 to s1
+    // tiles [begin(s0), end(s1)) contiguously.
+    const auto t = complete(s, root);
+    const auto lo = std::find(t.begin(), t.end(), s[0]);
+    const auto hi = std::find(t.begin(), t.end(), s[1]);
+    ASSERT_TRUE(lo < hi && hi != t.end());
+    for (auto it = lo; it != hi; ++it) {
+      EXPECT_LT(*it, *(it + 1));
+      EXPECT_FALSE(overlaps(*it, *(it + 1)));
+      EXPECT_EQ(key_interval_end<D>(key_of(*it)),
+                key_interval_begin<D>(key_of(*(it + 1))));
     }
   }
 }
